@@ -31,7 +31,7 @@ from repro.program.blocks import Function, Program, StaticBasicBlock
 from repro.program.memgen import AddressGenerator, ChaseGenerator, \
     StackGenerator, StrideGenerator
 from repro.program.profiles import SPECINT2000, BenchmarkProfile
-from repro.util.bits import mix64
+from repro.util.bits import mix64, splitmix64
 
 CODE_BASE = 0x0040_0000
 """Base address of the code segment."""
@@ -47,6 +47,13 @@ _MAX_BLOCK = 32
 _MAX_LOOP_TRIP = 64
 _CALL_REACH = 8          # function i may call (i, i + reach]
 _ARCH_REGS = range(1, 31)  # r0 reserved as zero, r31 as link
+
+_LOAD = InstrClass.LOAD
+_STORE = InstrClass.STORE
+_INT_MUL = InstrClass.INT_MUL
+_FP_ALU = InstrClass.FP_ALU
+_INT_ALU = InstrClass.INT_ALU
+_NOT_BRANCH = BranchKind.NOT_BRANCH
 
 
 @dataclass
@@ -211,7 +218,9 @@ class _DataArena:
                  salt: int) -> None:
         self._rng = rng
         self._profile = profile
-        self._salt = salt
+        # Generator n is salted mix64(salt, 0xDA7A, n), which equals
+        # splitmix64(mix64(salt, 0xDA7A) ^ n): fold the prefix once.
+        self._salt_prefix = mix64(salt, 0xDA7A)
         self._serial = 0
         ws_bytes = profile.ws_kb * 1024
         self._heap_base = DATA_BASE
@@ -228,7 +237,7 @@ class _DataArena:
     def make_generator(self) -> AddressGenerator:
         """Return an address generator drawn from the profile's mix."""
         self._serial += 1
-        salt = mix64(self._salt, 0xDA7A, self._serial)
+        salt = splitmix64(self._salt_prefix ^ self._serial)
         r = self._rng.random()
         if r < self._profile.chase_frac:
             return ChaseGenerator(self._heap_base, self._heap_bytes, salt)
@@ -307,35 +316,20 @@ def generate_program(profile: BenchmarkProfile, seed: int = 0) -> Program:
     profile's Table 1 target (execution weighting of loop bodies would
     otherwise skew individual seeds by 10-20%).
     """
+    # Imported here to avoid a package-level cycle: repro.trace depends on
+    # repro.program for its data types.
+    from repro.trace.walker import dynamic_stats
+
     scale = 1.0
     program = _generate_once(profile, seed, scale)
     for _ in range(4):
-        measured = _measure_dynamic_block_size(program)
+        measured = dynamic_stats(program, 50_000).avg_block_size
         rel = measured / profile.avg_bb_size
         if 0.96 <= rel <= 1.04:
             break
         scale = min(2.5, max(0.4, scale / rel))
         program = _generate_once(profile, seed, scale)
     return program
-
-
-def _measure_dynamic_block_size(program: Program,
-                                instructions: int = 50_000) -> float:
-    """Dynamic instructions-per-branch along the correct path."""
-    # Imported here to avoid a package-level cycle: repro.trace depends on
-    # repro.program for its data types.
-    from repro.trace.context import ThreadContext
-
-    ctx = ThreadContext(program)
-    branches = 0
-    for _ in range(instructions):
-        static = program.instr_at(ctx.pc)
-        if static is None:  # pragma: no cover - validated programs are total
-            raise RuntimeError(f"unmapped architectural pc {ctx.pc:#x}")
-        if static.is_branch:
-            branches += 1
-        ctx.step(static)
-    return instructions / max(branches, 1)
 
 
 def _generate_once(profile: BenchmarkProfile, seed: int,
@@ -359,8 +353,21 @@ def _generate_once(profile: BenchmarkProfile, seed: int,
             addr += block_plan.size * INSTR_BYTES
         block_addr.append(addrs)
 
-    # Pass 3: instantiate.
+    # Pass 3: instantiate.  Calibration runs this up to five times per
+    # program, so the body-instruction draws are inlined with the
+    # profile fields and RNG methods they use bound to locals.  The draw
+    # order is fixed: changing it changes every generated program.
     arena = _DataArena(rng, profile, salt)
+    make_generator = arena.make_generator
+    draw = rng.random
+    choice = rng.choice
+    boost = _mix_boost(profile)
+    load_frac = profile.load_frac
+    store_frac = profile.store_frac
+    mul_frac = profile.mul_frac
+    fp_frac = profile.fp_frac
+    chase_chain_p = profile.chase_chain_p
+    dep_window = profile.dep_window
     behaviors: list[BranchBehavior] = []
     memgens: list[AddressGenerator] = []
     blocks: list[StaticBasicBlock] = []
@@ -368,45 +375,79 @@ def _generate_once(profile: BenchmarkProfile, seed: int,
     sid = 0
     bid = 0
 
-    boost = _mix_boost(profile)
+    # Behaviour parameters are keyed by structural position (fid,
+    # local_idx) so calibration rescales block sizes without re-rolling
+    # loop trips or branch biases: the terminator RNG is reseeded with
+    # mix64(salt, 0xBEAF, fid, local_idx) and the behaviour salt is
+    # mix64(salt, fid, local_idx), both folded from per-function prefixes.
+    term_rng = random.Random()
+    term_prefix = mix64(salt, 0xBEAF)
     for fid, plan in enumerate(plans):
+        term_fid_prefix = splitmix64(term_prefix ^ fid)
+        salt_fid_prefix = mix64(salt, fid)
+        addrs = block_addr[fid]
         block_ids: list[int] = []
         recent_dests: list[int] = []
         recent_alu_dests: list[int] = []
         last_load_dest = -1
         for local_idx, block_plan in enumerate(plan.blocks):
-            start = block_addr[fid][local_idx]
+            start = addr = addrs[local_idx]
             instrs: list[StaticInstruction] = []
-            for slot in range(block_plan.size - 1):
-                instr_addr = start + slot * INSTR_BYTES
-                instrs.append(_make_body_instr(
-                    rng, profile, arena, memgens, sid, instr_addr,
-                    recent_dests, last_load_dest, boost))
-                if instrs[-1].opclass == InstrClass.LOAD:
-                    last_load_dest = instrs[-1].dest
-                elif instrs[-1].opclass == InstrClass.INT_ALU \
-                        and instrs[-1].dest >= 0:
-                    # Branch conditions prefer these: induction-variable
-                    # style operands that resolve in one cycle.
-                    recent_alu_dests.append(instrs[-1].dest)
-                    if len(recent_alu_dests) > 4:
-                        recent_alu_dests.pop(0)
-                if instrs[-1].dest >= 0:
-                    recent_dests.append(instrs[-1].dest)
-                    if len(recent_dests) > profile.dep_window:
-                        recent_dests.pop(0)
+            for _ in range(block_plan.size - 1):
+                # One non-branch instruction with realistic dependences.
+                r = draw() / boost
+                if not recent_dests:
+                    srcs = ()
+                else:
+                    roll = draw()
+                    if roll < 0.25:
+                        srcs = ()               # immediate/constant operands
+                    elif len(recent_dests) == 1 or roll < 0.70:
+                        srcs = (choice(recent_dests),)
+                    else:
+                        srcs = (choice(recent_dests), choice(recent_dests))
+                dest = choice(_ARCH_REGS)
+                if r < load_frac:
+                    memgens.append(make_generator())
+                    if last_load_dest >= 0 and draw() < chase_chain_p:
+                        srcs = (last_load_dest,)
+                    instrs.append(StaticInstruction(
+                        sid, addr, _LOAD, _NOT_BRANCH, dest, srcs, 0, -1,
+                        len(memgens) - 1))
+                    last_load_dest = dest
+                elif (r := r - load_frac) < store_frac:
+                    memgens.append(make_generator())
+                    instrs.append(StaticInstruction(
+                        sid, addr, _STORE, _NOT_BRANCH, -1, srcs, 0, -1,
+                        len(memgens) - 1))
+                    dest = -1
+                else:
+                    if (r := r - store_frac) < mul_frac:
+                        opclass = _INT_MUL
+                    elif r - mul_frac < fp_frac:
+                        opclass = _FP_ALU
+                    else:
+                        opclass = _INT_ALU
+                        # Branch conditions prefer these: induction-
+                        # variable style operands that resolve in one
+                        # cycle.
+                        recent_alu_dests.append(dest)
+                        if len(recent_alu_dests) > 4:
+                            del recent_alu_dests[0]
+                    instrs.append(StaticInstruction(sid, addr, opclass,
+                                                    _NOT_BRANCH, dest, srcs))
+                if dest >= 0:
+                    recent_dests.append(dest)
+                    if len(recent_dests) > dep_window:
+                        del recent_dests[0]
                 sid += 1
-            term_addr = start + (block_plan.size - 1) * INSTR_BYTES
-            # Behaviour parameters are keyed by structural position
-            # (fid, local_idx) so calibration rescales block sizes
-            # without re-rolling loop trips or branch biases.
-            term_rng = random.Random(mix64(salt, 0xBEAF, fid, local_idx))
-            term_srcs = recent_alu_dests if recent_alu_dests \
-                else recent_dests
+                addr += INSTR_BYTES
+            term_rng.seed(splitmix64(term_fid_prefix ^ local_idx))
             instrs.append(_make_terminator(
-                term_rng, profile, block_plan, term_addr, sid, fid,
-                block_addr, func_entry_addr, behaviors, term_srcs,
-                mix64(salt, fid, local_idx)))
+                term_rng, profile, block_plan, addr, sid, fid,
+                block_addr, func_entry_addr, behaviors,
+                recent_alu_dests or recent_dests,
+                splitmix64(salt_fid_prefix ^ local_idx)))
             sid += 1
             blocks.append(StaticBasicBlock(bid, fid, start, instrs))
             block_ids.append(bid)
@@ -430,39 +471,13 @@ def _mix_boost(profile: BenchmarkProfile) -> float:
     return min(boost, 0.95 / mix)
 
 
-def _make_body_instr(rng: random.Random, profile: BenchmarkProfile,
-                     arena: _DataArena, memgens: list[AddressGenerator],
-                     sid: int, addr: int, recent_dests: list[int],
-                     last_load_dest: int, boost: float) -> StaticInstruction:
-    """Emit one non-branch instruction with realistic dependences."""
-    r = rng.random() / boost
-    srcs = _pick_srcs(rng, recent_dests)
-    dest = rng.choice(_ARCH_REGS)
-    if r < profile.load_frac:
-        memgens.append(arena.make_generator())
-        if last_load_dest >= 0 and rng.random() < profile.chase_chain_p:
-            srcs = (last_load_dest,)
-        return StaticInstruction(sid, addr, InstrClass.LOAD, dest=dest,
-                                 srcs=srcs, memgen=len(memgens) - 1)
-    r -= profile.load_frac
-    if r < profile.store_frac:
-        memgens.append(arena.make_generator())
-        return StaticInstruction(sid, addr, InstrClass.STORE, dest=-1,
-                                 srcs=srcs, memgen=len(memgens) - 1)
-    r -= profile.store_frac
-    if r < profile.mul_frac:
-        return StaticInstruction(sid, addr, InstrClass.INT_MUL, dest=dest,
-                                 srcs=srcs)
-    r -= profile.mul_frac
-    if r < profile.fp_frac:
-        return StaticInstruction(sid, addr, InstrClass.FP_ALU, dest=dest,
-                                 srcs=srcs)
-    return StaticInstruction(sid, addr, InstrClass.INT_ALU, dest=dest,
-                             srcs=srcs)
-
-
 def _pick_srcs(rng: random.Random,
                recent_dests: list[int]) -> tuple[int, ...]:
+    """A terminator's source operands, drawn from recent destinations.
+
+    The body-instruction loop of :func:`_generate_once` inlines the same
+    draws for non-branch instructions.
+    """
     if not recent_dests:
         return ()
     roll = rng.random()

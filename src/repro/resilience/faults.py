@@ -34,7 +34,8 @@ Fault kinds:
 
 Faults are matched by substring against a cell's *fault label* (see
 :func:`fault_label`), which names workload, engine, policy, run
-windows and seed — e.g. ``match="seed1"`` or ``match="RR.1.8"`` picks
+windows, seed and every config field off its default — e.g.
+``match="seed1"``, ``match="RR.1.8"`` or ``match="ftq_depth=8"`` picks
 out specific cells, ``match="*"`` matches everything.
 """
 
@@ -47,6 +48,8 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.core.config import DEFAULT_CONFIG
 
 ENV_VAR = "REPRO_FAULTS"
 """Environment variable carrying the JSON fault plan."""
@@ -61,6 +64,9 @@ WORKER_FAULT_KINDS = ("crash", "hang", "raise")
 """Kinds that fire in the execution path (``corrupt`` fires in the
 cache write path instead)."""
 
+_DEFAULT_FIELDS = DEFAULT_CONFIG.to_dict()
+"""Config fields a label omits while they hold these values."""
+
 
 class InjectedFault(RuntimeError):
     """The exception a ``raise`` fault throws inside the worker."""
@@ -70,23 +76,33 @@ def fault_label(cell) -> str:
     """Canonical matchable name of a cell (duck-typed descriptor).
 
     ``cell`` needs ``workload``/``engine``/``policy``/``cycles``/
-    ``warmup`` attributes and a ``config`` with a ``seed`` —
-    :class:`repro.experiments.session.Cell` in practice.
+    ``warmup`` attributes and a ``config`` —
+    :class:`repro.campaign.cells.Cell` in practice.  The label is
+    ``workload:engine:policy:c<cycles>:w<warmup>:seed<seed>`` plus
+    ``:<field>=<value>`` for each other config field that differs from
+    :data:`~repro.core.config.DEFAULT_CONFIG`, in field order, so the
+    points of a config sweep get distinct labels.
     """
-    workload = cell.workload if isinstance(cell.workload, str) \
-        else "+".join(cell.workload)
-    return (f"{workload}:{cell.engine}:{cell.policy}"
-            f":c{cell.cycles}:w{cell.warmup}:seed{cell.config.seed}")
+    return _label(cell.workload, cell.engine, cell.policy, cell.cycles,
+                  cell.warmup, cell.config.to_dict())
 
 
 def descriptor_label(descriptor: dict) -> str:
     """:func:`fault_label` rebuilt from a cache descriptor mapping."""
-    workload = descriptor["workload"]
+    return _label(descriptor["workload"], descriptor["engine"],
+                  descriptor["policy"], descriptor["cycles"],
+                  descriptor["warmup"], descriptor["config"])
+
+
+def _label(workload: str | list[str] | tuple[str, ...], engine: str,
+           policy: str, cycles: int, warmup: int, config: dict) -> str:
     if not isinstance(workload, str):
         workload = "+".join(workload)
-    return (f"{workload}:{descriptor['engine']}:{descriptor['policy']}"
-            f":c{descriptor['cycles']}:w{descriptor['warmup']}"
-            f":seed{descriptor['config']['seed']}")
+    overrides = "".join(
+        f":{name}={config[name]}" for name, default in _DEFAULT_FIELDS.items()
+        if name != "seed" and config.get(name, default) != default)
+    return (f"{workload}:{engine}:{policy}:c{cycles}:w{warmup}"
+            f":seed{config['seed']}{overrides}")
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,28 @@ architectural path of a program, which is how the synthetic workloads
 are validated against the paper's Table 1 (dynamic basic-block size) and
 how stream-length statistics — the quantity behind the stream fetch
 engine's advantage — are measured.
+
+:func:`walk` steps one instruction at a time and is the reference.
+:func:`dynamic_stats` only needs counts, so it steps whole blocks: a
+block is entered only at its start and left only through its final
+instruction, so everything before that instruction runs unconditionally
+and only the terminator needs :meth:`ThreadContext.step`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.instruction import StaticInstruction
+from repro.isa.instruction import INSTR_BYTES, BranchKind, InstrClass, \
+    StaticInstruction
 from repro.program.blocks import Program
-from repro.trace.context import ThreadContext
+from repro.trace.context import ThreadContext, WalkError
 
 
 def walk(program: Program, max_instructions: int):
     """Yield ``(static, taken, target)`` along the correct path.
+
+    The per-instruction reference for :func:`dynamic_stats`.
 
     Args:
         program: Program to execute.
@@ -58,24 +67,89 @@ class StreamSummary:
     store_frac: float
 
 
+_NOT_BRANCH = BranchKind.NOT_BRANCH
+_LOAD = int(InstrClass.LOAD)
+_STORE = int(InstrClass.STORE)
+
+
+def _memory_counts(instrs: list[StaticInstruction]) -> tuple[int, int]:
+    """``(loads, stores)`` among non-branch ``instrs``.
+
+    Raises:
+        WalkError: On a branch (control could leave mid-stride).
+    """
+    loads = stores = 0
+    for static in instrs:
+        if static.kind != _NOT_BRANCH:
+            raise WalkError(f"branch at {static.addr:#x} is not the "
+                            f"last instruction of its block")
+        if static.op == _LOAD:
+            loads += 1
+        elif static.op == _STORE:
+            stores += 1
+    return loads, stores
+
+
+def _block_table(program: Program) -> dict[int, tuple]:
+    """Map each block's start address to the walk's per-block stride.
+
+    Entries are ``(size, terminator, loads, stores, instrs)``;
+    ``terminator`` is None for a block that falls through to the next.
+    Built per walk so :class:`Program` carries no derived state.
+    """
+    table = {}
+    for block in program.blocks:
+        instrs = block.instrs
+        terminator = block.terminator
+        loads, stores = _memory_counts(
+            instrs if terminator is None else instrs[:-1])
+        table[block.start_addr] = (len(instrs), terminator, loads, stores,
+                                   instrs)
+    return table
+
+
 def dynamic_stats(program: Program,
                   max_instructions: int = 200_000) -> StreamSummary:
-    """Measure dynamic block/stream statistics along the correct path."""
-    branches = 0
-    taken_branches = 0
-    loads = 0
-    stores = 0
-    instructions = 0
-    for static, taken, _ in walk(program, max_instructions):
-        instructions += 1
-        if static.is_branch:
-            branches += 1
-            if taken:
-                taken_branches += 1
-        elif static.opclass.name == "LOAD":
-            loads += 1
-        elif static.opclass.name == "STORE":
-            stores += 1
+    """Measure dynamic block/stream statistics along the correct path.
+
+    Counts equal a per-instruction tally over :func:`walk`, but the
+    budget is spent a block at a time and only terminators are stepped.
+
+    Raises:
+        WalkError: If control reaches an address that is not the start
+            of a block.
+    """
+    table = _block_table(program)
+    ctx = ThreadContext(program)
+    step = ctx.step
+    pc = ctx.pc
+    remaining = max_instructions
+    branches = taken_branches = loads = stores = 0
+    while remaining > 0:
+        entry = table.get(pc)
+        if entry is None:
+            raise WalkError(f"architectural pc {pc:#x} is not the start "
+                            f"of a block")
+        size, terminator, block_loads, block_stores, instrs = entry
+        if size > remaining:
+            # The budget runs out before the block's terminator.
+            block_loads, block_stores = _memory_counts(instrs[:remaining])
+            loads += block_loads
+            stores += block_stores
+            break
+        remaining -= size
+        loads += block_loads
+        stores += block_stores
+        if terminator is None:
+            pc += size * INSTR_BYTES
+            continue
+        ctx.pc = terminator.addr
+        taken, _ = step(terminator)
+        branches += 1
+        if taken:
+            taken_branches += 1
+        pc = ctx.pc
+    instructions = max(max_instructions, 0)
     return StreamSummary(
         instructions=instructions,
         branches=branches,

@@ -34,7 +34,10 @@ def mix64(*values: int) -> int:
 
     ``mix64(a, b)`` differs from ``mix64(b, a)``: the fold is
     order-sensitive, so distinct (salt, index) pairs never collide by
-    transposition.
+    transposition.  It also extends a prefix:
+    ``mix64(*prefix, v) == splitmix64(mix64(*prefix) ^ v)`` for any
+    ``0 <= v < 2**64``, so a caller hashing many values under one
+    constant prefix can fold the prefix once.
     """
     acc = MIX_SEED
     for value in values:

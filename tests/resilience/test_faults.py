@@ -5,7 +5,9 @@ These tests never spawn workers — they exercise the pure machinery
 integration tests in ``test_retry_timeout.py`` rely on.
 """
 
+import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.resilience import (
     should_corrupt,
 )
 from repro.resilience.faults import descriptor_label
+from repro.sweeps.run import expand_cells
+from repro.sweeps.spec import SweepSpec
 
 
 def make_cell(workload="2_MIX", seed=0):
@@ -49,6 +53,41 @@ class TestLabels:
                                      cell.policy, cell.cycles,
                                      cell.warmup, cell.config)
         assert descriptor_label(descriptor) == fault_label(cell)
+
+    def test_config_sweep_points_get_distinct_labels(self):
+        # An ftq_depth sweep used to journal, report and fault-match four
+        # identical labels; non-default fields now name the point.
+        session = ExperimentSession(cycles=2000, warmup=1000)
+        spec = SweepSpec.of("ftq", {"ftq_depth": (1, 2, 4, 8),
+                                    "seed": (1,)})
+        cells = [cell for _, cell in expand_cells(spec, session)]
+        labels = [fault_label(cell) for cell in cells]
+        base = "2_MIX:stream:ICOUNT.1.8:c2000:w1000:seed1"
+        assert labels == [base + ":ftq_depth=1", base + ":ftq_depth=2",
+                          base, base + ":ftq_depth=8"]
+        for cell, label in zip(cells, labels):
+            descriptor = cell_descriptor(cell.workload, cell.engine,
+                                         cell.policy, cell.cycles,
+                                         cell.warmup, cell.config)
+            assert descriptor_label(descriptor) == label
+            # A queue row stores its descriptor as sorted-key JSON.
+            reloaded = json.loads(json.dumps(descriptor, sort_keys=True))
+            assert descriptor_label(reloaded) == label
+        # Substring specs written against the old labels still fire.
+        for match, hits in (("seed1", 4), ("2_MIX:stream", 4),
+                            ("ICOUNT.1.8:c2000", 4), ("ftq_depth=8", 1),
+                            ("seed0", 0)):
+            spec = FaultSpec(kind="raise", match=match)
+            assert sum(spec.matches(label) for label in labels) == hits, \
+                match
+
+    def test_every_non_default_field_is_named_in_field_order(self):
+        cell = make_cell()
+        config = cell.config.with_(rob_entries=128, backend="batched",
+                                   fetch_buffer=16)
+        label = fault_label(replace(cell, config=config))
+        assert label.endswith(":seed0:fetch_buffer=16:rob_entries=128"
+                              ":backend=batched")
 
 
 class TestFaultSpec:

@@ -43,6 +43,13 @@ class TestMix64:
     def test_in_range(self, a, b):
         assert 0 <= mix64(a, b) <= MASK64
 
+    @given(st.lists(st.integers(), max_size=4), u64)
+    def test_extends_a_folded_prefix(self, prefix, value):
+        # The program generator folds constant prefixes once on the
+        # strength of this identity.
+        assert mix64(*prefix, value) \
+            == splitmix64(mix64(*prefix) ^ value)
+
 
 class TestUnitFloat:
     @given(u64)
