@@ -63,17 +63,31 @@ class MemoryHierarchy:
         self._build_fast_paths()
 
     def _build_fast_paths(self) -> None:
-        """Compile ``ifetch``/``dread`` as closures for this hierarchy.
+        """Compile ``ifetch``/``dread``/``dwrite`` as closures.
 
-        These run once or twice every simulated cycle; the TLB-hit and
-        L1-hit fast paths are inlined (the component methods remain the
-        reference implementation for every other caller).  Captured
-        structures (cache sets, TLB order dicts) are identity-stable —
-        mutated in place, never rebound.  ``ifetch`` returns a shared
-        :class:`AccessResult` on the common penalty-free hit; callers
-        consume the result before the next access (the fetch stage and
-        the tests both do), so the reuse is safe and saves an
-        allocation per fetch cycle.
+        These run once or twice every simulated cycle, and on the
+        memory-bound workloads most data accesses miss, so both paths
+        are inlined: the TLB and L1 probes, and on a miss the L2 probe
+        and fill, the MSHR request (with its prune) and the tagged
+        next-line prefetch.  Every counter increment, LRU move and
+        MSHR ``_earliest`` update happens in the order the component
+        calls would make it; ``Tlb.access``, ``Cache.probe``/``fill``
+        and ``MshrFile.request`` remain the reference implementation
+        (``tests/memory/test_miss_path.py`` replays random access
+        streams against a hierarchy composed from them).  Captured
+        structures (cache sets, TLB order dicts, the MSHR entry dict)
+        are identity-stable — mutated in place, never rebound.
+        ``ifetch`` returns a shared :class:`AccessResult` on the common
+        penalty-free hit; callers consume the result before the next
+        access (the fetch stage and the tests both do), so the reuse is
+        safe and saves an allocation per fetch cycle.
+
+        Each instruction-fetch or load miss triggers a tagged next-line
+        prefetch (21264-era hardware): the following line is installed
+        in the missing L1 and in L2, without modelling its memory
+        traffic.  Sequential (stride) walks hit as on 2004 hardware,
+        while pointer chases gain nothing, preserving the paper's
+        ILP-vs-MEM contrast.
         """
         itlb = self.itlb
         itlb_order = itlb._order
@@ -89,19 +103,28 @@ class MemoryHierarchy:
         dtlb_shift = dtlb._page_shift
         dtlb_entries = dtlb.entries
         dtlb_penalty = dtlb.miss_penalty
+        # All three caches share the hierarchy's line size, so one line
+        # number (and one ``line * 64 + asid`` key) serves every level.
+        line_shift = self._line_shift
         l1i = self.l1i
         l1i_sets = l1i._sets
-        l1i_shift = l1i._line_shift
         l1i_mask = l1i._set_mask
+        l1i_assoc = l1i.assoc
         l1d = self.l1d
         l1d_sets = l1d._sets
-        l1d_shift = l1d._line_shift
         l1d_mask = l1d._set_mask
-        mshr_request = self.dmshr.request
-        line_shift = self._line_shift
+        l1d_assoc = l1d.assoc
+        l2 = self.l2
+        l2_sets = l2._sets
+        l2_mask = l2._set_mask
+        l2_assoc = l2.assoc
+        dmshr = self.dmshr
+        mshr_entries = dmshr._entries
+        mshr_capacity = dmshr.capacity
+        mshr_never = dmshr._NEVER
         l1_latency = self.l1_latency
-        miss_to_l2 = self._miss_to_l2
-        next_line_prefetch = self._next_line_prefetch
+        l2_latency = self.l2_latency
+        l2_miss_latency = self.l2_latency + self.memory_latency
         access_result = AccessResult
         hit_result = AccessResult(True, 0)
         # Same-key TLB filters: when an access repeats the immediately
@@ -131,16 +154,52 @@ class MemoryHierarchy:
                     penalty = itlb_penalty
                 itlb_last[0] = page
                 itlb_last[1] = asid
-            line = addr >> l1i_shift    # inlined Cache.probe
-            lines = l1i_sets[(line ^ (asid * 0x9E37)) & l1i_mask]
+            line = addr >> line_shift   # inlined Cache.probe
+            salt = asid * 0x9E37
+            lines = l1i_sets[(line ^ salt) & l1i_mask]
             line_key = line * 64 + asid
             try:
                 pos = lines.index(line_key)
             except ValueError:
                 l1i.misses += 1
-                latency = penalty + miss_to_l2(addr, asid)
-                l1i.fill(addr, asid)
-                next_line_prefetch(l1i, addr, asid)
+                # L2 probe, filling on a miss.
+                lines2 = l2_sets[(line ^ salt) & l2_mask]
+                if line_key in lines2:
+                    pos = lines2.index(line_key)
+                    if pos:
+                        lines2.insert(0, lines2.pop(pos))
+                    l2.hits += 1
+                    latency = penalty + l2_latency
+                else:
+                    l2.misses += 1
+                    lines2.insert(0, line_key)
+                    if len(lines2) > l2_assoc:
+                        lines2.pop()
+                    latency = penalty + l2_miss_latency
+                # L1I fill (the line just missed there).
+                lines.insert(0, line_key)
+                if len(lines) > l1i_assoc:
+                    lines.pop()
+                # Next-line prefetch into L2 and L1I.
+                line += 1
+                line_key += 64
+                lines2 = l2_sets[(line ^ salt) & l2_mask]
+                if line_key in lines2:
+                    pos = lines2.index(line_key)
+                    if pos:
+                        lines2.insert(0, lines2.pop(pos))
+                    l2.hits += 1
+                else:
+                    l2.misses += 1
+                    lines2.insert(0, line_key)
+                    if len(lines2) > l2_assoc:
+                        lines2.pop()
+                lines = l1i_sets[(line ^ salt) & l1i_mask]
+                if line_key in lines:
+                    lines.remove(line_key)
+                lines.insert(0, line_key)
+                if len(lines) > l1i_assoc:
+                    lines.pop()
                 return access_result(False, cycle + latency)
             if pos:
                 lines.insert(0, lines.pop(pos))
@@ -170,8 +229,9 @@ class MemoryHierarchy:
                     penalty = dtlb_penalty
                 dtlb_last[0] = page
                 dtlb_last[1] = asid
-            line = addr >> l1d_shift    # inlined Cache.probe; `in`
-            lines = l1d_sets[(line ^ (asid * 0x9E37)) & l1d_mask]
+            line = addr >> line_shift   # inlined Cache.probe; `in`
+            salt = asid * 0x9E37
+            lines = l1d_sets[(line ^ salt) & l1d_mask]
             line_key = line * 64 + asid  # avoids raising on the misses
             if line_key in lines:        # MEM workloads produce often
                 pos = lines.index(line_key)
@@ -180,15 +240,64 @@ class MemoryHierarchy:
                 l1d.hits += 1
                 return l1_latency + penalty
             l1d.misses += 1
-            fill_latency = miss_to_l2(addr, asid)
-            ready = mshr_request(asid, addr >> line_shift, cycle,
-                                 cycle + penalty + fill_latency)
-            if ready is None:
-                # No MSHR: undo nothing (L2 state already touched is
-                # fine — the replayed access will hit L2).
+            # L2 probe, filling on a miss.  A load rejected below for
+            # want of an MSHR keeps this L2 state (its replay hits L2).
+            lines2 = l2_sets[(line ^ salt) & l2_mask]
+            if line_key in lines2:
+                pos = lines2.index(line_key)
+                if pos:
+                    lines2.insert(0, lines2.pop(pos))
+                l2.hits += 1
+                ready = cycle + penalty + l2_latency
+            else:
+                l2.misses += 1
+                lines2.insert(0, line_key)
+                if len(lines2) > l2_assoc:
+                    lines2.pop()
+                ready = cycle + penalty + l2_miss_latency
+            # Inlined MshrFile.request (and its prune).
+            if cycle >= dmshr._earliest:
+                done = [k for k, due in mshr_entries.items() if due <= cycle]
+                for k in done:
+                    del mshr_entries[k]
+                dmshr._earliest = min(mshr_entries.values(),
+                                      default=mshr_never)
+            key = (asid, line)
+            existing = mshr_entries.get(key)
+            if existing is not None:
+                dmshr.coalesced += 1
+                ready = existing
+            elif len(mshr_entries) >= mshr_capacity:
+                dmshr.rejections += 1
                 return None
-            l1d.fill(addr, asid)
-            next_line_prefetch(l1d, addr, asid)
+            else:
+                mshr_entries[key] = ready
+                if ready < dmshr._earliest:
+                    dmshr._earliest = ready
+            # L1D fill (the line just missed there).
+            lines.insert(0, line_key)
+            if len(lines) > l1d_assoc:
+                lines.pop()
+            # Next-line prefetch into L2 and L1D.
+            line += 1
+            line_key += 64
+            lines2 = l2_sets[(line ^ salt) & l2_mask]
+            if line_key in lines2:
+                pos = lines2.index(line_key)
+                if pos:
+                    lines2.insert(0, lines2.pop(pos))
+                l2.hits += 1
+            else:
+                l2.misses += 1
+                lines2.insert(0, line_key)
+                if len(lines2) > l2_assoc:
+                    lines2.pop()
+            lines = l1d_sets[(line ^ salt) & l1d_mask]
+            if line_key in lines:
+                lines.remove(line_key)
+            lines.insert(0, line_key)
+            if len(lines) > l1d_assoc:
+                lines.pop()
             delay = ready - cycle
             return delay if delay > l1_latency else l1_latency
 
@@ -209,8 +318,9 @@ class MemoryHierarchy:
                         dtlb_pop(last=False)
                 dtlb_last[0] = page
                 dtlb_last[1] = asid
-            line = addr >> l1d_shift    # inlined Cache.probe
-            lines = l1d_sets[(line ^ (asid * 0x9E37)) & l1d_mask]
+            line = addr >> line_shift   # inlined Cache.probe
+            salt = asid * 0x9E37
+            lines = l1d_sets[(line ^ salt) & l1d_mask]
             line_key = line * 64 + asid
             if line_key in lines:
                 pos = lines.index(line_key)
@@ -219,27 +329,25 @@ class MemoryHierarchy:
                 l1d.hits += 1
                 return
             l1d.misses += 1
-            miss_to_l2(addr, asid)
-            l1d.fill(addr, asid)
+            # L2 probe, filling on a miss; then the L1D fill.
+            lines2 = l2_sets[(line ^ salt) & l2_mask]
+            if line_key in lines2:
+                pos = lines2.index(line_key)
+                if pos:
+                    lines2.insert(0, lines2.pop(pos))
+                l2.hits += 1
+            else:
+                l2.misses += 1
+                lines2.insert(0, line_key)
+                if len(lines2) > l2_assoc:
+                    lines2.pop()
+            lines.insert(0, line_key)
+            if len(lines) > l1d_assoc:
+                lines.pop()
 
         self.ifetch = ifetch
         self.dread = dread
         self.dwrite = dwrite
-
-    def _next_line_prefetch(self, cache: Cache, addr: int,
-                            asid: int) -> None:
-        """Tagged next-line prefetch on miss (21264-era hardware).
-
-        The following line is installed in the missing cache and in L2;
-        the prefetch's memory traffic is not separately modelled.
-        Sequential (stride) workloads hit like on real 2004 hardware,
-        while pointer chases gain nothing — preserving the paper's
-        ILP-vs-MEM contrast.
-        """
-        next_addr = addr + cache.line_bytes
-        if not self.l2.probe(next_addr, asid):
-            self.l2.fill(next_addr, asid)
-        cache.fill(next_addr, asid)
 
     def ibank_of(self, addr: int, asid: int = 0) -> int:
         """I-cache bank servicing ``addr`` (for 2.X conflict logic)."""
@@ -310,10 +418,3 @@ class MemoryHierarchy:
         for component in (self.l1i, self.l1d, self.l2, self.itlb,
                           self.dtlb, self.dmshr):
             component.reset_stats()
-
-    def _miss_to_l2(self, addr: int, asid: int) -> int:
-        """Latency of an L1 miss serviced by L2 or memory; fills L2."""
-        if self.l2.probe(addr, asid):
-            return self.l2_latency
-        self.l2.fill(addr, asid)
-        return self.l2_latency + self.memory_latency

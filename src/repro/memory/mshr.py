@@ -4,7 +4,9 @@ A load that misses allocates an entry keyed by (ASID, line); a second
 load to the same in-flight line *coalesces* (no new entry, same ready
 cycle).  When the file is full, the load cannot issue this cycle and
 replays — back-pressure that matters when memory-bound threads pile up
-dependent misses.
+dependent misses.  Behind the hierarchy's atomic fills, coalescing is
+rare: a second load usually hits the already-installed line in L1D
+(DESIGN.md §4).
 """
 
 from __future__ import annotations

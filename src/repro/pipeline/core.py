@@ -43,6 +43,28 @@ Hot-path design (this loop dominates every experiment's wall-clock):
   ever mutated in place (``lst[:] = ...``, ``clear``), never rebound;
   ``self.stats`` is the one object replaced at runtime
   (:meth:`reset_stats`), so closures re-read it per call.
+* **Stage skips** — on memory-bound workloads most cycles leave the
+  ROB head waiting on a miss and the rename latch stuck, so
+  ``run_fast`` skips stage work whose outcome cannot have changed:
+
+  - *Commit* is skipped after a cycle that committed nothing, until
+    writeback completes an instruction at the head of its thread's
+    ROB list.  Nothing else can make a head committable: dispatch
+    appends only uncompleted instructions and squashes only trim ROB
+    tails.
+  - *Dispatch* remembers the stall count of a scan that dispatched
+    nothing, together with ``rob.size``, the three IQ lengths and
+    both free-register counts.  While none of those six numbers
+    changed and the rename latch did not move (the rename stage
+    moving entries in, a squash, or a dispatching scan), the next
+    scan would stall the same entries, so only its stall count is
+    added to ``stats.dispatch_stalls``.
+
+  Both states are locals of one ``run_fast`` call, so every call (and
+  every ``tick()``) starts without them.
+  ``tests/pipeline/test_fast_loop_parity.py`` checks that a long call
+  equals one ``tick()`` per cycle on every counter, including those
+  ``SimResult`` does not carry.
 
 All of it is behaviour-preserving by contract: the golden-parity suite
 (``tests/perf/test_golden_parity.py``) pins bit-identical
@@ -264,6 +286,12 @@ class SmtCore:
             stat_iq_occ = stats.iq_occupancy_sum
             last_commit = self._last_commit_cycle
             target = cycle + max_cycles
+            # Stage-skip state (see the module docstring).  It lives only
+            # in this call, so a ``tick()`` never inherits a skip.
+            commit_stuck = False
+            rescan = True
+            stall_rob = stall_q0 = stall_q1 = stall_q2 = 0
+            stall_int = stall_fp = stall_count = 0
             try:
                 while cycle < target:
                     if max_instructions is not None \
@@ -271,7 +299,11 @@ class SmtCore:
                         break
 
                     # ---------------- commit stage ----------------
-                    if rob.size:
+                    # Skipped while stuck: after a commit that committed
+                    # nothing, only writeback completing a ROB head can
+                    # change that (dispatch appends only uncompleted
+                    # instructions, squashes only trim ROB tails).
+                    if rob.size and not commit_stuck:
                         start = cycle % n_threads
                         committed = 0
                         for k in thread_range:
@@ -308,6 +340,8 @@ class SmtCore:
                             rob.size -= committed
                             stat_committed += committed
                             last_commit = cycle
+                        else:
+                            commit_stuck = True
 
                     # ---------------- writeback stage ----------------
                     done = wheel[cycle & wheel_mask]
@@ -328,6 +362,9 @@ class SmtCore:
                             if di.squashed:
                                 continue
                             di.completed = True
+                            if commit_stuck \
+                                    and rob_lists[di.tid][0] is di:
+                                commit_stuck = False
                             waiters = di.waiters
                             if waiters is not None:
                                 for w in waiters:
@@ -350,6 +387,7 @@ class SmtCore:
                                 engine_resolve(di)
                                 if di.diverges:
                                     self._squash_from(di)
+                                    rescan = True
                                     stats.squashes += 1
                                     iq_total = len(q0) + len(q1) \
                                         + len(q2)
@@ -432,9 +470,24 @@ class SmtCore:
                     # slots the stalled thread occupies.  The resource-model
                     # methods (queue_of/has_space/insert/available/allocate/
                     # push) are inlined.
+                    #
+                    # A scan that dispatches nothing depends only on the
+                    # latch, rob.size, the three IQ lengths and the two
+                    # free-register counts.  Until one of them changes
+                    # (the latch moves only at rename and squash) a
+                    # rescan would stall the same entries again, so its
+                    # stall count is added without the scan.
                     latch = rename_latch
-                    if latch:
+                    if latch and not rescan and rob.size == stall_rob \
+                            and len(q0) == stall_q0 \
+                            and len(q1) == stall_q1 \
+                            and len(q2) == stall_q2 \
+                            and regs.free_int == stall_int \
+                            and regs.free_fp == stall_fp:
+                        stats.dispatch_stalls += stall_count
+                    elif latch:
                         blocked = 0             # bitmask of stalled threads
+                        stalls = 0
                         kept = kept_scratch
                         dispatched = 0
                         rob_size = rob.size
@@ -450,7 +503,7 @@ class SmtCore:
                                 kept.append(di)
                                 continue
                             if rob_size >= rob_capacity:
-                                stats.dispatch_stalls += 1
+                                stalls += 1
                                 kept.append(di)
                                 kept.extend(latch_iter)
                                 break
@@ -466,7 +519,7 @@ class SmtCore:
                             else:
                                 regs_ok = regs.free_int > 0
                             if len(queue) >= iq_caps[q] or not regs_ok:
-                                stats.dispatch_stalls += 1
+                                stalls += 1
                                 blocked |= 1 << tid
                                 kept.append(di)
                                 continue
@@ -503,13 +556,28 @@ class SmtCore:
                                 ready_lists[q].append(di)
                             age += 1
                             dispatched += 1
-                        rob.size = rob_size
-                        self._age = age
-                        if kept:
-                            latch[:] = kept
-                            del kept[:]
+                        if stalls:
+                            stats.dispatch_stalls += stalls
+                        if dispatched:
+                            rob.size = rob_size
+                            self._age = age
+                            rescan = True
+                            if kept:
+                                latch[:] = kept
+                                del kept[:]
+                            else:
+                                del latch[:]
                         else:
-                            del latch[:]
+                            # Nothing moved: `kept` is the latch, unchanged.
+                            del kept[:]
+                            rescan = False
+                            stall_rob = rob_size
+                            stall_q0 = len(q0)
+                            stall_q1 = len(q1)
+                            stall_q2 = len(q2)
+                            stall_int = regs.free_int
+                            stall_fp = regs.free_fp
+                            stall_count = stalls
 
                     # ---------------- rename stage ----------------
                     space = double_decode_width - len(rename_latch)
@@ -523,9 +591,11 @@ class SmtCore:
                         if move:
                             rename_latch.extend(decode_latch)
                             del decode_latch[:]
+                            rescan = True
                     elif move > 0:
                         rename_latch.extend(decode_latch[:move])
                         del decode_latch[:move]
+                        rescan = True
 
                     # ---------------- decode stage ----------------
                     if fetch_buffer:

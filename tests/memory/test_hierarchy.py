@@ -61,8 +61,9 @@ class TestDRead:
     def test_mshr_coalesce_same_line(self, mem):
         first = mem.dread(0, 0x2000, 0)
         assert first is not None
-        # Second read to the same line while in flight coalesces: its
-        # latency is bounded by the first fill.
+        # Fills are atomic, so the line is already in L1D: a second read
+        # while the miss is in flight hits at L1 latency, never later
+        # than the first fill (DESIGN.md §4).
         second = mem.dread(1 if False else 0, 0x2008, 3)
         assert second is not None
         assert second <= first
