@@ -3,12 +3,17 @@
 Implements the three fetch-engine building sets the paper compares
 (Section 3 and Table 3):
 
-* ``gshare`` (64K-entry, 16-bit history) + ``BTB`` (2K-entry, 4-way) —
-  the conventional SMT front-end;
-* ``gskew`` (3 x 32K-entry, 15-bit history, majority vote) + ``FTB``
-  (2K-entry, 4-way fetch blocks that embed never-taken branches);
+* ``gshare`` (64K-entry) + ``BTB`` (2K-entry, 4-way) — the
+  conventional SMT front-end;
+* ``gskew`` (3 x 32K-entry, majority vote) + ``FTB`` (2K-entry, 4-way
+  fetch blocks that embed never-taken branches);
 * the cascaded ``stream predictor`` (1K-entry 4-way address-indexed +
   4K-entry 4-way DOLC path-indexed, DOLC 16-2-4-10).
+
+Table 3 gives gshare 16 and gskew 15 bits of global history, and the
+``GShare``/``GSkew`` constructors default to those.  The simulator runs
+6 and 5 bits (``SimConfig.gshare_history``/``gskew_history``; DESIGN.md
+§3 says why).
 
 Plus the shared pieces: per-thread speculative global history with
 checkpoint/restore, and a 64-entry per-thread return address stack with

@@ -30,12 +30,19 @@ class BTB:
     distinct programs whose (virtual) code ranges overlap, so an
     untagged BTB would systematically hand one thread another thread's
     targets.  Capacity is still shared — threads evict each other.
+
+    ``_keys`` is the *presence set*: the tags of every stored entry,
+    maintained by :meth:`insert`.  A tag ``pc * 64 + asid`` names one
+    (pc, asid) pair and therefore one set (for ASIDs below 64, i.e.
+    every hardware thread), so a tag absent from ``_keys`` misses
+    without a set scan.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_keys")
 
     def __init__(self, entries: int = 2048, assoc: int = 4) -> None:
         self._table = SetAssocTable(entries, assoc)
+        self._keys: set[int] = set()
 
     @staticmethod
     def _key(pc: int, asid: int) -> tuple[int, int]:
@@ -46,16 +53,31 @@ class BTB:
 
         Reference implementation: the gshare engine's compiled
         ``predict`` closure inlines this probe for its block-formation
-        scan (see ``gshare_btb._build_predict``).
+        scan (see ``gshare_btb._build_paths``).  The scan tests each
+        address's tag against the presence set ``_keys`` and walks a
+        set only on a hit, counting the misses in bulk; the counters
+        and LRU order end up exactly as a sequence of these calls
+        leaves them.
         """
         index, key = self._key(pc, asid)
         return self._table.lookup(index, key)
 
     def insert(self, pc: int, target: int, kind: BranchKind,
                asid: int = 0) -> None:
-        """Insert or refresh the branch at ``pc`` (any direction)."""
+        """Insert or refresh the branch at ``pc`` (any direction).
+
+        A new tag joins the presence set; when its set is full, the LRU
+        tag that the insertion evicts leaves it.
+        """
         index, key = self._key(pc, asid)
-        self._table.insert(index, key, BTBEntry(target, kind))
+        table = self._table
+        keys = self._keys
+        if key not in keys:
+            entries = table._sets[index & table._set_mask]
+            if len(entries) >= table.assoc:
+                keys.discard(entries[-1][0])
+            keys.add(key)
+        table.insert(index, key, BTBEntry(target, kind))
 
     @property
     def hits(self) -> int:

@@ -54,21 +54,13 @@ class FTB:
         return ((start >> 2) ^ (asid * 0x9E37), start * 64 + asid)
 
     def lookup(self, start: int, asid: int = 0) -> FTBEntry | None:
-        """Return the fetch block starting at ``start``, if cached."""
-        # `_key` and SetAssocTable.lookup inlined (one probe per
-        # prediction, every cycle).
-        table = self._table
-        entries = table._sets[((start >> 2) ^ (asid * 0x9E37))
-                              & table._set_mask]
-        key = start * 64 + asid
-        for pos, entry in enumerate(entries):
-            if entry[0] == key:
-                if pos:
-                    entries.insert(0, entries.pop(pos))
-                table.hits += 1
-                return entry[1]
-        table.misses += 1
-        return None
+        """Return the fetch block starting at ``start``, if cached.
+
+        Reference implementation: the gskew engine's compiled
+        ``predict`` inlines this probe (``gskew_ftb._build_paths``).
+        """
+        index, key = self._key(start, asid)
+        return self._table.lookup(index, key)
 
     def insert(self, start: int, length: int, target: int,
                kind: BranchKind, asid: int = 0) -> None:

@@ -1,8 +1,10 @@
 """gshare direction predictor (McFarling, 1993).
 
-Table 3 of the paper: 64K-entry PHT, 16 bits of global history.  The
-index XORs the branch address with the (per-thread) global history; the
-table itself is shared between threads.
+Table 3 of the paper: 64K-entry PHT, 16 bits of global history; the
+constructor defaults to both.  The simulator uses 6 history bits
+(``SimConfig.gshare_history``, DESIGN.md §3).  The index XORs the branch
+address with the (per-thread) global history; the table itself is
+shared between threads.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """gskew / e-gskew direction predictor (Michaud, Seznec & Uhlig, 1997).
 
-Table 3 of the paper: three 32K-entry banks, 15 bits of history.  Each
-bank is indexed by a different skewing function of (address, history),
-and a majority vote of the three counters yields the prediction; the
-skewed indices decorrelate conflict aliasing so that a branch that
-aliases destructively in one bank is usually out-voted by the other two.
+Table 3 of the paper: three 32K-entry banks, 15 bits of history; the
+constructor defaults to both.  The simulator uses 5 history bits
+(``SimConfig.gskew_history``, DESIGN.md §3).  Each bank is indexed by a
+different skewing function of (address, history), and a majority vote
+of the three counters yields the prediction; the skewed indices
+decorrelate conflict aliasing so that a branch that aliases
+destructively in one bank is usually out-voted by the other two.
 
 Update follows the *partial update* policy of the e-gskew paper: on a
 correct prediction only the agreeing banks are strengthened; on a

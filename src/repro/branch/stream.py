@@ -125,36 +125,22 @@ class StreamPredictor:
         ASID-tagged like the BTB/FTB: the threads' virtual code ranges
         overlap, and stream entries must not leak between address
         spaces.  Table capacity remains shared.
+
+        Reference implementation: the stream engine's compiled
+        ``predict`` inlines this lookup (``stream_engine._build_paths``).
         """
         self.lookups += 1
         key = start * 64 + asid
         asid_mix = asid * 0x9E37
-        # SetAssocTable.lookup inlined for both levels (one cascaded
-        # lookup per prediction, every cycle).
-        second = self._second
-        entries = second._sets[(history.index(start,
-                                              self._second_index_bits)
-                                ^ asid_mix) & second._set_mask]
-        for pos, entry in enumerate(entries):
-            if entry[0] == key:
-                if pos:
-                    entries.insert(0, entries.pop(pos))
-                second.hits += 1
-                self.second_hits += 1
-                return entry[1]
-        second.misses += 1
-        first = self._first
-        entries = first._sets[((start >> 2) ^ asid_mix)
-                              & first._set_mask]
-        for pos, entry in enumerate(entries):
-            if entry[0] == key:
-                if pos:
-                    entries.insert(0, entries.pop(pos))
-                first.hits += 1
-                self.first_hits += 1
-                return entry[1]
-        first.misses += 1
-        return None
+        entry = self._second.lookup(
+            history.index(start, self._second_index_bits) ^ asid_mix, key)
+        if entry is not None:
+            self.second_hits += 1
+            return entry
+        entry = self._first.lookup((start >> 2) ^ asid_mix, key)
+        if entry is not None:
+            self.first_hits += 1
+        return entry
 
     def reset_stats(self) -> None:
         """Zero lookup/hit counters (both levels); entries untouched."""

@@ -413,21 +413,22 @@ class FetchUnit:
         self.next_pc[tid] = resume_pc
         self.blocked_until[tid] = 0
         self.engine.repair(tid, di)
-        seq = di.seq
-        removed = 0
-        for entry in self.fetch_buffer:
-            if entry.tid == tid and entry.seq > seq:
-                entry.squashed = True
-                removed += 1
-        if removed:
-            # Rebuild only when the thread actually had buffered
-            # instructions; the common squash (empty remnant) pays a
-            # single scan and no allocation.
-            kept = [entry for entry in self.fetch_buffer
-                    if not (entry.tid == tid and entry.seq > seq)]
-            self.fetch_buffer.clear()
-            self.fetch_buffer.extend(kept)
-            self.icounts[tid] -= removed
+        fetch_buffer = self.fetch_buffer
+        if fetch_buffer:
+            # One pass: mark the thread's younger entries and collect
+            # the rest; the buffer is rebuilt only when something went.
+            seq = di.seq
+            kept = []
+            for entry in fetch_buffer:
+                if entry.tid == tid and entry.seq > seq:
+                    entry.squashed = True
+                else:
+                    kept.append(entry)
+            removed = len(fetch_buffer) - len(kept)
+            if removed:
+                fetch_buffer.clear()
+                fetch_buffer.extend(kept)
+                self.icounts[tid] -= removed
         if at_decode:
             self.stats.decode_redirects += 1
         else:

@@ -9,7 +9,7 @@ predicted not-taken); they are inserted when they resolve.
 
 from __future__ import annotations
 
-from repro.branch.btb import BTB
+from repro.branch.btb import BTB, BTBEntry
 from repro.branch.gshare import GShare
 from repro.branch.history import GlobalHistory
 from repro.branch.ras import ReturnAddressStack
@@ -19,7 +19,12 @@ from repro.isa.instruction import INSTR_BYTES, BranchKind, DynInst
 
 
 class GShareBtbEngine(FetchEngine):
-    """gshare (64K, 16-bit history) + BTB (2K, 4-way) + per-thread RAS."""
+    """gshare (64K) + BTB (2K, 4-way) + per-thread RAS.
+
+    Table 3 gives gshare 16 bits of global history; the default here is
+    ``SimConfig.gshare_history = 6`` (DESIGN.md §3), and a ``config``
+    without the field gets 6 too.
+    """
 
     name = "gshare+BTB"
     commit_training = False     # commit() below is a no-op
@@ -36,27 +41,35 @@ class GShareBtbEngine(FetchEngine):
         self.ghr = [GlobalHistory(gshare_history) for _ in range(n_threads)]
         self.ras = [ReturnAddressStack(ras_entries)
                     for _ in range(n_threads)]
-        self._build_predict()
+        self._build_paths()
 
-    def _build_predict(self) -> None:
-        """Compile ``predict`` as a closure for this engine.
+    def _build_paths(self) -> None:
+        """Compile ``predict`` and ``resolve_branch`` as closures.
 
-        The prediction stage runs every cycle; the GHR snapshot/push,
-        RAS snapshot and gshare counter read are inlined over captured
-        (identity-stable) structures.  ``resolve_branch``/``repair``
-        stay ordinary methods — they run per resolved branch, not per
-        cycle.
+        ``predict`` runs every cycle and ``resolve_branch`` once per
+        resolved branch.  Both inline their component calls over the
+        captured (identity-stable) tables, in the components' order and
+        with every counter and LRU move kept: the BTB probe and insert
+        (:meth:`BTB.lookup`, :meth:`BTB.insert`), gshare's predict and
+        update, and the GHR and RAS snapshot, push and pop.  The
+        component classes remain the reference
+        (``tests/frontend/test_engine_parity.py``).
         """
         ghrs = self.ghr
         rass = self.ras
-        btb_table = self.btb._table
+        btb = self.btb
+        btb_keys = btb._keys
+        btb_table = btb._table
         btb_sets = btb_table._sets
         btb_mask = btb_table._set_mask
+        btb_assoc = btb_table.assoc
+        btb_entry = BTBEntry
         gshare = self.gshare
         counters = gshare._table._counters
         index_mask = gshare._index_mask
         fetch_request = FetchRequest
         instr_bytes = INSTR_BYTES
+        key_step = INSTR_BYTES * 64     # BTB tag of the next address
         cond = BranchKind.COND
         ret = BranchKind.RET
         call = BranchKind.CALL
@@ -67,75 +80,105 @@ class GShareBtbEngine(FetchEngine):
             ras = rass[tid]
             ghr_ckpt = ghr.value                # GlobalHistory.snapshot
             ras_stack = ras._stack
-            ras_ckpt = (ras._top, ras_stack[ras._top])  # RAS.snapshot
-            entry = None
-            length = width
-            addr = pc
-            asid_mix = tid * 0x9E37
-            tag_base = tid             # BTB tag key: addr * 64 + tid
-            # BTB.lookup (and its SetAssocTable scan) inlined: this
-            # loop probes every address of a prospective fetch block —
-            # the hottest predictor path in the repo.
-            for i in range(width):
-                slots = btb_sets[((addr >> 2) ^ asid_mix) & btb_mask]
-                key = addr * 64 + tag_base
-                hit = None
-                for posn, slot in enumerate(slots):
-                    if slot[0] == key:
-                        if posn:
-                            slots.insert(0, slots.pop(posn))
-                        hit = slot[1]
-                        break
-                if hit is not None:
-                    btb_table.hits += 1
-                    entry = hit
-                    length = i + 1
+            ras_top = ras._top
+            ras_ckpt = (ras_top, ras_stack[ras_top])    # RAS.snapshot
+            # Block formation: one BTB.lookup per address until a hit.
+            # A tag absent from the presence set misses without a set
+            # scan, and the misses are counted once at the end.
+            key = pc * 64 + tid
+            for length in range(1, width + 1):
+                if key in btb_keys:
                     break
-                btb_table.misses += 1
-                addr += instr_bytes
-            if entry is None:
+                key += key_step
+            else:
+                btb_table.misses += width
                 # Positional args (see FetchRequest signature): this
                 # runs every cycle and keyword passing is measurable.
                 return fetch_request(tid, pc, width,
                                      pc + width * instr_bytes,
                                      False, False, 0, ghr_ckpt, ras_ckpt)
-
+            if length > 1:
+                btb_table.misses += length - 1
+            btb_table.hits += 1
             term_addr = pc + (length - 1) * instr_bytes
+            slots = btb_sets[((term_addr >> 2) ^ (tid * 0x9E37)) & btb_mask]
+            for posn, slot in enumerate(slots):
+                if slot[0] == key:
+                    if posn:
+                        slots.insert(0, slots.pop(posn))
+                    entry = slot[1]
+                    break
             kind = entry.kind
             if kind == cond:
                 # Inlined GShare.predict + GlobalHistory.push.
                 gshare.lookups += 1
-                history = ghr.value
-                taken = counters[((term_addr >> 2) ^ history)
+                taken = counters[((term_addr >> 2) ^ ghr_ckpt)
                                  & index_mask] >= 2
-                ghr.value = ((history << 1) | taken) & ghr._mask
+                ghr.value = ((ghr_ckpt << 1) | taken) & ghr._mask
                 target = entry.target
             elif kind == ret:
-                taken, target = True, ras.pop()
+                taken = True
+                target = ras_stack[ras_top]     # RAS.pop
+                ras._top = (ras_top - 1) % ras.size
             elif kind == call:
-                taken, target = True, entry.target
-                ras.push(term_addr + instr_bytes)
+                taken = True
+                target = entry.target
+                ras_top = (ras_top + 1) % ras.size      # RAS.push
+                ras._top = ras_top
+                ras_stack[ras_top] = term_addr + instr_bytes
             else:                   # JUMP / IND_JUMP: last seen target
-                taken, target = True, entry.target
+                taken = True
+                target = entry.target
             next_pc = target if taken else term_addr + instr_bytes
             return fetch_request(tid, pc, length, next_pc,
                                  True, taken, target, ghr_ckpt, ras_ckpt)
 
-        self.predict = predict
+        def resolve_branch(di: DynInst) -> None:
+            """Insert every resolved branch into the BTB; train gshare."""
+            static = di.static
+            pc = static.addr
+            tid = di.tid
+            taken = di.actual_taken
+            if taken:
+                target = di.actual_target
+            elif static.target_addr:
+                target = static.target_addr
+            else:
+                target = pc + instr_bytes
+            kind = static.kind
+            # Inlined BTB.insert (SetAssocTable.insert + presence set).
+            key = pc * 64 + tid
+            slots = btb_sets[((pc >> 2) ^ (tid * 0x9E37)) & btb_mask]
+            if key in btb_keys:
+                if slots[0][0] == key:
+                    slots[0] = (key, btb_entry(target, kind))
+                else:
+                    for posn, slot in enumerate(slots):
+                        if slot[0] == key:
+                            del slots[posn]
+                            break
+                    slots.insert(0, (key, btb_entry(target, kind)))
+            else:
+                btb_keys.add(key)
+                slots.insert(0, (key, btb_entry(target, kind)))
+                if len(slots) > btb_assoc:
+                    btb_keys.discard(slots.pop()[0])
+            request = di.request
+            if kind == cond and request is not None:
+                # Inlined GShare.update (and its counter update).
+                gshare.updates += 1
+                if di.pred_taken == taken:
+                    gshare.correct += 1
+                i = ((pc >> 2) ^ request.ghr_ckpt) & index_mask
+                c = counters[i]
+                if taken:
+                    if c < 3:
+                        counters[i] = c + 1
+                elif c > 0:
+                    counters[i] = c - 1
 
-    def resolve_branch(self, di: DynInst) -> None:
-        """Insert every resolved branch into the BTB; train gshare."""
-        static = di.static
-        if di.actual_taken:
-            target = di.actual_target
-        elif static.target_addr:
-            target = static.target_addr
-        else:
-            target = static.addr + INSTR_BYTES
-        self.btb.insert(di.pc, target, static.kind, di.tid)
-        if static.kind == BranchKind.COND and di.request is not None:
-            self.gshare.update(di.pc, di.request.ghr_ckpt, di.actual_taken,
-                               predicted=di.pred_taken)
+        self.predict = predict
+        self.resolve_branch = resolve_branch
 
     def commit(self, di: DynInst) -> None:
         """No commit-side training for this engine."""

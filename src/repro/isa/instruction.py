@@ -155,7 +155,7 @@ class DynInst:
                  "pending", "waiters", "age",
                  "issued", "completed", "squashed", "fetch_cycle")
 
-    # NOTE: the fetch unit's `materialize` closure inlines this
+    # NOTE: the fetch unit's `fetch_stage` closure inlines this
     # constructor (repro/frontend/fetch_unit.py) — keep the two field
     # lists in sync when adding or removing slots.
     def __init__(self, tid: int, seq: int, static: StaticInstruction,

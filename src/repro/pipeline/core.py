@@ -65,6 +65,26 @@ Hot-path design (this loop dominates every experiment's wall-clock):
   ``tests/pipeline/test_fast_loop_parity.py`` checks that a long call
   equals one ``tick()`` per cycle on every counter, including those
   ``SimResult`` does not carry.
+* **ROB-tail squash** — a thread's un-issued ROB entries are exactly
+  its IQ entries (dispatch inserts into both; issue removes from the
+  IQ only; commit pops only issued, completed heads), and an un-issued
+  entry sits on its queue's ready list exactly when its ``pending`` is
+  zero.  So the squash closure walks the thread's ROB tail once: it
+  deletes the un-issued entries from their queues, filters only the
+  ready lists that held one, releases every destination register and
+  resets only the rename-map entries the squashed instructions own
+  (no other squashed producer can be mapped: squashed latch and
+  fetch-buffer entries were never dispatched).  The latches and the
+  fetch buffer are filtered in one pass each.
+  ``tests/pipeline/test_recovery_invariants.py`` checks these
+  invariants after every cycle.
+* **Compiled engine paths** — the fetch engines compile ``predict``,
+  ``resolve_branch`` and the stream engine's ``commit`` the same way
+  (``_build_paths`` in each engine module).  The BTB keeps a presence
+  set of its tags, so gshare's block-formation scan tests each
+  address's tag against it and walks a set only on a hit.
+  ``tests/frontend/test_engine_parity.py`` checks them against
+  engines composed from the component classes.
 
 All of it is behaviour-preserving by contract: the golden-parity suite
 (``tests/perf/test_golden_parity.py``) pins bit-identical
@@ -243,6 +263,8 @@ class SmtCore:
         rename_latch = self.rename_latch
         kept_scratch = self._kept_scratch
         issued_scratch = self._issued_scratch
+        contexts = self.contexts
+        redirect = self.fetch_unit.redirect
         engine_resolve = self.engine.resolve_branch
         # Engines without commit-side training advertise it, so the
         # commit loop can skip a no-op call per committed instruction.
@@ -254,6 +276,7 @@ class SmtCore:
         fetch_stage = self.fetch_unit.fetch_stage
         predict_stage = self.fetch_unit.predict_stage
         decode_append = decode_latch.append
+        latches = (decode_latch, rename_latch)
         latency_table = LATENCY_TABLE
         queue_table = QUEUE_TABLE
         op_load = int(InstrClass.LOAD)
@@ -386,7 +409,7 @@ class SmtCore:
                             if di.static.kind and di.on_correct_path:
                                 engine_resolve(di)
                                 if di.diverges:
-                                    self._squash_from(di)
+                                    squash_from(di)
                                     rescan = True
                                     stats.squashes += 1
                                     iq_total = len(q0) + len(q1) \
@@ -635,12 +658,77 @@ class SmtCore:
                 stats.rob_occupancy_sum = stat_rob_occ
                 stats.iq_occupancy_sum = stat_iq_occ
 
+        def squash_from(di: DynInst) -> None:
+            """Squash everything younger than ``di`` in its thread.
+
+            One walk of the thread's ROB tail finds every squashed
+            dispatched instruction.  Its un-issued entries are exactly
+            the thread's IQ entries younger than ``di``, so the walk
+            removes them from their queues (noting which ready lists
+            held one), releases every destination register and clears
+            the rename-map entries the squashed instructions own.  The
+            two latches are then filtered in one pass each, and
+            :meth:`FetchUnit.redirect` does the same for the fetch
+            buffer.
+            """
+            tid = di.tid
+            seq = di.seq
+            lst = rob_lists[tid]
+            rmap = rename_map[tid]
+            squashed = 0
+            removed = 0                 # ICOUNT: IQ and latch entries
+            stale_ready = 0             # bitmask of queues to filter
+            while lst and lst[-1].seq > seq:
+                entry = lst.pop()
+                entry.squashed = True
+                squashed += 1
+                op = entry.op
+                if not entry.issued:
+                    q = queue_table[op]
+                    del queues[q][entry]
+                    removed += 1
+                    if entry.pending == 0:
+                        # Un-issued with no pending producer: on its
+                        # queue's ready list.
+                        stale_ready |= 1 << q
+                dest = entry.static.dest
+                if dest >= 0:
+                    # Inlined PhysicalRegisters.release.
+                    if op == op_fp:
+                        regs.free_fp += 1
+                    else:
+                        regs.free_int += 1
+                    if rmap[dest] is entry:
+                        rmap[dest] = None
+            if squashed:
+                rob.size -= squashed
+                for q in (0, 1, 2):
+                    if stale_ready >> q & 1:
+                        ready = ready_lists[q]
+                        ready[:] = [w for w in ready if not w.squashed]
+            for latch in latches:
+                if latch:
+                    kept = []
+                    for entry in latch:
+                        if entry.tid == tid and entry.seq > seq:
+                            entry.squashed = True
+                        else:
+                            kept.append(entry)
+                    gone = len(latch) - len(kept)
+                    if gone:
+                        removed += gone
+                        latch[:] = kept
+            icounts[tid] -= removed
+            redirect(tid, contexts[tid].recover(), di)
+            di.diverges = False             # recovery handled
+
         def tick() -> None:
             """Advance the machine by one cycle."""
             run_fast(1)
 
         self.tick = tick
         self._run_fast = run_fast
+        self._squash_from = squash_from
 
     # ------------------------------------------------------------------
     # squash machinery (cold path)
@@ -654,33 +742,3 @@ class SmtCore:
         self.fetch_unit.redirect(tid, resume, di, at_decode=True)
         di.diverges = False             # recovery handled
         self.stats.decode_redirects += 1
-
-    def _squash_from(self, di: DynInst) -> None:
-        """Squash everything younger than ``di`` in its thread."""
-        tid = di.tid
-        seq = di.seq
-        icounts = self.icounts
-        removed = self.iqs.remove_squashed(tid, seq)
-        icounts[tid] -= removed
-        for latch in (self.decode_latch, self.rename_latch):
-            kept = None
-            for pos, entry in enumerate(latch):
-                if entry.tid == tid and entry.seq > seq:
-                    entry.squashed = True
-                    icounts[tid] -= 1
-                    if kept is None:
-                        kept = latch[:pos]
-                elif kept is not None:
-                    kept.append(entry)
-            if kept is not None:
-                latch[:] = kept
-        regs_release = self.regs.release
-        for squashed in self.rob.squash_tail(tid, seq):
-            regs_release(squashed)
-        rmap = self.rename_map[tid]
-        for arch, producer in list(rmap.items()):
-            if producer is not None and producer.squashed:
-                rmap[arch] = None
-        resume = self.contexts[tid].recover()
-        self.fetch_unit.redirect(tid, resume, di)
-        di.diverges = False             # recovery handled
