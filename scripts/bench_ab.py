@@ -36,17 +36,7 @@ HEAD_TREE = os.path.dirname(HERE)
 _RUN_ONE = (
     "import json,sys;"
     "from repro.perf.bench import run_bench, BENCH_GRID;"
-    "json.dump(run_bench(BENCH_GRID, repeats=1{extra}), sys.stdout)")
-
-
-def run_one_snippet(backend: str) -> str:
-    """The ``python -c`` payload for one measurement pass.
-
-    The ``backend=`` kwarg is only injected for non-default backends so
-    baseline trees that predate the backend seam keep working.
-    """
-    extra = f", backend={backend!r}" if backend != "reference" else ""
-    return _RUN_ONE.format(extra=extra)
+    "json.dump(run_bench(BENCH_GRID, repeats=1), sys.stdout)")
 
 
 def geomean(values) -> float:
@@ -54,11 +44,11 @@ def geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def one_pass(tree: str, backend: str = "reference") -> dict:
+def one_pass(tree: str) -> dict:
     """One full-grid measurement pass in a subprocess rooted at ``tree``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(tree, "src")
-    out = subprocess.run([sys.executable, "-c", run_one_snippet(backend)],
+    out = subprocess.run([sys.executable, "-c", _RUN_ONE],
                          capture_output=True, text=True, cwd=tree, env=env)
     if out.returncode != 0:
         raise SystemExit(f"bench_ab: pass in {tree} failed:\n"
@@ -102,11 +92,6 @@ def main(argv=None) -> None:
     parser.add_argument("--reps", type=int, default=5,
                         help="alternating full-grid passes per side "
                              "(default: 5)")
-    parser.add_argument("--backend", default="reference",
-                        help="simulation backend both trees run "
-                             "(default: reference; only passed to the "
-                             "baseline tree when non-default, so "
-                             "pre-backend-seam baselines keep working)")
     parser.add_argument("--output", "-o", default="BENCH_speed.json")
     args = parser.parse_args(argv)
     if args.reps < 1:
@@ -116,7 +101,7 @@ def main(argv=None) -> None:
     for rep in range(args.reps):
         for side, tree in (("base", args.baseline_tree),
                            ("head", args.head_tree)):
-            result = one_pass(tree, backend=args.backend)
+            result = one_pass(tree)
             passes[side].append(result)
             print(f"[bench_ab] rep {rep} {side}: "
                   f"{result['geomean_kcycles_per_sec']:.1f} kcycles/s",

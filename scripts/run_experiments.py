@@ -37,11 +37,11 @@ import json
 import statistics
 import sys
 import time
-from pathlib import Path
 
 from repro.experiments import FIGURES, PAPER_CLAIMS, ExperimentSession, \
     format_claims, format_figure
-from repro.experiments.cache import DEFAULT_CACHE_DIR
+from repro.experiments.cli import add_runner_args, check_runner_args, \
+    close_session, open_session, plan
 from repro.obs.logging_setup import add_logging_args, setup_from_args
 from repro.perf.profiling import maybe_profiled
 from repro.resilience import CellExecutionError
@@ -50,6 +50,7 @@ from repro.experiments.paper_data import DISTRIBUTION_CLAIMS, \
 from repro.program import SPECINT2000, program_for
 from repro.trace import dynamic_stats
 
+PROG = "run_experiments"
 SECTIONS = ("table1", "figures", "claims", "dist", "superscalar")
 
 SUPERSCALAR_ENGINES = ("gshare+BTB", "gskew+FTB", "stream")
@@ -80,68 +81,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                         metavar="cycles",
                         help="positional cycle count (legacy form; "
                              "--cycles takes precedence)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for uncached cells "
-                             "(default: 1, serial)")
-    parser.add_argument("--backend", default=None,
-                        help="simulation backend for uncached cells "
-                             "(see repro.backend; default: reference). "
-                             "Backends are parity-checked, so this "
-                             "never changes a result")
-    parser.add_argument("--cycles", type=int, default=None,
-                        help="measured cycles per grid cell "
-                             "(default: 20000)")
-    parser.add_argument("--warmup", type=int, default=None,
-                        help="warm-up cycles per cell (default: the "
-                             "config's warmup_cycles)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="persistent result cache directory "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the persistent cache (in-process "
-                             "memoisation only)")
-    parser.add_argument("--campaign-dir", default=None, metavar="DIR",
-                        help="root for durable campaign state "
-                             "(manifest + cell queue; default: "
-                             "<cache-dir>/campaigns, or ephemeral "
-                             "with --no-cache)")
-    parser.add_argument("--resume", default=None, metavar="CAMPAIGN_ID",
-                        help="require this invocation to continue the "
-                             "given campaign (error if the planned "
-                             "grid hashes to a different id)")
-    parser.add_argument("--plan-only", action="store_true",
-                        help="plan the campaign (manifest + queue "
-                             "under --campaign-dir), print its id to "
-                             "stdout and exit without simulating")
-    parser.add_argument("--verify-cache", action="store_true",
-                        help="before running, validate every cache "
-                             "entry and quarantine corrupt ones")
-    parser.add_argument("--prune-cache", type=int, default=None,
-                        metavar="MAX_ENTRIES",
-                        help="after the run, evict the oldest cache "
-                             "entries beyond this budget")
-    parser.add_argument("--cache-budget", type=int, default=None,
-                        metavar="MAX_ENTRIES",
-                        help="auto-prune the cache to this many entries "
-                             "when the session closes (maintenance "
-                             "policy; unbounded by default)")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="re-execute a failing cell up to N extra "
-                             "times before giving up on it "
-                             "(default: 0)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget per cell execution; a "
-                             "hung cell is killed and retried "
-                             "(default: unlimited)")
-    parser.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="abort on the first cell that exhausts its "
-                             "retries (default; --no-strict emits the "
-                             "sections that survive and exits 3)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and print the top-25 "
-                             "cumulative entries to stderr")
+    add_runner_args(parser, strict=True)
     parser.add_argument("--only", default=None,
                         help="comma-separated subset to regenerate: "
                              "figure ids (fig2,fig5a,...) and/or section "
@@ -150,31 +90,9 @@ def parse_args(argv=None) -> argparse.Namespace:
                         default="md", help="output format (default: md)")
     add_logging_args(parser)
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error(f"--cell-timeout must be > 0, got "
-                     f"{args.cell_timeout}")
-    if args.prune_cache is not None and args.no_cache:
-        parser.error("--prune-cache is meaningless with --no-cache")
-    if args.cache_budget is not None and args.no_cache:
-        parser.error("--cache-budget is meaningless with --no-cache")
-    if args.verify_cache and args.no_cache:
-        parser.error("--verify-cache is meaningless with --no-cache")
-    if args.campaign_dir is None and not args.no_cache:
-        args.campaign_dir = str(Path(args.cache_dir) / "campaigns")
-    if args.plan_only and args.campaign_dir is None:
-        parser.error("--plan-only needs a --campaign-dir (an ephemeral "
-                     "plan has nobody to execute it)")
-    if args.resume is not None and args.campaign_dir is None:
-        parser.error("--resume needs a --campaign-dir (ephemeral "
-                     "campaigns leave nothing to resume)")
     if args.cycles is None:
-        args.cycles = args.legacy_cycles if args.legacy_cycles is not None \
-            else 20_000
-    return args
+        args.cycles = args.legacy_cycles
+    return check_runner_args(parser, args)
 
 
 def select(only: str | None) -> tuple[set, set]:
@@ -425,26 +343,7 @@ def emit_json(session: ExperimentSession, sections: set, fig_ids: set,
 
 def run(args) -> None:
     sections, fig_ids = select(args.only)
-    try:
-        session = ExperimentSession(
-            jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            cycles=args.cycles, warmup=args.warmup,
-            cache_budget_entries=args.cache_budget,
-            backend=args.backend,
-            retries=args.retries, cell_timeout=args.cell_timeout,
-            strict=args.strict,
-            campaign_dir=args.campaign_dir)
-    except ValueError as exc:
-        # An unknown --backend (with its suggestion list) is a user
-        # error: report the message, not a traceback.
-        raise SystemExit(f"run_experiments: {exc}") from None
-
-    if args.verify_cache:
-        audit = session.disk.verify()
-        print(f"[run_experiments] cache verify: {audit['checked']} "
-              f"checked, {audit['healthy']} healthy, "
-              f"{audit['quarantined']} quarantined", file=sys.stderr)
+    session = open_session(args, PROG, warmup=args.warmup)
 
     t0 = time.time()
     # One up-front batch: every cell the selected sections will read,
@@ -453,26 +352,8 @@ def run(args) -> None:
     cells = enumerate_cells(session, sections, fig_ids)
     campaign = None
     if cells:
-        # The plan names the campaign before anything executes, so a
-        # mismatched --resume aborts without simulating a single cell.
-        campaign = session.plan(cells).info
-        if args.resume is not None \
-                and campaign.campaign_id != args.resume:
-            raise SystemExit(
-                f"run_experiments: --resume {args.resume} does not "
-                f"match this invocation's grid (plans to campaign "
-                f"{campaign.campaign_id}); re-run with the original "
-                "flags or drop --resume")
-        print(f"[run_experiments] campaign {campaign.campaign_id} "
-              f"({campaign.cells} distinct cells, {campaign.pending} "
-              "to simulate)", file=sys.stderr)
-        if args.plan_only:
-            info = session.plan_campaign(cells)
-            print(f"[run_experiments] campaign planned under "
-                  f"{args.campaign_dir}/{info.campaign_id} — drain it "
-                  "with scripts/campaign_worker.py", file=sys.stderr)
-            print(info.campaign_id)
-            session.close()
+        campaign = plan(session, cells, args, PROG)
+        if campaign is None:
             return
         try:
             session.run_cells(cells)
@@ -494,18 +375,7 @@ def run(args) -> None:
     else:
         emit_markdown(session, sections, fig_ids, args.cycles, t0,
                       campaign)
-
-    if args.prune_cache is not None and session.disk is not None:
-        removed = session.disk.prune(max_entries=args.prune_cache)
-        stats = session.disk.stats()
-        print(f"[run_experiments] cache pruned: {removed} entry(ies) "
-              f"evicted, {stats['entries']} kept "
-              f"({stats['bytes']} bytes)", file=sys.stderr)
-
-    removed = session.close()
-    if removed:
-        print(f"[run_experiments] cache budget: {removed} entry(ies) "
-              f"evicted on close", file=sys.stderr)
+    close_session(session, args, PROG)
 
     if session.failures:
         # Partial-results mode: the surviving sections were emitted,

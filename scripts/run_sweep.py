@@ -40,13 +40,10 @@ quarantining corrupt ones.
 import argparse
 import sys
 import time
-from pathlib import Path
 
-from repro.backend import get_backend
 from repro.core.config import DEFAULT_CONFIG
-from repro.experiments import ExperimentSession
-from repro.experiments.cache import DEFAULT_CACHE_DIR
-from repro.experiments.session import DEFAULT_CYCLES
+from repro.experiments.cli import add_runner_args, check_runner_args, \
+    close_session, open_session, plan
 from repro.obs.logging_setup import add_logging_args, setup_from_args
 from repro.perf.profiling import maybe_profiled
 from repro.resilience import CellExecutionError
@@ -59,6 +56,8 @@ from repro.sweeps import (
     validate_axis,
 )
 from repro.sweeps.run import expand_cells
+
+PROG = "run_sweep"
 
 
 def parse_axis_flag(flag: str) -> tuple[str, tuple]:
@@ -115,20 +114,13 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
                                         is not None else {}).items()
                     if axis in axes and value in axes[axis]}
 
-    # Presets may carry a non-default base_config; --backend layers on
-    # top of it (an explicit backend *axis* still wins, as axis values
-    # override the base config per point).
-    base_config = spec.base_config if spec is not None else DEFAULT_CONFIG
-    if args.backend is not None:
-        get_backend(args.backend)        # raises with suggestions
-        base_config = base_config.with_(backend=args.backend)
-
     merged = SweepSpec.of(
         args.preset or "custom", axes,
         cycles=args.cycles,
         warmup=args.warmup if args.warmup is not None
         else (spec.warmup if spec is not None else None),
-        base_config=base_config,
+        base_config=spec.base_config if spec is not None
+        else DEFAULT_CONFIG,
         baseline=baseline,
         metric=args.metric or (spec.metric if spec is not None
                                else "ipc"),
@@ -167,97 +159,14 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--metric", choices=("ipc", "ipfc"), default=None,
                         help="primary aggregated metric (default: the "
                              "preset's, else ipc)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for uncached cells "
-                             "(default: 1)")
-    parser.add_argument("--backend", default=None,
-                        help="simulation backend every cell runs on "
-                             "(see repro.backend; default: the base "
-                             "config's, i.e. reference).  Overridden "
-                             "per point by an explicit backend axis")
-    parser.add_argument("--cycles", type=int, default=DEFAULT_CYCLES,
-                        help=f"measured cycles per cell (default: "
-                             f"{DEFAULT_CYCLES})")
-    parser.add_argument("--warmup", type=int, default=None,
-                        help="warm-up cycles per cell (default: the "
-                             "config's warmup_cycles)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="persistent result cache directory "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the persistent cache")
-    parser.add_argument("--campaign-dir", default=None, metavar="DIR",
-                        help="root for durable campaign state "
-                             "(manifest + cell queue; default: "
-                             "<cache-dir>/campaigns, or ephemeral "
-                             "with --no-cache)")
-    parser.add_argument("--resume", default=None, metavar="CAMPAIGN_ID",
-                        help="require this invocation to continue the "
-                             "given campaign (error if the planned "
-                             "grid hashes to a different id)")
-    parser.add_argument("--plan-only", action="store_true",
-                        help="plan the campaign (manifest + queue "
-                             "under --campaign-dir), print its id to "
-                             "stdout and exit without simulating")
-    parser.add_argument("--verify-cache", action="store_true",
-                        help="before running, validate every cache "
-                             "entry and quarantine corrupt ones")
-    parser.add_argument("--prune-cache", type=int, default=None,
-                        metavar="MAX_ENTRIES",
-                        help="after the run, evict the oldest cache "
-                             "entries beyond this budget")
-    parser.add_argument("--cache-budget", type=int, default=None,
-                        metavar="MAX_ENTRIES",
-                        help="auto-prune the cache to this many entries "
-                             "when the session closes (maintenance "
-                             "policy; unbounded by default)")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="re-execute a failing cell up to N extra "
-                             "times before recording it failed "
-                             "(default: 0)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget per cell execution; a "
-                             "hung cell is killed and retried "
-                             "(default: unlimited)")
-    parser.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="abort the sweep on the first cell that "
-                             "exhausts its retries instead of emitting "
-                             "a partial report (default: --no-strict — "
-                             "report with failures marked, exit 3)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and print the top-25 "
-                             "cumulative entries to stderr")
+    add_runner_args(parser, strict=False)
     parser.add_argument("--format", dest="fmt",
                         choices=sorted(FORMATTERS), default="md",
                         help="report format (default: md)")
     parser.add_argument("--output", "-o", default=None,
                         help="write the report here instead of stdout")
     add_logging_args(parser)
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error(f"--cell-timeout must be > 0, got "
-                     f"{args.cell_timeout}")
-    if args.prune_cache is not None and args.no_cache:
-        parser.error("--prune-cache is meaningless with --no-cache")
-    if args.cache_budget is not None and args.no_cache:
-        parser.error("--cache-budget is meaningless with --no-cache")
-    if args.verify_cache and args.no_cache:
-        parser.error("--verify-cache is meaningless with --no-cache")
-    if args.campaign_dir is None and not args.no_cache:
-        args.campaign_dir = str(Path(args.cache_dir) / "campaigns")
-    if args.plan_only and args.campaign_dir is None:
-        parser.error("--plan-only needs a --campaign-dir (an ephemeral "
-                     "plan has nobody to execute it)")
-    if args.resume is not None and args.campaign_dir is None:
-        parser.error("--resume needs a --campaign-dir (ephemeral "
-                     "campaigns leave nothing to resume)")
-    return args
+    return check_runner_args(parser, parser.parse_args(argv))
 
 
 def run(args) -> None:
@@ -270,43 +179,9 @@ def run(args) -> None:
         message = exc.args[0] if exc.args else str(exc)
         raise SystemExit(f"run_sweep: {message}") from None
 
-    session = ExperimentSession(
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        cycles=spec.cycles if spec.cycles is not None else DEFAULT_CYCLES,
-        warmup=spec.warmup,
-        cache_budget_entries=args.cache_budget,
-        retries=args.retries, cell_timeout=args.cell_timeout,
-        strict=args.strict,
-        campaign_dir=args.campaign_dir)
-
-    if args.verify_cache:
-        audit = session.disk.verify()
-        print(f"[run_sweep] cache verify: {audit['checked']} checked, "
-              f"{audit['healthy']} healthy, {audit['quarantined']} "
-              f"quarantined", file=sys.stderr)
-
-    # The plan names the campaign before anything executes, so a
-    # mismatched --resume aborts without simulating a single cell.
-    planned = session.plan([cell for _, cell
-                            in expand_cells(spec, session)]).info
-    if args.resume is not None and planned.campaign_id != args.resume:
-        raise SystemExit(
-            f"run_sweep: --resume {args.resume} does not match this "
-            f"invocation's grid (plans to campaign "
-            f"{planned.campaign_id}); re-run with the original flags "
-            "or drop --resume")
-    print(f"[run_sweep] campaign {planned.campaign_id} "
-          f"({planned.cells} distinct cells, {planned.pending} to "
-          f"simulate)", file=sys.stderr)
-    if args.plan_only:
-        info = session.plan_campaign([cell for _, cell
-                                      in expand_cells(spec, session)])
-        print(f"[run_sweep] campaign planned under "
-              f"{args.campaign_dir}/{info.campaign_id} — drain it with "
-              "scripts/campaign_worker.py", file=sys.stderr)
-        print(info.campaign_id)
-        session.close()
+    session = open_session(args, PROG, warmup=spec.warmup)
+    if plan(session, [cell for _, cell in expand_cells(spec, session)],
+            args, PROG) is None:
         return
 
     t0 = time.time()
@@ -333,17 +208,7 @@ def run(args) -> None:
     else:
         sys.stdout.write(report)
 
-    if args.prune_cache is not None and session.disk is not None:
-        removed = session.disk.prune(max_entries=args.prune_cache)
-        stats = session.disk.stats()
-        print(f"[run_sweep] cache pruned: {removed} entry(ies) evicted, "
-              f"{stats['entries']} kept ({stats['bytes']} bytes)",
-              file=sys.stderr)
-
-    removed = session.close()
-    if removed:
-        print(f"[run_sweep] cache budget: {removed} entry(ies) evicted "
-              f"on close", file=sys.stderr)
+    close_session(session, args, PROG)
 
     if result.failures:
         # Partial-results mode: the report is written (with failures

@@ -9,7 +9,7 @@ needs: synthetic SPECint2000 workloads (:mod:`repro.program`), the
 architectural walker (:mod:`repro.trace`), branch predictors
 (:mod:`repro.branch`), the cache hierarchy (:mod:`repro.memory`), the
 decoupled front-end (:mod:`repro.frontend`), the out-of-order core
-(:mod:`repro.pipeline`), the pluggable execution backends
+(:mod:`repro.pipeline`), the execution backend that runs one cell
 (:mod:`repro.backend`), the experiment harness
 (:mod:`repro.experiments`) and the declarative design-space sweep
 subsystem (:mod:`repro.sweeps`).
@@ -22,7 +22,7 @@ Typical use::
     print(result.ipfc, result.ipc)
 """
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
 from repro.core import SimConfig, SimResult, Simulator, WORKLOADS, simulate
 
 __version__ = "1.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "SimResult",
     "Simulator",
     "WORKLOADS",
-    "available_backends",
     "get_backend",
     "simulate",
     "__version__",

@@ -1,46 +1,18 @@
-"""Pluggable simulation backends behind golden parity.
+"""The simulation backend: how a cell executes.
 
-A backend is *how* a simulation cell executes — the reference fused
-cycle loop, a batch-amortised variant, eventually a compiled engine —
-never *what* it measures: every registered backend must reproduce the
-golden-parity fixture byte-for-byte (:mod:`repro.perf.parity` validates
-any of them against the same fixture).  Selection is a string that
-rides on :attr:`repro.core.config.SimConfig.backend`, so it flows
-through cache keys, sweep axes and the ``--backend`` CLI flags without
-any layer special-casing it.
-
-Adding a backend:
-
-1. subclass :class:`SimBackend` (see its docstring for the
-   construct/warm/advance/result contract, and override ``run_cells``
-   if the backend amortises anything across a batch);
-2. decorate it with :func:`register_backend` and import the module
-   here so registration happens on package import;
-3. run the parity suite against it::
-
-       PYTHONPATH=src python -m repro.perf.parity --backend <name> \\
-           --check tests/perf/golden_parity.json
-
-   CI runs the same check for every registered backend.
+There is one backend, ``reference`` — the fused cycle loop of
+:mod:`repro.pipeline.core`, one machine per cell.  Its name still
+rides on :attr:`repro.core.config.SimConfig.backend`, because that
+field is hashed into every cell key and the golden-parity suite pins
+the resulting fingerprint; :func:`get_backend` is the one place that
+checks it, so a config naming any other backend (a campaign planned
+before the others were removed, say) fails with a message that names
+``reference``.
 """
 
-from repro.backend.base import SimBackend
-from repro.backend.batched import BatchedBackend, BatchTables
-from repro.backend.reference import ReferenceBackend
-from repro.backend.registry import (
-    DEFAULT_BACKEND,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.backend.reference import ReferenceBackend, get_backend
 
 __all__ = [
-    "BatchTables",
-    "BatchedBackend",
-    "DEFAULT_BACKEND",
     "ReferenceBackend",
-    "SimBackend",
-    "available_backends",
     "get_backend",
-    "register_backend",
 ]

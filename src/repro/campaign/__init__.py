@@ -23,7 +23,6 @@ from repro.campaign.cells import (
     cell_from_descriptor,
     cell_key,
     descriptor_for,
-    execute_batch,
     execute_cell,
     key_for,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "cell_key",
     "descriptor_for",
     "drain",
-    "execute_batch",
     "execute_cell",
     "failures_of",
     "key_for",

@@ -5,7 +5,7 @@ cells, compute the campaign id, write the manifest, enqueue the cache
 misses) and *execution* (drain the queue).  Everything above it —
 :class:`~repro.experiments.session.ExperimentSession`, the sweep
 runner, both CLIs — is a client; everything below it — the queue, the
-worker loop, the backends — neither knows nor cares who planned the
+worker loop, the backend — neither knows nor cares who planned the
 campaign.
 
 Execution modes, all draining the same queue with the same worker

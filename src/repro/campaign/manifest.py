@@ -8,13 +8,13 @@ what makes ``--resume <id>`` meaningful ("continue *this* grid") and
 what lets every report carry a provenance stamp that survives re-runs
 byte-identically.
 
-The id deliberately hashes *backend-normalized* descriptors: the
-``SimConfig.backend`` field selects an execution strategy, and every
-backend is golden-parity-pinned to produce byte-identical results —
-so two runs of one grid on different backends are the *same
-measurement campaign* and stamp reports identically.  (Cache keys and
-queue rows keep the backend, because the artifact store addresses
-*how* a result was produced; the campaign names *what* was measured.)
+The id hashes *backend-normalized* descriptors: ``config.backend``
+is dropped before hashing.  It once selected between execution
+strategies that were parity-pinned to the same results; only
+``reference`` is left, and the normalisation stays so that campaign
+ids planned before the others were removed do not change.  (Cache
+keys and queue rows keep the field, so the cache addresses stay
+stable too.)
 
 On disk a campaign is a directory::
 
@@ -42,11 +42,8 @@ QUEUE_NAME = "queue.sqlite"
 
 
 def normalized_descriptor(descriptor: dict) -> dict:
-    """A cell descriptor with execution-strategy fields removed.
-
-    Currently that is only ``config.backend`` — the one knob that is
-    proven (by the golden-parity fixture) not to change results.
-    """
+    """A cell descriptor with ``config.backend`` removed, so campaign
+    ids stay what they were when several backends existed."""
     out = dict(descriptor)
     config = dict(out.get("config", {}))
     config.pop("backend", None)

@@ -338,11 +338,11 @@ class CellQueue:
     def unlease(self, key: str, owner: str) -> bool:
         """Return a leased cell *unexecuted*, refunding the attempt.
 
-        Used when a worker leased a batch but aborted before reaching
-        this cell (a batch-mate crashed the attempt, a drain signal
-        arrived, the operator hit Ctrl-C): the cell did not run, so
-        its budget must not be charged.  Returns whether a lease was
-        actually refunded (``False`` for foreign/settled rows).
+        Used when a worker leased a batch but stopped before reaching
+        this cell (a drain signal arrived, the operator hit Ctrl-C):
+        the cell did not run, so its budget must not be charged.
+        Returns whether a lease was actually refunded (``False`` for
+        foreign/settled rows).
         """
         with self._txn():
             cur = self._conn.execute(

@@ -13,25 +13,26 @@ All of them run the exact same per-cell code, so where a cell executes
 cannot change its result.
 
 Failure semantics per leased batch: cells are executed *one at a
-time* and acked individually — durable completion, nothing to lose on
-a crash but the in-flight cell.  When a cell's execution raises, only
-that cell is nacked (charging its retry budget); leased batch-mates
-that never started are *unleased* (budget refunded) so one poisoned
-cell cannot burn innocent cells' budgets.  A worker that dies outright
-takes its whole lease with it — the supervisor's ``release`` or the
-lease deadline returns those cells to the queue, with exactly the
-in-flight attempt charged.
+time*, each through :func:`~repro.campaign.cells.execute_cell`, and
+acked individually — durable completion, nothing to lose on a crash
+but the in-flight cell.  When a cell's execution raises, that cell is
+nacked (charging its retry budget) and the loop moves on to the next
+leased cell, so one poisoned cell costs its batch-mates nothing.  A
+worker that dies outright takes its whole lease with it — the
+supervisor's ``release`` or the lease deadline returns those cells to
+the queue, with exactly the in-flight attempt charged.
 
-With a ``cell_timeout``, every attempt runs in an isolated child
-process (:func:`repro.resilience.isolate.run_cell_isolated`) so hangs
-are killable; without one, cells run in the worker itself and each
-backend group is fed through ``run_cells_iter`` so per-batch
-amortisation (shared warm tables) is preserved.  *Suspect* cells — a
-previous attempt killed its worker (``LeasedCell.suspect``) — are
-always run isolated, whatever the mode: after the first fleet kill, a
-poison cell's further crashes are contained to disposable children
-(surfacing as :class:`~repro.resilience.isolate.CellCrash`, nacked
-with crash attribution) while the worker and its batch-mates live on.
+Isolation only chooses where ``execute_cell`` runs.  With a
+``cell_timeout`` (or ``isolate=True``), every attempt runs in an
+isolated child process
+(:func:`repro.resilience.isolate.run_cell_isolated`) so hangs are
+killable; without one, cells run in the worker itself.  *Suspect*
+cells — a previous attempt killed its worker (``LeasedCell.suspect``)
+— are always run isolated, whatever the mode: after the first fleet
+kill, a poison cell's further crashes are contained to disposable
+children (surfacing as :class:`~repro.resilience.isolate.CellCrash`,
+nacked with crash attribution) while the worker and its batch-mates
+live on.
 
 Fleet health: a drain loop stamps its heartbeat (when given a
 :class:`~repro.campaign.health.HeartbeatStore`) every lease round and
@@ -71,15 +72,14 @@ import os
 import time
 from dataclasses import dataclass
 
-from repro.backend import get_backend
-from repro.campaign.cells import Cell, cell_from_descriptor
+from repro.campaign.cells import Cell, cell_from_descriptor, \
+    execute_cell
 from repro.campaign.health import DEFAULT_HEARTBEAT_STALE_SECONDS, \
     NULL_CONTROL, DrainControl, HeartbeatStore
 from repro.campaign.queue import CellQueue, LeasedCell
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.logging_setup import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.resilience.faults import fault_label, maybe_fire
 from repro.resilience.isolate import CellCrash, CellTimeout, \
     run_cell_isolated
 
@@ -215,7 +215,6 @@ def _execute_lease(queue: CellQueue, batch: list[LeasedCell], *,
     ``worker_interrupt``, and the interrupt re-raised — either way no
     cell is left stranded on a lease deadline.
     """
-    cells = [cell_from_descriptor(lc.descriptor) for lc in batch]
     handled: set[str] = set()
 
     def unlease_rest(counted: bool = True) -> int:
@@ -230,7 +229,7 @@ def _execute_lease(queue: CellQueue, batch: list[LeasedCell], *,
         return refunded
 
     try:
-        _run_lease(queue, batch, cells, handled, worker_id=worker_id,
+        _run_lease(queue, batch, handled, worker_id=worker_id,
                    cache=cache, cell_timeout=cell_timeout,
                    isolate=isolate, stats=stats, journal=journal,
                    control=control, heartbeats=heartbeats,
@@ -249,18 +248,24 @@ def _execute_lease(queue: CellQueue, batch: list[LeasedCell], *,
 
 
 def _run_lease(queue: CellQueue, batch: list[LeasedCell],
-               cells: list[Cell], handled: set[str], *,
-               worker_id: str, cache, cell_timeout: float | None,
-               isolate: bool, stats: DrainStats, journal, control,
+               handled: set[str], *, worker_id: str, cache,
+               cell_timeout: float | None, isolate: bool,
+               stats: DrainStats, journal, control,
                heartbeats: HeartbeatStore | None,
                cell_memory: int | None) -> None:
-    """Run one lease's cells, marking each settled key in ``handled``."""
-
-    def run_isolated(lc: LeasedCell, cell: Cell) -> None:
+    """Run one lease's cells in order, marking each settled key in
+    ``handled``; a cell that raises is nacked and the loop moves on."""
+    for lc in batch:
+        if control.requested:
+            return
+        cell = cell_from_descriptor(lc.descriptor)
         t0 = time.perf_counter()
         try:
-            result = run_cell_isolated(cell, timeout=cell_timeout,
-                                       memory_limit=cell_memory)
+            if isolate or cell_timeout is not None or lc.suspect:
+                result = run_cell_isolated(cell, timeout=cell_timeout,
+                                           memory_limit=cell_memory)
+            else:
+                result = execute_cell(cell)
         except Exception as exc:
             if isinstance(exc, CellTimeout):
                 REGISTRY.counter("repro_timeouts_total").inc()
@@ -273,7 +278,6 @@ def _run_lease(queue: CellQueue, batch: list[LeasedCell],
             # it as fatal so crash-looping cells settle as poisoned.
             queue.nack(lc.key, worker_id, repr(exc),
                        fatal=isinstance(exc, CellCrash))
-            handled.add(lc.key)
             stats.failed += 1
             REGISTRY.counter("repro_cells_failed_total").inc()
         else:
@@ -281,65 +285,7 @@ def _run_lease(queue: CellQueue, batch: list[LeasedCell],
                      cache=cache, stats=stats, journal=journal,
                      execute_seconds=time.perf_counter() - t0,
                      heartbeats=heartbeats)
-            handled.add(lc.key)
-
-    if isolate or cell_timeout is not None:
-        for lc, cell in zip(batch, cells):
-            if control.requested:
-                return
-            run_isolated(lc, cell)
-        return
-
-    # Suspect cells (a previous attempt killed a worker) run isolated
-    # even in the fast path: containment over batch amortisation.
-    normal: list[int] = []
-    for i, lc in enumerate(batch):
-        if control.requested:
-            return
-        if lc.suspect:
-            run_isolated(lc, cells[i])
-        else:
-            normal.append(i)
-
-    by_backend: dict[str, list[int]] = {}
-    for i in normal:
-        by_backend.setdefault(cells[i].config.backend, []).append(i)
-    for backend, indices in by_backend.items():
-        if control.requested:
-            return
-        group = [cells[i] for i in indices]
-        it = get_backend(backend).run_cells_iter(group)
-        for pos, i in enumerate(indices):
-            if control.requested:
-                return
-            t0 = time.perf_counter()
-            try:
-                # Fault-injection hook (no-op unless REPRO_FAULTS is
-                # set): fires in the worker, where real faults strike.
-                maybe_fire(fault_label(cells[i]))
-                result = next(it)
-            except Exception as exc:
-                # Only the cell that blew up pays an attempt; its
-                # batch-mates never ran, so their leases are refunded
-                # (the iterator's shared state is unusable after an
-                # exception, and re-running them here would double-
-                # charge fault budgets).
-                log.warning("cell %s attempt %d failed: %r",
-                            batch[i].label, batch[i].attempts, exc)
-                queue.nack(batch[i].key, worker_id, repr(exc))
-                handled.add(batch[i].key)
-                stats.failed += 1
-                REGISTRY.counter("repro_cells_failed_total").inc()
-                for j in indices[pos + 1:]:
-                    queue.unlease(batch[j].key, worker_id)
-                    handled.add(batch[j].key)
-                break
-            _deliver(queue, batch[i], cells[i], result,
-                     worker_id=worker_id, cache=cache, stats=stats,
-                     journal=journal,
-                     execute_seconds=time.perf_counter() - t0,
-                     heartbeats=heartbeats)
-            handled.add(batch[i].key)
+        handled.add(lc.key)
 
 
 def _deliver(queue: CellQueue, leased: LeasedCell, cell: Cell, result,

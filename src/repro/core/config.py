@@ -103,7 +103,7 @@ class SimConfig:
     seed: int = 0
     warmup_cycles: int = 8000
     watchdog_cycles: int = 50_000
-    backend: str = "reference"      # simulation engine (repro.backend)
+    backend: str = "reference"      # the one backend (repro.backend)
 
     def with_(self, **overrides) -> "SimConfig":
         """Return a copy with the given fields replaced."""

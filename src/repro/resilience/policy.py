@@ -20,9 +20,11 @@ class RetryPolicy:
     Attributes:
         retries: Re-executions granted after a cell's first failed
             attempt (``0`` = fail on first error).
-        backoff: Base delay in seconds; retry ``n`` (1-based) sleeps
+        backoff: Base delay in seconds; retry ``n`` (1-based) waits
             ``backoff * 2**(n-1)`` first — a deterministic exponential
-            schedule, so recovery timing is reproducible.
+            schedule, so recovery timing is reproducible.  The queue
+            row carries it, and :meth:`CellQueue.nack
+            <repro.campaign.queue.CellQueue.nack>` applies it.
         cell_timeout: Per-cell wall-clock budget in seconds; a cell
             still running past it is killed and marked failed (or
             retried) instead of wedging the campaign.  ``None``
@@ -41,10 +43,6 @@ class RetryPolicy:
         if self.cell_timeout is not None and self.cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be > 0, got "
                              f"{self.cell_timeout}")
-
-    def delay(self, retry: int) -> float:
-        """Seconds to sleep before 1-based retry number ``retry``."""
-        return self.backoff * (2 ** (retry - 1)) if self.backoff else 0.0
 
     @property
     def attempts(self) -> int:

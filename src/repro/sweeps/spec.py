@@ -28,8 +28,7 @@ RESERVED_AXES = ("workload", "engine", "policy", "seed")
 
 CONFIG_AXES = tuple(f.name for f in fields(SimConfig) if f.name != "seed")
 """Every SimConfig field usable as a sweep axis (``seed`` is reserved).
-This includes ``backend``: sweeping it compares execution engines that
-must agree byte-for-byte, which is a parity harness in sweep form."""
+This includes ``backend``, whose only legal value is ``reference``."""
 
 KNOWN_AXES = RESERVED_AXES + CONFIG_AXES
 
@@ -136,7 +135,7 @@ class SweepSpec:
                     PolicySpec.parse(v)
             elif axis == "backend":
                 for v in values:
-                    get_backend(v)       # raises with suggestions
+                    get_backend(v)       # raises naming "reference"
         if self.metric not in METRICS:
             raise ValueError(
                 f"unknown metric {self.metric!r}; choose from "

@@ -2,9 +2,11 @@
 
 The acceptance invariants of the campaign layer: the id is a pure
 function of the planned cell set (not of cache state, worker count or
-parity-pinned backend), and N workers draining one queue produce
+backend name), and N workers draining one queue produce
 bit-identical results to the single-process path.
 """
+
+import pytest
 
 from repro.campaign import (
     Campaign,
@@ -17,6 +19,7 @@ from repro.campaign.cells import descriptor_for
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.metrics import SimResult
 from repro.experiments import ExperimentSession
+from repro.resilience import FaultSpec, inject_faults
 from repro.resilience.faults import fault_label
 
 FAST = dict(cycles=300, warmup=150)
@@ -43,11 +46,11 @@ class TestCampaignIdentity:
             == campaign_id(descriptors + descriptors[:2])
 
     def test_id_ignores_the_backend(self):
-        # Backends are golden-parity-pinned: the same grid on a
-        # different backend is the same measurement campaign (and the
-        # cross-backend byte-identical-report invariant depends on it).
+        # The id hashes backend-normalized descriptors, so campaigns
+        # planned when other backends existed keep their ids.
         ref = ExperimentSession(**FAST)
-        bat = ExperimentSession(backend="batched", **FAST)
+        bat = ExperimentSession(
+            config=DEFAULT_CONFIG.with_(backend="batched"), **FAST)
         assert ref.plan(grid(ref)).campaign_id \
             == bat.plan(grid(bat)).campaign_id
 
@@ -136,6 +139,28 @@ class TestWorkerParity:
             assert len(outcomes) == len(planned)
         finally:
             second.close()
+
+
+class TestLeaseFailure:
+    @pytest.mark.parametrize("isolate", [False, True],
+                             ids=["inline", "isolated"])
+    def test_one_failure_costs_one_cell_in_one_lease_round(
+            self, tmp_path, isolate):
+        # The failing cell is leased first: its batch-mates still run
+        # in the same lease round, on their own budgets.
+        session = ExperimentSession(**FAST)
+        cells = grid(session, seeds=(0, 1, 2), policies=("ICOUNT.1.8",))
+        with CellQueue() as queue:
+            queue.add([(key_for(c), descriptor_for(c), fault_label(c))
+                       for c in cells], max_attempts=1)
+            with inject_faults(FaultSpec(kind="raise", match="seed0",
+                                         times=1),
+                               spool=tmp_path / "spool"):
+                stats = drain(queue, worker_id="w", lease_batch=3,
+                              wait=False, isolate=isolate)
+            assert stats.leases == 1
+            assert (stats.executed, stats.failed) == (2, 1)
+            assert queue.counts() == {"done": 2, "failed": 1}
 
 
 class TestEphemeralCampaigns:

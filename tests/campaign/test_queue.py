@@ -128,6 +128,26 @@ class TestLeaseAckNack:
             eta = queue.earliest_not_before()
             assert eta is not None and eta > time.time() + 25
 
+        def nack_delay(queue, key):
+            # The delay the nack set, bracketed by the clock around it.
+            before = time.time()
+            queue.nack(key, "w", "boom")
+            after = time.time()
+            eta = queue.earliest_not_before()
+            return eta - after, eta - before
+
+        with CellQueue() as queue:
+            fill(queue, 1, max_attempts=3, backoff=0.2)
+            (leased,) = queue.lease("w")
+            low, high = nack_delay(queue, leased.key)
+            assert low - 1e-6 <= 0.2 <= high + 1e-6
+            time.sleep(high + 0.05)             # past the first delay
+            (leased,) = queue.lease("w")
+            assert leased.attempts == 2
+            # not_before = now + 0.2 * 2**1: twice as far out.
+            low, high = nack_delay(queue, leased.key)
+            assert low - 1e-6 <= 0.4 <= high + 1e-6
+
 
 class TestUnlease:
     def test_unlease_refunds_the_attempt(self):

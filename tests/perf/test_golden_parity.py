@@ -1,20 +1,15 @@
-"""Golden-parity contract for hot-path optimisations and backends.
+"""Golden-parity contract for hot-path optimisations.
 
 The cycle loop is aggressively optimised (event-wheel writeback,
-ready-count wakeup, closure-specialised stages) and now sits behind a
-pluggable backend seam; these tests pin the contract that none of it
-may change a simulated outcome.  The fixture was generated *before*
-the optimisations and must keep matching byte-for-byte — on **every**
-registered backend, since backends may differ only in speed; see
-:mod:`repro.perf.parity` for the regeneration protocol when an
-intentional behaviour change lands.
+ready-count wakeup, closure-specialised stages); these tests pin the
+contract that none of it may change a simulated outcome.  The fixture
+was generated *before* the optimisations and must keep matching
+byte-for-byte; see :mod:`repro.perf.parity` for the regeneration
+protocol when an intentional behaviour change lands.
 """
 
 from pathlib import Path
 
-import pytest
-
-from repro.backend import available_backends
 from repro.core.config import SimConfig
 from repro.experiments.cache import cell_key
 from repro.perf.parity import (
@@ -36,23 +31,15 @@ class TestGoldenParity:
             assert f'"{parity_label(workload, engine, policy, seed)}"' \
                 in text
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_simulation_results_byte_identical(self, backend):
-        """Every pinned cell reproduces its fixture dict byte-for-byte.
-
-        Parametrised over every registered backend: the fixture is
-        backend-independent, so this is simultaneously the hot-path
-        parity gate and the backend-interchangeability gate.
-        """
-        got = canonical_json(collect_parity(backend=backend))
+    def test_simulation_results_byte_identical(self):
+        """Every pinned cell reproduces its fixture dict byte-for-byte."""
+        got = canonical_json(collect_parity())
         want = FIXTURE.read_text(encoding="utf-8")
         assert got == want, (
-            f"SimResult parity broken on backend {backend!r}: a change "
-            "altered a simulated outcome.  If the (reference-backend) "
-            "change is intentional, regenerate the fixture (see "
-            "repro/perf/parity.py) and bump CACHE_FORMAT_VERSION in "
-            "the same commit.  A divergence on a non-reference backend "
-            "is a bug in that backend, never a fixture problem.")
+            "SimResult parity broken: a change altered a simulated "
+            "outcome.  If the change is intentional, regenerate the "
+            "fixture (see repro/perf/parity.py) and bump "
+            "CACHE_FORMAT_VERSION in the same commit.")
 
     def test_cache_fingerprints_unchanged(self):
         """Content-addressed cache keys are pinned alongside results.

@@ -46,10 +46,6 @@ class TestRetryPolicy:
         assert RetryPolicy().attempts == 1
         assert RetryPolicy(retries=3).attempts == 4
 
-    def test_backoff_doubles_deterministically(self):
-        policy = RetryPolicy(retries=3, backoff=0.5)
-        assert [policy.delay(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-
     def test_rejects_negative_budgets(self):
         with pytest.raises(ValueError):
             RetryPolicy(retries=-1)
