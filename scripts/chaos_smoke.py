@@ -54,6 +54,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.campaign.cells import descriptor_for
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments import ExperimentSession
 from repro.obs.status import load_journal, read_queue_counts
@@ -303,7 +304,7 @@ def scenario_poison(workdir: Path) -> None:
     """Crash-every-attempt cell: poisoned, contained, fleet survives."""
     session = make_session(workdir / "poison-cache", retries=2)
     cells = grid(session)
-    target = fault_label(cells[0])
+    target = fault_label(descriptor_for(cells[0]))
     with inject_faults(FaultSpec(kind="crash", match=target, times=3),
                        spool=str(workdir / "spool-poison")):
         results = session.run_cells(cells, strict=False)

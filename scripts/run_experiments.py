@@ -41,9 +41,8 @@ import time
 from repro.experiments import FIGURES, PAPER_CLAIMS, ExperimentSession, \
     format_claims, format_figure
 from repro.experiments.cli import add_runner_args, check_runner_args, \
-    close_session, open_session, plan
+    close_session, open_session, plan, run_cli
 from repro.obs.logging_setup import add_logging_args, setup_from_args
-from repro.perf.profiling import maybe_profiled
 from repro.resilience import CellExecutionError
 from repro.experiments.paper_data import DISTRIBUTION_CLAIMS, \
     FIG2_ANCHORS, SUPERSCALAR_CLAIMS
@@ -389,14 +388,7 @@ def run(args) -> None:
 def main(argv=None) -> None:
     args = parse_args(argv)
     setup_from_args(args)
-    try:
-        maybe_profiled(lambda: run(args), enabled=args.profile)
-    except KeyboardInterrupt as exc:
-        # A drained campaign interrupt carries its own resume hint;
-        # a bare ^C at least names the standard exit code.
-        detail = f": {exc}" if exc.args else ""
-        print(f"run_experiments: interrupted{detail}", file=sys.stderr)
-        raise SystemExit(130) from None
+    run_cli(run, args, PROG)
 
 
 if __name__ == "__main__":

@@ -43,9 +43,8 @@ import time
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments.cli import add_runner_args, check_runner_args, \
-    close_session, open_session, plan
+    close_session, open_session, plan, run_cli
 from repro.obs.logging_setup import add_logging_args, setup_from_args
-from repro.perf.profiling import maybe_profiled
 from repro.resilience import CellExecutionError
 from repro.sweeps import (
     FORMATTERS,
@@ -227,14 +226,7 @@ def main(argv=None) -> None:
     if args.list_presets:
         list_presets()
         return
-    try:
-        maybe_profiled(lambda: run(args), enabled=args.profile)
-    except KeyboardInterrupt as exc:
-        # A drained campaign interrupt carries its own resume hint;
-        # a bare ^C at least names the standard exit code.
-        detail = f": {exc}" if exc.args else ""
-        print(f"run_sweep: interrupted{detail}", file=sys.stderr)
-        raise SystemExit(130) from None
+    run_cli(run, args, PROG)
 
 
 if __name__ == "__main__":

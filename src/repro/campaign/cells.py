@@ -122,7 +122,7 @@ def execute_cell(cell: Cell) -> SimResult:
     planned for a removed backend fails with
     :func:`~repro.backend.get_backend`'s error.
     """
-    maybe_fire(fault_label(cell))
+    maybe_fire(fault_label(descriptor_for(cell)))
     return simulate(cell.workload, cell.engine, cell.policy,
                     cycles=cell.cycles, config=cell.config,
                     warmup=cell.warmup)

@@ -40,7 +40,7 @@ from repro.core.metrics import SimResult
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.logging_setup import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.resilience.faults import descriptor_label, should_corrupt
+from repro.resilience.faults import fault_label, should_corrupt
 
 log = get_logger("experiments.cache")
 
@@ -248,7 +248,7 @@ class ResultCache:
         # Fault-injection hook (no-op unless REPRO_FAULTS is set):
         # a matching "corrupt" fault truncates the entry just written,
         # modelling a torn write for the quarantine machinery to catch.
-        if should_corrupt(descriptor_label(descriptor)
+        if should_corrupt(fault_label(descriptor)
                           if descriptor else key):
             path.write_text(f'{{"key": "{key}", "schema"',
                             encoding="utf-8")

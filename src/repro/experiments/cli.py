@@ -3,11 +3,12 @@
 ``scripts/run_experiments.py`` and ``scripts/run_sweep.py`` both plan
 and drain one campaign through an
 :class:`~repro.experiments.session.ExperimentSession`, so they take the
-same fifteen execution flags.  This module declares them
+same fourteen execution flags.  This module declares them
 (:func:`add_runner_args`), validates them and fills in their defaults
 (:func:`check_runner_args`), builds the session they describe
-(:func:`open_session`), plans the campaign (:func:`plan`) and runs the
-end-of-run cache maintenance (:func:`close_session`).
+(:func:`open_session`), plans the campaign (:func:`plan`), runs the
+end-of-run cache maintenance (:func:`close_session`) and wraps each
+CLI's ``main`` (:func:`run_cli`: ``--profile`` and the interrupt exit).
 
 The one per-CLI parameter is the ``--strict`` default: on for the
 paper document, off for sweeps, whose reports can mark a failed cell.
@@ -16,12 +17,17 @@ paper document, off for sweeps, whose reports can mark a failed cell.
 from __future__ import annotations
 
 import argparse
+import cProfile
+import pstats
 import sys
 from pathlib import Path
 
 from repro.experiments.cache import DEFAULT_CACHE_DIR
 from repro.experiments.session import DEFAULT_CYCLES, CampaignInfo, \
     ExperimentSession
+
+PROFILE_TOP = 25
+"""Entries ``--profile`` prints from the cumulative-time ranking."""
 
 
 def add_runner_args(parser: argparse.ArgumentParser, *,
@@ -62,11 +68,6 @@ def add_runner_args(parser: argparse.ArgumentParser, *,
                         metavar="MAX_ENTRIES",
                         help="after the run, evict the oldest cache "
                              "entries beyond this budget")
-    parser.add_argument("--cache-budget", type=int, default=None,
-                        metavar="MAX_ENTRIES",
-                        help="auto-prune the cache to this many entries "
-                             "when the session closes (maintenance "
-                             "policy; unbounded by default)")
     parser.add_argument("--retries", type=int, default=0,
                         help="re-execute a failing cell up to N extra "
                              "times before recording it failed "
@@ -99,10 +100,10 @@ def check_runner_args(parser: argparse.ArgumentParser,
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error(f"--cell-timeout must be > 0, got "
                      f"{args.cell_timeout}")
+    if args.prune_cache is not None and args.prune_cache < 0:
+        parser.error(f"--prune-cache must be >= 0, got {args.prune_cache}")
     if args.prune_cache is not None and args.no_cache:
         parser.error("--prune-cache is meaningless with --no-cache")
-    if args.cache_budget is not None and args.no_cache:
-        parser.error("--cache-budget is meaningless with --no-cache")
     if args.verify_cache and args.no_cache:
         parser.error("--verify-cache is meaningless with --no-cache")
     if args.campaign_dir is None and not args.no_cache:
@@ -125,18 +126,11 @@ def open_session(args: argparse.Namespace, prog: str, *,
     ``warmup`` is the CLI's resolved warm-up (a sweep preset may carry
     its own).
     """
-    try:
-        session = ExperimentSession(
-            jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            cycles=args.cycles, warmup=warmup,
-            cache_budget_entries=args.cache_budget,
-            retries=args.retries, cell_timeout=args.cell_timeout,
-            strict=args.strict, campaign_dir=args.campaign_dir)
-    except ValueError as exc:
-        # A negative --cache-budget is a user error: report the
-        # message, not a traceback.
-        raise SystemExit(f"{prog}: {exc}") from None
+    session = ExperimentSession(
+        jobs=args.jobs, cache_dir=None if args.no_cache else args.cache_dir,
+        cycles=args.cycles, warmup=warmup, retries=args.retries,
+        cell_timeout=args.cell_timeout, strict=args.strict,
+        campaign_dir=args.campaign_dir)
     if args.verify_cache:
         audit = session.disk.verify()
         print(f"[{prog}] cache verify: {audit['checked']} checked, "
@@ -174,15 +168,38 @@ def plan(session: ExperimentSession, cells: list,
 
 def close_session(session: ExperimentSession, args: argparse.Namespace,
                   prog: str) -> None:
-    """Run ``--prune-cache``, then close the session, which applies
-    ``--cache-budget``; each reports its evictions on stderr."""
+    """Run ``--prune-cache`` (reporting its evictions on stderr), then
+    close the session."""
     if args.prune_cache is not None and session.disk is not None:
         removed = session.disk.prune(max_entries=args.prune_cache)
         stats = session.disk.stats()
         print(f"[{prog}] cache pruned: {removed} entry(ies) evicted, "
               f"{stats['entries']} kept ({stats['bytes']} bytes)",
               file=sys.stderr)
-    removed = session.close()
-    if removed:
-        print(f"[{prog}] cache budget: {removed} entry(ies) evicted on "
-              f"close", file=sys.stderr)
+    session.close()
+
+
+def run_cli(run, args: argparse.Namespace, prog: str) -> None:
+    """Call ``run(args)`` as a runner CLI's ``main`` does.
+
+    With ``--profile`` the call runs under :mod:`cProfile` and the top
+    :data:`PROFILE_TOP` cumulative entries go to stderr, even when
+    ``run`` raises, so a slow run that dies late still yields its data.
+    A :class:`KeyboardInterrupt` prints ``<prog>: interrupted`` (plus
+    the interrupt's detail, such as a drained campaign's resume hint)
+    and exits 130.
+    """
+    profiler = cProfile.Profile() if args.profile else None
+    try:
+        if profiler is None:
+            run(args)
+        else:
+            profiler.runcall(run, args)
+    except KeyboardInterrupt as exc:
+        detail = f": {exc}" if exc.args else ""
+        print(f"{prog}: interrupted{detail}", file=sys.stderr)
+        raise SystemExit(130) from None
+    finally:
+        if profiler is not None:
+            pstats.Stats(profiler, stream=sys.stderr) \
+                .sort_stats("cumulative").print_stats(PROFILE_TOP)

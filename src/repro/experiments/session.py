@@ -51,11 +51,7 @@ from repro.experiments.figures import FigureSpec
 from repro.experiments.paper_data import Claim
 from repro.obs.journal import NULL_JOURNAL
 from repro.resilience.faults import fault_label
-from repro.resilience.policy import (
-    CellExecutionError,
-    CellFailure,
-    RetryPolicy,
-)
+from repro.resilience.policy import CellExecutionError, CellFailure
 
 DEFAULT_CYCLES = 20_000
 """Measured window for figure regeneration (per grid cell)."""
@@ -130,9 +126,6 @@ class ExperimentSession:
             or timeout), folded into each queue row's lease state;
             retried cells are deterministic given (seed, config), so
             recovery never changes a result.
-        retry_backoff: Base seconds of the deterministic exponential
-            backoff between attempts (retry ``n`` waits
-            ``retry_backoff * 2**(n-1)``).
         cell_timeout: Per-cell wall-clock budget in seconds.  A cell
             still running past it is killed and retried/failed instead
             of wedging the campaign.  Also routes execution through
@@ -158,7 +151,6 @@ class ExperimentSession:
                  warmup: int | None = None,
                  cache_budget_entries: int | None = None,
                  retries: int = 0,
-                 retry_backoff: float = 0.0,
                  cell_timeout: float | None = None,
                  strict: bool = True,
                  campaign_dir=None) -> None:
@@ -167,6 +159,11 @@ class ExperimentSession:
         if cache_budget_entries is not None and cache_budget_entries < 0:
             raise ValueError(f"cache_budget_entries must be >= 0, got "
                              f"{cache_budget_entries}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if cell_timeout is not None and cell_timeout <= 0:
+            raise ValueError(f"cell_timeout must be > 0, got "
+                             f"{cell_timeout}")
         self.jobs = jobs
         self.config = config or DEFAULT_CONFIG
         self.cycles = cycles
@@ -174,8 +171,8 @@ class ExperimentSession:
         self.disk = ResultCache(cache_dir) if cache_dir is not None else None
         self.cache_budget_entries = cache_budget_entries
         self.campaign_dir = campaign_dir
-        self.retry = RetryPolicy(retries=retries, backoff=retry_backoff,
-                                 cell_timeout=cell_timeout)
+        self.retries = retries
+        self.cell_timeout = cell_timeout
         self.strict = strict
         self._memo: dict[str, SimResult] = {}
         self._closed = False
@@ -304,10 +301,11 @@ class ExperimentSession:
     def _open_campaign(self, plan: CampaignPlan, *,
                        need_file: bool) -> Campaign:
         misses = [(key, plan.descriptors[key],
-                   fault_label(plan.by_key[key]))
+                   fault_label(plan.descriptors[key]))
                   for key in plan.misses]
         return Campaign.open(plan.descriptors, misses,
-                             root=self.campaign_dir, retry=self.retry,
+                             root=self.campaign_dir,
+                             max_attempts=self.retries + 1,
                              need_file=need_file)
 
     # ------------------------------------------------------------------
@@ -380,7 +378,7 @@ class ExperimentSession:
                 workers=workers, spawn=spawn, cache=self.disk,
                 cache_dir=str(self.disk.root)
                 if self.disk is not None else None,
-                cell_timeout=self.retry.cell_timeout,
+                cell_timeout=self.cell_timeout,
                 lease_batch=max(1, min(MAX_LEASE_BATCH,
                                        len(plan.misses) // workers)))
             self.simulated += campaign.attempts() - before

@@ -1,30 +1,13 @@
-"""Simulator-throughput measurement (how fast the simulator itself runs).
+"""Simulator performance and behaviour-preservation support.
 
 Everything else in the repo measures the *simulated machine* (IPC,
-IPFC); this package measures the *simulator* — kilo-cycles and
-kilo-committed-instructions per wall-clock second over a representative
-(workload x engine x policy) grid — so that hot-path optimisations are
-driven by data and regressions are caught by CI instead of being
-discovered as mysteriously slow sweeps.  See ``scripts/bench_speed.py``
-for the CLI and ``BENCH_speed.json`` for the tracked trajectory.
+IPFC); this package serves the benchmark that measures the *simulator*
+and the contract that keeps its optimisations honest:
+
+* :mod:`repro.perf.bench` — the engine/policy grid axes, geometric
+  mean and host stamp shared by the repository benchmark
+  (``perfbench/``; ``scripts/bench_ab.py`` compares two revisions of
+  it);
+* :mod:`repro.perf.parity` — the golden-parity fixture and its
+  ``python -m repro.perf.parity --check`` CLI.
 """
-
-from repro.perf.bench import (
-    BENCH_GRID,
-    QUICK_GRID,
-    BenchCell,
-    geomean,
-    measure_cell,
-    run_bench,
-    speedup_vs,
-)
-
-__all__ = [
-    "BENCH_GRID",
-    "QUICK_GRID",
-    "BenchCell",
-    "geomean",
-    "measure_cell",
-    "run_bench",
-    "speedup_vs",
-]

@@ -8,10 +8,10 @@ three with *deterministic* recovery — a retried cell reproduces its
 result bit-for-bit because every simulation is a pure function of
 (seed, config):
 
-* :class:`RetryPolicy` / :class:`CellFailure` /
-  :class:`CellExecutionError` — retry budgets with a deterministic
-  backoff schedule, durable failure records, and the strict-mode
-  error (:mod:`repro.resilience.policy`);
+* :class:`CellFailure` / :class:`CellExecutionError` — durable
+  failure records and the strict-mode error
+  (:mod:`repro.resilience.policy`; retry budgets and their
+  deterministic backoff live in the campaign queue's rows);
 * :func:`run_cell_isolated` — per-cell child processes with crash
   attribution and killable wall-clock timeouts
   (:mod:`repro.resilience.isolate`);
@@ -28,7 +28,6 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    descriptor_label,
     fault_label,
     inject_faults,
     maybe_fire,
@@ -40,11 +39,7 @@ from repro.resilience.isolate import (
     CellTimeout,
     run_cell_isolated,
 )
-from repro.resilience.policy import (
-    CellExecutionError,
-    CellFailure,
-    RetryPolicy,
-)
+from repro.resilience.policy import CellExecutionError, CellFailure
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -58,8 +53,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "RetryPolicy",
-    "descriptor_label",
     "fault_label",
     "inject_faults",
     "maybe_fire",

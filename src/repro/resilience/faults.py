@@ -72,36 +72,26 @@ class InjectedFault(RuntimeError):
     """The exception a ``raise`` fault throws inside the worker."""
 
 
-def fault_label(cell) -> str:
-    """Canonical matchable name of a cell (duck-typed descriptor).
+def fault_label(descriptor: dict) -> str:
+    """Canonical matchable name of a cell, from its descriptor.
 
-    ``cell`` needs ``workload``/``engine``/``policy``/``cycles``/
-    ``warmup`` attributes and a ``config`` —
-    :class:`repro.campaign.cells.Cell` in practice.  The label is
+    ``descriptor`` is the cell's
+    :func:`~repro.campaign.cells.cell_descriptor` mapping, as planned
+    or as read back from a queue row.  The label is
     ``workload:engine:policy:c<cycles>:w<warmup>:seed<seed>`` plus
     ``:<field>=<value>`` for each other config field that differs from
     :data:`~repro.core.config.DEFAULT_CONFIG`, in field order, so the
     points of a config sweep get distinct labels.
     """
-    return _label(cell.workload, cell.engine, cell.policy, cell.cycles,
-                  cell.warmup, cell.config.to_dict())
-
-
-def descriptor_label(descriptor: dict) -> str:
-    """:func:`fault_label` rebuilt from a cache descriptor mapping."""
-    return _label(descriptor["workload"], descriptor["engine"],
-                  descriptor["policy"], descriptor["cycles"],
-                  descriptor["warmup"], descriptor["config"])
-
-
-def _label(workload: str | list[str] | tuple[str, ...], engine: str,
-           policy: str, cycles: int, warmup: int, config: dict) -> str:
+    workload = descriptor["workload"]
     if not isinstance(workload, str):
         workload = "+".join(workload)
+    config = descriptor["config"]
     overrides = "".join(
         f":{name}={config[name]}" for name, default in _DEFAULT_FIELDS.items()
         if name != "seed" and config.get(name, default) != default)
-    return (f"{workload}:{engine}:{policy}:c{cycles}:w{warmup}"
+    return (f"{workload}:{descriptor['engine']}:{descriptor['policy']}"
+            f":c{descriptor['cycles']}:w{descriptor['warmup']}"
             f":seed{config['seed']}{overrides}")
 
 

@@ -98,8 +98,8 @@ class TestWorkerParity:
         inline = session.run_cells(cells)
 
         planned = {key_for(c): descriptor_for(c) for c in cells}
-        misses = [(key, planned[key], fault_label(cell))
-                  for key, cell in ((key_for(c), c) for c in cells)]
+        misses = [(key, descriptor, fault_label(descriptor))
+                  for key, descriptor in planned.items()]
         campaign = Campaign.open(planned, misses,
                                  root=tmp_path / "campaigns",
                                  need_file=True)
@@ -151,7 +151,8 @@ class TestLeaseFailure:
         session = ExperimentSession(**FAST)
         cells = grid(session, seeds=(0, 1, 2), policies=("ICOUNT.1.8",))
         with CellQueue() as queue:
-            queue.add([(key_for(c), descriptor_for(c), fault_label(c))
+            queue.add([(key_for(c), descriptor_for(c),
+                        fault_label(descriptor_for(c)))
                        for c in cells], max_attempts=1)
             with inject_faults(FaultSpec(kind="raise", match="seed0",
                                          times=1),

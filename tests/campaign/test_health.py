@@ -528,16 +528,37 @@ class TestCampaignDoctor:
         assert "no queue at" in capsys.readouterr().err
 
 
+INTERRUPTIBLE_CLIS = pytest.mark.parametrize("name, argv", [
+    ("run_experiments", ["--no-cache"]),
+    ("run_sweep", ["--axis", "ftq_depth=1", "--no-cache"]),
+])
+
+
 class TestInterruptedCliExit:
-    def test_run_sweep_interrupt_exits_130_with_hint(self, monkeypatch,
-                                                     capsys):
-        sweep_cli = load_cli("run_sweep")
+    def interrupt(self, name, monkeypatch):
+        cli = load_cli(name)
         monkeypatch.setattr(
-            sweep_cli, "run",
+            cli, "run",
             lambda args: (_ for _ in ()).throw(
                 KeyboardInterrupt("resume with --resume deadbeef")))
+        return cli
+
+    @INTERRUPTIBLE_CLIS
+    def test_interrupt_exits_130_with_hint(self, name, argv, monkeypatch,
+                                           capsys):
+        cli = self.interrupt(name, monkeypatch)
         with pytest.raises(SystemExit) as excinfo:
-            sweep_cli.main(["--axis", "ftq_depth=1", "--no-cache"])
+            cli.main(argv)
         assert excinfo.value.code == 130
         err = capsys.readouterr().err
-        assert "interrupted" in err and "--resume deadbeef" in err
+        assert f"{name}: interrupted: resume with --resume deadbeef" in err
+
+    @INTERRUPTIBLE_CLIS
+    def test_profile_is_printed_even_when_interrupted(self, name, argv,
+                                                      monkeypatch, capsys):
+        cli = self.interrupt(name, monkeypatch)
+        with pytest.raises(SystemExit):
+            cli.main([*argv, "--profile"])
+        err = capsys.readouterr().err
+        assert f"{name}: interrupted" in err
+        assert "Ordered by: cumulative time" in err

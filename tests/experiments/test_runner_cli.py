@@ -32,8 +32,7 @@ INVALID = [
     (["--cell-timeout", "0"], "--cell-timeout must be > 0, got 0.0"),
     (["--no-cache", "--prune-cache", "3"],
      "--prune-cache is meaningless with --no-cache"),
-    (["--no-cache", "--cache-budget", "3"],
-     "--cache-budget is meaningless with --no-cache"),
+    (["--prune-cache", "-1"], "--prune-cache must be >= 0, got -1"),
     (["--no-cache", "--verify-cache"],
      "--verify-cache is meaningless with --no-cache"),
     (["--no-cache", "--plan-only"], "--plan-only needs a --campaign-dir"),

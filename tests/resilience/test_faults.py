@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.campaign.cells import descriptor_for
 from repro.experiments import ExperimentSession
-from repro.experiments.cache import cell_descriptor
 from repro.resilience import (
     ENV_VAR,
     FaultPlan,
@@ -23,7 +23,6 @@ from repro.resilience import (
     maybe_fire,
     should_corrupt,
 )
-from repro.resilience.faults import descriptor_label
 from repro.sweeps.run import expand_cells
 from repro.sweeps.spec import SweepSpec
 
@@ -37,22 +36,24 @@ def make_cell(workload="2_MIX", seed=0):
 
 class TestLabels:
     def test_label_names_every_identity_field(self):
-        label = fault_label(make_cell(seed=3))
+        label = fault_label(descriptor_for(make_cell(seed=3)))
         assert label == "2_MIX:stream:ICOUNT.1.8:c300:w150:seed3"
 
     def test_tuple_workloads_join_with_plus(self):
-        label = fault_label(make_cell(workload=("gzip", "twolf")))
+        label = fault_label(descriptor_for(
+            make_cell(workload=("gzip", "twolf"))))
         assert label.startswith("gzip+twolf:")
 
-    def test_descriptor_label_matches_fault_label(self):
-        # The cache's corrupt-fault hook sees a descriptor dict, not a
-        # Cell; both spellings must agree or a corrupt fault aimed at
-        # a cell would miss its cache write.
-        cell = make_cell(seed=2)
-        descriptor = cell_descriptor(cell.workload, cell.engine,
-                                     cell.policy, cell.cycles,
-                                     cell.warmup, cell.config)
-        assert descriptor_label(descriptor) == fault_label(cell)
+    def test_queue_row_descriptor_keeps_the_label(self):
+        # A queue row stores its descriptor as sorted-key JSON, where a
+        # tuple workload becomes a list; the worker's and the cache's
+        # fault hooks label the reloaded mapping, so it must agree with
+        # the label the planner enqueued.
+        for cell in (make_cell(seed=2),
+                     make_cell(workload=("gzip", "twolf"))):
+            descriptor = descriptor_for(cell)
+            reloaded = json.loads(json.dumps(descriptor, sort_keys=True))
+            assert fault_label(reloaded) == fault_label(descriptor)
 
     def test_config_sweep_points_get_distinct_labels(self):
         # An ftq_depth sweep used to journal, report and fault-match four
@@ -61,18 +62,15 @@ class TestLabels:
         spec = SweepSpec.of("ftq", {"ftq_depth": (1, 2, 4, 8),
                                     "seed": (1,)})
         cells = [cell for _, cell in expand_cells(spec, session)]
-        labels = [fault_label(cell) for cell in cells]
+        descriptors = [descriptor_for(cell) for cell in cells]
+        labels = [fault_label(descriptor) for descriptor in descriptors]
         base = "2_MIX:stream:ICOUNT.1.8:c2000:w1000:seed1"
         assert labels == [base + ":ftq_depth=1", base + ":ftq_depth=2",
                           base, base + ":ftq_depth=8"]
-        for cell, label in zip(cells, labels):
-            descriptor = cell_descriptor(cell.workload, cell.engine,
-                                         cell.policy, cell.cycles,
-                                         cell.warmup, cell.config)
-            assert descriptor_label(descriptor) == label
+        for descriptor, label in zip(descriptors, labels):
             # A queue row stores its descriptor as sorted-key JSON.
             reloaded = json.loads(json.dumps(descriptor, sort_keys=True))
-            assert descriptor_label(reloaded) == label
+            assert fault_label(reloaded) == label
         # Substring specs written against the old labels still fire.
         for match, hits in (("seed1", 4), ("2_MIX:stream", 4),
                             ("ICOUNT.1.8:c2000", 4), ("ftq_depth=8", 1),
@@ -85,7 +83,7 @@ class TestLabels:
         cell = make_cell()
         config = cell.config.with_(rob_entries=128, backend="batched",
                                    fetch_buffer=16)
-        label = fault_label(replace(cell, config=config))
+        label = fault_label(descriptor_for(replace(cell, config=config)))
         assert label.endswith(":seed0:fetch_buffer=16:rob_entries=128"
                               ":backend=batched")
 

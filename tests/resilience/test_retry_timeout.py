@@ -6,18 +6,17 @@ exercised exactly as a production campaign would hit them — including
 inside worker subprocesses when ``jobs > 1``.
 """
 
+import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 
+from repro.campaign.manifest import campaign_dir, queue_path
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments import ExperimentSession
-from repro.resilience import (
-    CellExecutionError,
-    FaultSpec,
-    RetryPolicy,
-    inject_faults,
-)
+from repro.obs.journal import journal_path, read_events
+from repro.resilience import CellExecutionError, FaultSpec, inject_faults
 
 FAST = dict(cycles=300, warmup=150)
 
@@ -42,15 +41,27 @@ def as_dicts(results):
 
 
 class TestRetryPolicy:
-    def test_attempts_is_retries_plus_one(self):
-        assert RetryPolicy().attempts == 1
-        assert RetryPolicy(retries=3).attempts == 4
+    def test_attempts_is_retries_plus_one(self, tmp_path):
+        # The session folds its budget into the queue rows it plans,
+        # and the journal's plan event records it.
+        for retries in (0, 3):
+            root = tmp_path / f"retries{retries}"
+            session = ExperimentSession(campaign_dir=root,
+                                        retries=retries, **FAST)
+            cid = session.plan_campaign(grid(session)).campaign_id
+            events = read_events(journal_path(campaign_dir(root, cid)))
+            (plan,) = [ev for ev in events if ev["ev"] == "plan"]
+            assert plan["retry_attempts"] == retries + 1
+            with closing(sqlite3.connect(queue_path(root, cid))) as conn:
+                budgets = {row[0] for row in conn.execute(
+                    "SELECT max_attempts FROM cells")}
+            assert budgets == {retries + 1}
 
     def test_rejects_negative_budgets(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(cell_timeout=0)
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            ExperimentSession(retries=-1)
+        with pytest.raises(ValueError, match="cell_timeout must be > 0"):
+            ExperimentSession(cell_timeout=0)
 
 
 class TestCrashRecovery:
