@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""Measure the throughput cost of the observability layer.
+"""Measure the throughput cost of the event journal.
 
 Runs the same small campaign grid repeatedly through the full
 plan/queue/drain stack — cold cache, durable campaign directory — in
 two configurations interleaved back to back: observability **off**
-(``REPRO_OBS=0``: no journal, metrics still a no-op null path) and
-**on** (journal + metrics + Prometheus textfile export).  Reports the
-median wall-clock per configuration and their ratio.
+(``REPRO_OBS=0``: no journal, every ``emit`` a no-op) and **on** (the
+``events.jsonl`` journal).  Reports the median wall-clock per
+configuration and their ratio.
 
-The simulator cycle loop is never instrumented, so the only costs the
-"on" runs can pay are journal appends, metric increments and one
-textfile write per drain — all at per-cell (not per-cycle) frequency.
-This script is the proof: with ``--max-overhead R`` it exits non-zero
-when on/off exceeds ``1 + R`` (the CI perf-smoke gate).
+The simulator cycle loop is never instrumented, so the only cost the
+"on" runs can pay is journal appends — at per-cell (not per-cycle)
+frequency.  This script is the proof: with ``--max-overhead R`` it
+exits non-zero when on/off exceeds ``1 + R`` (the CI perf-smoke
+gate).
 
 Usage::
 
@@ -34,7 +34,6 @@ from pathlib import Path
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments import ExperimentSession
 from repro.obs.journal import ENV_VAR
-from repro.obs.metrics import REGISTRY
 
 POLICIES = ("ICOUNT.1.8", "RR.1.8")
 SEEDS = (0, 1)
@@ -62,7 +61,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 def run_once(workdir: Path, cycles: int, obs: bool) -> float:
     """One cold campaign drain; returns its wall-clock seconds."""
     os.environ[ENV_VAR] = "1" if obs else "0"
-    REGISTRY.reset()
     session = ExperimentSession(
         jobs=1, cache_dir=str(workdir / "cache"), cycles=cycles,
         campaign_dir=str(workdir / "campaigns"))
@@ -72,7 +70,6 @@ def run_once(workdir: Path, cycles: int, obs: bool) -> float:
     t0 = time.perf_counter()
     session.run_cells(cells)
     elapsed = time.perf_counter() - t0
-    session.close()
     shutil.rmtree(workdir, ignore_errors=True)
     return elapsed
 

@@ -15,8 +15,9 @@ and with ``--repair`` puts every fixable finding right:
   marks an unclean death.  Repair: delete the file.
 * **stale temp files** — ``*.tmp`` debris from writers killed between
   ``mkstemp`` and ``rename``, in the cache tree and the heartbeat
-  directory.  Repair: delete (atomic-rename protocol makes every
-  ``.tmp`` file garbage by construction once it is old).
+  directory (heartbeats are plain touches, but older runs wrote them
+  through temp files).  Repair: delete (atomic-rename protocol makes
+  every ``.tmp`` file garbage by construction once it is old).
 * **corrupt cache entries** — via ``ResultCache.verify`` (requires
   ``--cache-dir``).  Repair: quarantine, so the next resume
   re-simulates instead of crash-looping.
@@ -39,18 +40,19 @@ its queue does not exist.
 import argparse
 import json
 import os
-import sqlite3
 import sys
 import time
 from pathlib import Path
 
 from repro.campaign.health import (DEFAULT_HEARTBEAT_STALE_SECONDS,
                                    HeartbeatStore)
-from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME
+from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME, \
+    read_campaign_id
 from repro.campaign.queue import CellQueue
 from repro.experiments.cache import ResultCache
 from repro.obs.journal import journal_path, open_journal, read_events
 from repro.obs.logging_setup import add_logging_args, setup_from_args
+from repro.obs.status import connect_read_only
 
 DEFAULT_TMP_AGE_SECONDS = 900.0
 """A ``.tmp`` file older than this is debris, not a write in flight."""
@@ -100,22 +102,12 @@ def finding(check: str, detail: str, *, repairable: bool = True,
             "repairable": repairable, "repaired": repaired, **extra}
 
 
-def _read_only(queue_file: str) -> sqlite3.Connection:
-    try:
-        conn = sqlite3.connect(f"file:{queue_file}?mode=ro", uri=True,
-                               timeout=5.0)
-    except sqlite3.OperationalError:
-        conn = sqlite3.connect(queue_file, timeout=5.0)
-    conn.row_factory = sqlite3.Row
-    return conn
-
-
 def check_orphan_leases(queue_file: str, beats: HeartbeatStore,
                         stale_after: float,
                         now: float) -> list[dict]:
     """Leased rows a live fleet would already have reclaimed."""
     findings = []
-    conn = _read_only(queue_file)
+    conn = connect_read_only(queue_file)
     try:
         rows = conn.execute(
             "SELECT key, lease_owner, lease_seconds, lease_deadline"
@@ -163,7 +155,7 @@ def repair_orphan_leases(queue_file: str, campaign_dir: str,
 def check_leftover_heartbeats(queue_file: str, beats: HeartbeatStore,
                               repair: bool) -> list[dict]:
     """Heartbeat files for workers that no longer hold any lease."""
-    conn = _read_only(queue_file)
+    conn = connect_read_only(queue_file)
     try:
         holders = {row["lease_owner"] for row in conn.execute(
             "SELECT DISTINCT lease_owner FROM cells"
@@ -236,7 +228,7 @@ def check_journal_drift(queue_file: str,
         # A journal with zero acks means results flowed through a
         # journal-less writer; absence proves nothing.
         return []
-    conn = _read_only(queue_file)
+    conn = connect_read_only(queue_file)
     try:
         done = {row["key"] for row in conn.execute(
             "SELECT key FROM cells WHERE state = 'done'")}
@@ -266,12 +258,7 @@ def diagnose(campaign_dir: str, *, cache_dir: str | None = None,
     queue_file = os.path.join(campaign_dir, QUEUE_NAME)
     if not os.path.exists(queue_file):
         raise FileNotFoundError(f"no queue at {queue_file}")
-    try:
-        with open(os.path.join(campaign_dir, MANIFEST_NAME),
-                  encoding="utf-8") as fh:
-            cid = json.load(fh)["campaign"]
-    except (OSError, ValueError, KeyError):
-        cid = None
+    cid = read_campaign_id(campaign_dir)
     beats = HeartbeatStore(campaign_dir)
 
     findings = check_orphan_leases(queue_file, beats,

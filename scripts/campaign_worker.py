@@ -25,20 +25,18 @@ exactly where the campaign left off.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
 
 from repro.campaign.health import (DEFAULT_HEARTBEAT_STALE_SECONDS,
-                                   DrainControl, HeartbeatStore,
                                    ResourceGuardError, check_free_disk)
-from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME
-from repro.campaign.queue import CellQueue
+from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME, \
+    read_campaign_id
 from repro.campaign.worker import DEFAULT_LEASE_SECONDS, \
-    DEFAULT_POLL_SECONDS, drain, write_worker_metrics
-from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.obs.journal import open_journal
+    DEFAULT_POLL_SECONDS, worker_process_entry
+from repro.experiments.cache import DEFAULT_CACHE_DIR
+from repro.obs.journal import journal_path
 from repro.obs.logging_setup import (
     add_logging_args,
     get_logger,
@@ -133,12 +131,8 @@ def main(argv=None) -> None:
             f"campaign_worker: no queue at {queue_file} — plan the "
             "campaign first (run_sweep.py/run_experiments.py "
             "--plan-only with a --campaign-dir)")
-    try:
-        with open(os.path.join(args.campaign, MANIFEST_NAME),
-                  encoding="utf-8") as fh:
-            cid = json.load(fh)["campaign"]
-    except (OSError, ValueError, KeyError):
-        cid = os.path.basename(os.path.normpath(args.campaign))
+    cid = read_campaign_id(args.campaign) or \
+        os.path.basename(os.path.normpath(args.campaign))
     worker_id = args.worker_id or \
         f"worker-{os.uname().nodename}-{os.getpid()}"
     floor = None if args.disk_floor_mb is None \
@@ -149,36 +143,17 @@ def main(argv=None) -> None:
             check_free_disk(args.cache_dir, floor=floor)
     except ResourceGuardError as exc:
         raise SystemExit(f"campaign_worker: {exc}") from None
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    journal = open_journal(args.campaign, campaign_id=cid,
-                           worker_id=worker_id)
-    if cache is not None:
-        cache.journal = journal
-    heartbeats = HeartbeatStore(args.campaign)
     cell_memory = None if args.cell_memory_mb is None \
         else int(args.cell_memory_mb * 1024 * 1024)
 
     log.info("%s draining campaign %s", worker_id, cid)
     t0 = time.time()
-    queue = CellQueue(queue_file, journal=journal,
-                      heartbeats=heartbeats,
-                      heartbeat_stale_seconds=args.heartbeat_stale)
-    control = DrainControl().install()
-    try:
-        stats = drain(queue, worker_id=worker_id, cache=cache,
-                      cell_timeout=args.cell_timeout,
-                      lease_batch=args.lease_batch,
-                      lease_seconds=args.lease_seconds,
-                      poll=args.poll, wait=not args.no_wait,
-                      journal=journal, control=control,
-                      heartbeats=heartbeats, cell_memory=cell_memory)
-        counts = queue.counts()
-        if journal.enabled:
-            write_worker_metrics(args.campaign, worker_id)
-    finally:
-        control.restore()
-        journal.close()
-        queue.close()
+    stats, counts = worker_process_entry(
+        queue_file, worker_id, None if args.no_cache else args.cache_dir,
+        args.cell_timeout, args.lease_batch, args.lease_seconds,
+        journal_path=str(journal_path(args.campaign)), campaign_id=cid,
+        heartbeat_stale_seconds=args.heartbeat_stale,
+        cell_memory=cell_memory, poll=args.poll, wait=not args.no_wait)
     # User-facing CLI footer (the tested output contract), not a
     # diagnostic — always printed, whatever the log level.
     drained = " (drained on signal)" if stats.drained else ""

@@ -116,7 +116,6 @@ def run_grid(cache_dir, campaign_root=None,
              **kwargs) -> tuple[dict, ExperimentSession]:
     session = make_session(cache_dir, campaign_root, **kwargs)
     results = session.run_cells(grid(session))
-    session.close()
     return results, session
 
 
@@ -308,7 +307,6 @@ def scenario_poison(workdir: Path) -> None:
     with inject_faults(FaultSpec(kind="crash", match=target, times=3),
                        spool=str(workdir / "spool-poison")):
         results = session.run_cells(cells, strict=False)
-    session.close()
 
     assert len(results) == 3, \
         f"innocent cells lost to the poison cell: {len(results)} done"

@@ -41,7 +41,7 @@ import time
 from repro.experiments import FIGURES, PAPER_CLAIMS, ExperimentSession, \
     format_claims, format_figure
 from repro.experiments.cli import add_runner_args, check_runner_args, \
-    close_session, open_session, plan, run_cli
+    open_session, plan, prune_cache, run_cli
 from repro.obs.logging_setup import add_logging_args, setup_from_args
 from repro.resilience import CellExecutionError
 from repro.experiments.paper_data import DISTRIBUTION_CLAIMS, \
@@ -374,7 +374,7 @@ def run(args) -> None:
     else:
         emit_markdown(session, sections, fig_ids, args.cycles, t0,
                       campaign)
-    close_session(session, args, PROG)
+    prune_cache(session, args, PROG)
 
     if session.failures:
         # Partial-results mode: the surviving sections were emitted,

@@ -43,7 +43,7 @@ import time
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments.cli import add_runner_args, check_runner_args, \
-    close_session, open_session, plan, run_cli
+    open_session, plan, prune_cache, run_cli
 from repro.obs.logging_setup import add_logging_args, setup_from_args
 from repro.resilience import CellExecutionError
 from repro.sweeps import (
@@ -207,7 +207,7 @@ def run(args) -> None:
     else:
         sys.stdout.write(report)
 
-    close_session(session, args, PROG)
+    prune_cache(session, args, PROG)
 
     if result.failures:
         # Partial-results mode: the report is written (with failures

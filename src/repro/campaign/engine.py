@@ -68,7 +68,6 @@ from repro.campaign.worker import (
     DEFAULT_LEASE_SECONDS,
     DrainStats,
     drain,
-    write_worker_metrics,
 )
 from repro.core.metrics import SimResult
 from repro.obs.journal import NULL_JOURNAL, open_journal
@@ -199,14 +198,12 @@ class Campaign:
         if target is not None:
             check_free_disk(target)
         if not spawn:
-            stats = drain(self.queue, worker_id="inline", cache=cache,
-                          cell_timeout=cell_timeout,
-                          lease_batch=lease_batch,
-                          lease_seconds=lease_seconds,
-                          journal=self.journal,
-                          heartbeats=self.heartbeats)
-            self._export_metrics(f"inline-{os.getpid()}")
-            return stats
+            return drain(self.queue, worker_id="inline", cache=cache,
+                         cell_timeout=cell_timeout,
+                         lease_batch=lease_batch,
+                         lease_seconds=lease_seconds,
+                         journal=self.journal,
+                         heartbeats=self.heartbeats)
         if self.queue_file is None:
             raise ValueError("spawned workers need a queue file "
                              "(campaign planned with need_file=False)")
@@ -220,7 +217,6 @@ class Campaign:
             unresolved = self.queue.unresolved()
             self.journal.emit("campaign_interrupted", signal=signum,
                               unresolved=unresolved)
-            self._export_metrics(f"planner-{os.getpid()}")
             raise KeyboardInterrupt(
                 f"campaign {self.id} interrupted by signal {signum} "
                 f"with {unresolved} cell(s) unresolved; completed "
@@ -236,13 +232,7 @@ class Campaign:
                           lease_batch=1, lease_seconds=lease_seconds,
                           isolate=True, journal=self.journal,
                           heartbeats=self.heartbeats)
-        self._export_metrics(f"planner-{os.getpid()}")
         return stats
-
-    def _export_metrics(self, worker_id: str) -> None:
-        """Export this process's metrics under a durable campaign."""
-        if self.dir is not None and self.journal.enabled:
-            write_worker_metrics(self.dir, worker_id)
 
     def _supervise(self, count: int, *, cache_dir: str | None,
                    cell_timeout: float | None, lease_batch: int,

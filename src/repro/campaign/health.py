@@ -8,16 +8,16 @@ narrates".  Three primitives, all above the simulator (golden parity
 is untouched):
 
 * :class:`HeartbeatStore` — per-worker liveness files under
-  ``<campaign_dir>/heartbeats/``.  A worker stamps its heartbeat every
-  lease round and after every completed cell; a worker that exits
-  cleanly (drained queue *or* graceful drain) removes its file.  The
-  queue uses heartbeat *age* to distinguish a slow-but-alive worker
-  (fresh heartbeat: defer reclaiming its expired lease, avoiding a
-  pointless double execution) from a dead one (stale heartbeat:
-  release its leases early instead of waiting out the full lease
-  deadline).  A leftover heartbeat file is itself a finding — it means
-  a worker died without saying goodbye — which ``campaign_doctor``
-  reports and repairs.
+  ``<campaign_dir>/heartbeats/``.  A worker touches its heartbeat file
+  every lease round and after every completed cell; a worker that
+  exits cleanly (drained queue *or* graceful drain) removes it.  The
+  file is empty: the queue uses its *age* (mtime) to distinguish a
+  slow-but-alive worker (fresh heartbeat: defer reclaiming its expired
+  lease, avoiding a pointless double execution) from a dead one (stale
+  heartbeat: release its leases early instead of waiting out the full
+  lease deadline).  A leftover heartbeat file is itself a finding — it
+  means a worker died without saying goodbye — which
+  ``campaign_doctor`` reports and repairs.
 
 * :class:`DrainControl` — cooperative signal-triggered shutdown.
   Worker entry points install SIGTERM/SIGINT handlers that *request* a
@@ -41,11 +41,9 @@ thread (worker entry points and CLIs, never library code).
 from __future__ import annotations
 
 import errno
-import json
 import os
 import shutil
 import signal
-import tempfile
 import time
 from pathlib import Path
 
@@ -89,12 +87,12 @@ class ResourceGuardError(RuntimeError):
 class HeartbeatStore:
     """Per-worker liveness files under one campaign directory.
 
-    A heartbeat is one small JSON file, rewritten atomically (temp +
-    ``os.replace``) so readers never see a torn record; *age* is the
+    A heartbeat is an empty file that each beat touches; *age* is the
     file's mtime distance from now, which tests can manipulate with
-    ``os.utime`` and which survives content-free touches.  All writes
-    are best-effort: liveness reporting must never take down the
-    execution it reports on.
+    ``os.utime``.  The ``.json`` suffix is kept so older campaign
+    directories and every reader's ``*.json`` glob still agree.  All
+    writes are best-effort: liveness reporting must never take down
+    the execution it reports on.
     """
 
     def __init__(self, campaign_dir: str | Path) -> None:
@@ -103,23 +101,11 @@ class HeartbeatStore:
     def path_for(self, worker_id: str) -> Path:
         return self.root / f"{worker_id}.json"
 
-    def beat(self, worker_id: str, **fields) -> None:
+    def beat(self, worker_id: str) -> None:
         """Stamp ``worker_id`` as alive right now (best-effort)."""
-        record = {"worker": worker_id, "pid": os.getpid(),
-                  "t_wall": time.time(), **fields}
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(record, fh, sort_keys=True)
-                os.replace(tmp, self.path_for(worker_id))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            self.path_for(worker_id).touch()
         except OSError:
             log.debug("could not stamp heartbeat for %s", worker_id,
                       exc_info=True)
@@ -158,27 +144,6 @@ class HeartbeatStore:
             except OSError:
                 continue               # raced a clean exit
         return out
-
-    def read(self, worker_id: str) -> dict | None:
-        """The last heartbeat record of ``worker_id`` (or ``None``)."""
-        try:
-            with open(self.path_for(worker_id),
-                      encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
-
-
-def heartbeats_for(campaign_dir: str | Path | None) \
-        -> HeartbeatStore | None:
-    """A :class:`HeartbeatStore` for the campaign, or ``None``.
-
-    ``None`` in, ``None`` out — ephemeral in-memory campaigns have no
-    directory for liveness files to live in.
-    """
-    if campaign_dir is None:
-        return None
-    return HeartbeatStore(campaign_dir)
 
 
 # ----------------------------------------------------------------------

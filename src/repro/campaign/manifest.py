@@ -22,7 +22,7 @@ On disk a campaign is a directory::
         manifest.json    # the planned cell set (write-once)
         queue.sqlite     # the durable work queue (see campaign.queue)
         events.jsonl     # append-only event journal (see repro.obs)
-        metrics/         # per-worker Prometheus textfiles
+        heartbeats/      # per-worker liveness files (see campaign.health)
 """
 
 from __future__ import annotations
@@ -116,3 +116,16 @@ def read_manifest(root: str | Path, cid: str) -> dict:
     path = campaign_dir(root, cid) / MANIFEST_NAME
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def read_campaign_id(directory: str | Path) -> str | None:
+    """The campaign id a campaign directory's manifest records.
+
+    ``None`` when the manifest is missing or unreadable; each caller
+    picks its own fallback.
+    """
+    try:
+        with open(Path(directory) / MANIFEST_NAME, encoding="utf-8") as fh:
+            return json.load(fh)["campaign"]
+    except (OSError, ValueError, KeyError):
+        return None

@@ -82,7 +82,6 @@ from pathlib import Path
 
 from repro.campaign.health import DEFAULT_HEARTBEAT_STALE_SECONDS
 from repro.obs.journal import NULL_JOURNAL
-from repro.obs.metrics import REGISTRY
 from repro.resilience.policy import CellFailure
 
 _SCHEMA = """
@@ -439,7 +438,6 @@ class CellQueue:
             age = self.heartbeats.age(owner, now)
             if age is None or age < self.heartbeat_stale_seconds:
                 continue
-            REGISTRY.counter("repro_heartbeat_stale_total").inc()
             for row in self._conn.execute(
                     "SELECT key FROM cells WHERE state = 'leased'"
                     " AND lease_owner = ?", (owner,)).fetchall():
@@ -513,7 +511,6 @@ class CellQueue:
                 " lease_owner = NULL, lease_deadline = NULL,"
                 " error = ? WHERE key = ?",
                 (settled + delay, fatal_attempts, error, key))
-            REGISTRY.counter("repro_retries_total").inc()
             events.append(("retry", {**scope,
                                      "backoff_seconds": delay}))
         else:
@@ -526,14 +523,11 @@ class CellQueue:
                 " elapsed = ? - first_leased WHERE key = ?",
                 (state, fatal_attempts, error, time.time(), key))
             if poisoned:
-                REGISTRY.counter("repro_poisoned_total").inc()
                 events.append(("poisoned", {
                     **scope, "error": error,
                     "fatal_attempts": fatal_attempts}))
             else:
                 events.append(("failed", {**scope, "error": error}))
-        if cause == "lease_expired":
-            REGISTRY.counter("repro_lease_expired_total").inc()
         return events
 
     def _emit(self, events: list[tuple[str, dict]]) -> None:

@@ -10,7 +10,8 @@ One :func:`drain` loop serves every execution mode in the stack:
   on N machines drain one shared queue file.
 
 All of them run the exact same per-cell code, so where a cell executes
-cannot change its result.
+cannot change its result.  The last two also share one bootstrap,
+:func:`worker_process_entry`.
 
 Failure semantics per leased batch: cells are executed *one at a
 time*, each through :func:`~repro.campaign.cells.execute_cell`, and
@@ -60,10 +61,9 @@ Observability: a drain loop journals its own lifecycle
 breakdown (an ``execute`` event carrying ``execute_seconds`` and
 ``cache_put_seconds``, emitted just before the queue's ``ack``) and
 explicit ``timeout`` events when an attempt dies at its wall-clock
-budget; the same quantities feed the process-local metrics registry
-(:mod:`repro.obs.metrics`), which each worker exports as a Prometheus
-textfile under the campaign directory on exit.  All of it lives here,
-at the campaign layer — the simulator cycle loop is never touched.
+budget.  The journal is the campaign's only telemetry, and all of it
+lives here, at the campaign layer — the simulator cycle loop is never
+touched.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from repro.campaign.health import DEFAULT_HEARTBEAT_STALE_SECONDS, \
 from repro.campaign.queue import CellQueue, LeasedCell
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.logging_setup import get_logger
-from repro.obs.metrics import REGISTRY
 from repro.resilience.isolate import CellCrash, CellTimeout, \
     run_cell_isolated
 
@@ -161,8 +160,7 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
     log.debug("worker %s draining %s", worker_id, queue.path)
     while not control.requested:
         if heartbeats is not None:
-            heartbeats.beat(worker_id, executed=stats.executed,
-                            failed=stats.failed, leases=stats.leases)
+            heartbeats.beat(worker_id)
         batch = queue.lease(worker_id, limit=lease_batch,
                             lease_seconds=lease_seconds)
         if not batch:
@@ -171,7 +169,6 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
             time.sleep(poll)
             continue
         stats.leases += 1
-        REGISTRY.counter("repro_lease_rounds_total").inc()
         _execute_lease(queue, batch, worker_id=worker_id, cache=cache,
                        cell_timeout=cell_timeout, isolate=isolate,
                        stats=stats, journal=journal, control=control,
@@ -185,8 +182,6 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
         log.info("worker %s drained on signal %s: in-flight cell "
                  "finished, %d leased cell(s) returned to the queue",
                  worker_id, control.signum, stats.unleased)
-    for state, n in queue.counts().items():
-        REGISTRY.gauge("repro_queue_depth", {"state": state}).set(n)
     journal.emit("worker_exit", worker=worker_id, pid=os.getpid(),
                  executed=stats.executed, failed=stats.failed,
                  leases=stats.leases, drained=stats.drained)
@@ -268,7 +263,6 @@ def _run_lease(queue: CellQueue, batch: list[LeasedCell],
                 result = execute_cell(cell)
         except Exception as exc:
             if isinstance(exc, CellTimeout):
-                REGISTRY.counter("repro_timeouts_total").inc()
                 journal.emit("timeout", key=lc.key, label=lc.label,
                              worker=worker_id, attempt=lc.attempts,
                              budget_seconds=cell_timeout)
@@ -279,7 +273,6 @@ def _run_lease(queue: CellQueue, batch: list[LeasedCell],
             queue.nack(lc.key, worker_id, repr(exc),
                        fatal=isinstance(exc, CellCrash))
             stats.failed += 1
-            REGISTRY.counter("repro_cells_failed_total").inc()
         else:
             _deliver(queue, lc, cell, result, worker_id=worker_id,
                      cache=cache, stats=stats, journal=journal,
@@ -305,39 +298,16 @@ def _deliver(queue: CellQueue, leased: LeasedCell, cell: Cell, result,
         cache.put(leased.key, result, leased.descriptor)
     cache_put_seconds = time.perf_counter() - t0
     if execute_seconds is not None:
-        REGISTRY.histogram("repro_cell_execute_seconds") \
-            .observe(execute_seconds)
-        REGISTRY.histogram("repro_cell_cache_put_seconds") \
-            .observe(cache_put_seconds)
         journal.emit("execute", key=leased.key, label=leased.label,
                      worker=worker_id, attempt=leased.attempts,
                      execute_seconds=round(execute_seconds, 6),
                      cache_put_seconds=round(cache_put_seconds, 6))
     queue.ack(leased.key, worker_id, result.to_dict())
     stats.executed += 1
-    REGISTRY.counter("repro_cells_executed_total").inc()
     if heartbeats is not None:
         # Beat per delivered cell: an alive worker grinding a slow
         # batch keeps renewing its leases (see CellQueue deferral).
-        heartbeats.beat(worker_id, executed=stats.executed,
-                        failed=stats.failed, last_key=leased.key)
-
-
-def write_worker_metrics(campaign_dir, worker_id: str) -> None:
-    """Export this process's registry as a Prometheus textfile.
-
-    One file per worker (``<campaign_dir>/metrics/<worker_id>.prom``)
-    — the node-exporter textfile-collector convention, so concurrent
-    workers never clobber each other's samples.  Best-effort: metrics
-    export must never fail a drain that already completed.
-    """
-    from pathlib import Path
-    try:
-        REGISTRY.write_textfile(
-            Path(campaign_dir) / "metrics" / f"{worker_id}.prom")
-    except OSError:
-        log.warning("could not write metrics textfile for %s",
-                    worker_id, exc_info=True)
+        heartbeats.beat(worker_id)
 
 
 def worker_process_entry(queue_path: str, worker_id: str,
@@ -350,18 +320,27 @@ def worker_process_entry(queue_path: str, worker_id: str,
                          install_signals: bool = True,
                          heartbeat_stale_seconds: float =
                          DEFAULT_HEARTBEAT_STALE_SECONDS,
-                         cell_memory: int | None = None) -> None:
-    """Top-level (picklable) entry point for spawned worker processes.
+                         cell_memory: int | None = None,
+                         poll: float = DEFAULT_POLL_SECONDS,
+                         wait: bool = True) \
+        -> tuple[DrainStats, dict[str, int]]:
+    """Bootstrap one worker process and drain the queue.
 
-    Opens its own queue connection, cache handle and journal — workers
-    share *files*, never Python objects (journal appends are atomic,
-    so any number of workers write one ``events.jsonl``).
+    The entry point of the processes :class:`~repro.campaign.engine.
+    Campaign` spawns (it is top-level, hence picklable) and of
+    ``scripts/campaign_worker.py``.  It opens its own queue
+    connection, cache handle and journal — workers share *files*,
+    never Python objects (journal appends are atomic, so any number
+    of workers write one ``events.jsonl``).
 
     The process is signal-aware by default: SIGTERM/SIGINT request a
     graceful drain (finish the in-flight cell, unlease the rest,
-    journal ``worker_drain``, export metrics, return — i.e. exit 0),
-    and heartbeats are stamped beside the queue file so supervisors,
-    sibling workers and the doctor can judge this worker's liveness.
+    journal ``worker_drain``, return — i.e. exit 0), and heartbeats
+    are stamped beside the queue file so supervisors, sibling workers
+    and the doctor can judge this worker's liveness.
+
+    Returns the drain's stats and the queue's row counts by state;
+    spawned workers ignore both.
     """
     from pathlib import Path
 
@@ -382,13 +361,12 @@ def worker_process_entry(queue_path: str, worker_id: str,
                       heartbeats=heartbeats,
                       heartbeat_stale_seconds=heartbeat_stale_seconds)
     try:
-        drain(queue, worker_id=worker_id, cache=cache,
-              cell_timeout=cell_timeout, lease_batch=lease_batch,
-              lease_seconds=lease_seconds, journal=journal,
-              control=control, heartbeats=heartbeats,
-              cell_memory=cell_memory)
-        if journal.enabled:
-            write_worker_metrics(Path(journal_path).parent, worker_id)
+        stats = drain(queue, worker_id=worker_id, cache=cache,
+                      cell_timeout=cell_timeout, lease_batch=lease_batch,
+                      lease_seconds=lease_seconds, poll=poll, wait=wait,
+                      journal=journal, control=control,
+                      heartbeats=heartbeats, cell_memory=cell_memory)
+        return stats, queue.counts()
     finally:
         journal.close()
         queue.close()

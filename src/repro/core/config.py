@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 CONFIG_SCHEMA_VERSION = 2

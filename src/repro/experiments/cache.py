@@ -27,7 +27,6 @@ import contextlib
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 from repro.campaign.cells import (
@@ -39,7 +38,6 @@ from repro.campaign.health import is_enospc
 from repro.core.metrics import SimResult
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.logging_setup import get_logger
-from repro.obs.metrics import REGISTRY
 from repro.resilience.faults import fault_label, should_corrupt
 
 log = get_logger("experiments.cache")
@@ -134,15 +132,12 @@ class ResultCache:
             result = self._load(path, key)
         except FileNotFoundError:
             self.misses += 1
-            REGISTRY.counter("repro_cache_misses_total").inc()
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
             self._quarantine(path, f"{type(exc).__name__}: {exc}")
             self.misses += 1
-            REGISTRY.counter("repro_cache_misses_total").inc()
             return None
         self.hits += 1
-        REGISTRY.counter("repro_cache_hits_total").inc()
         return result
 
     def verify(self, repair: bool = True) -> dict:
@@ -196,7 +191,6 @@ class ResultCache:
         except OSError:
             return
         self.quarantined += 1
-        REGISTRY.counter("repro_quarantines_total").inc()
         # The journal record carries the reason *inline* — the same
         # text as the .reason.txt file — so fault attribution does not
         # require the quarantine directory to still exist.
@@ -255,7 +249,6 @@ class ResultCache:
 
     def _degrade(self, key: str, exc: BaseException) -> None:
         """Note a disk-full write failure; journal the transition once."""
-        REGISTRY.counter("repro_cache_degraded_puts_total").inc()
         if not self.degraded:
             self.degraded = True
             log.warning("filesystem full (%s); cache degraded — "
@@ -306,31 +299,20 @@ class ResultCache:
             if self.quarantine_root.is_dir() else 0,
         }
 
-    def prune(self, max_entries: int | None = None,
-              max_age: float | None = None) -> int:
+    def prune(self, max_entries: int) -> int:
         """Evict entries so the cache stays bounded; returns evictions.
 
-        ``max_age`` (seconds) drops entries older than that; then
-        ``max_entries`` drops the oldest entries beyond the budget
-        (LRU-by-mtime — ``put`` refreshes mtime, reads do not).  Racing
-        pruners and writers are safe: a vanished file is skipped, and a
-        pruned entry simply re-simulates on next use.
+        Drops the oldest entries beyond ``max_entries`` (LRU-by-mtime
+        — ``put`` refreshes mtime, reads do not).  Racing pruners and
+        writers are safe: a vanished file is skipped, and a pruned
+        entry simply re-simulates on next use.
         """
-        if max_entries is not None and max_entries < 0:
+        if max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        if max_age is not None and max_age < 0:
-            raise ValueError(f"max_age must be >= 0, got {max_age}")
         entries = self._entries()
-        victims: list[Path] = []
-        if max_age is not None:
-            cutoff = time.time() - max_age
-            victims += [p for mtime, _, p in entries if mtime < cutoff]
-            entries = [e for e in entries if e[0] >= cutoff]
-        if max_entries is not None and len(entries) > max_entries:
-            excess = len(entries) - max_entries
-            victims += [p for _, _, p in entries[:excess]]
+        excess = max(0, len(entries) - max_entries)
         removed = 0
-        for path in victims:
+        for _, _, path in entries[:excess]:
             try:
                 path.unlink()
                 removed += 1

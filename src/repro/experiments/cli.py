@@ -7,7 +7,7 @@ same fourteen execution flags.  This module declares them
 (:func:`add_runner_args`), validates them and fills in their defaults
 (:func:`check_runner_args`), builds the session they describe
 (:func:`open_session`), plans the campaign (:func:`plan`), runs the
-end-of-run cache maintenance (:func:`close_session`) and wraps each
+end-of-run cache maintenance (:func:`prune_cache`) and wraps each
 CLI's ``main`` (:func:`run_cli`: ``--profile`` and the interrupt exit).
 
 The one per-CLI parameter is the ``--strict`` default: on for the
@@ -144,8 +144,8 @@ def plan(session: ExperimentSession, cells: list,
     """Name the campaign before anything executes.
 
     A mismatched ``--resume`` exits without simulating a single cell.
-    Returns ``None`` when ``--plan-only`` has persisted the campaign,
-    printed its id and closed the session: the CLI is done.
+    Returns ``None`` when ``--plan-only`` has persisted the campaign
+    and printed its id: the CLI is done.
     """
     info = session.plan(cells).info
     if args.resume is not None and info.campaign_id != args.resume:
@@ -162,21 +162,18 @@ def plan(session: ExperimentSession, cells: list,
           f"{info.campaign_id} — drain it with scripts/campaign_worker.py",
           file=sys.stderr)
     print(info.campaign_id)
-    session.close()
     return None
 
 
-def close_session(session: ExperimentSession, args: argparse.Namespace,
-                  prog: str) -> None:
-    """Run ``--prune-cache`` (reporting its evictions on stderr), then
-    close the session."""
+def prune_cache(session: ExperimentSession, args: argparse.Namespace,
+                prog: str) -> None:
+    """Run ``--prune-cache``, reporting its evictions on stderr."""
     if args.prune_cache is not None and session.disk is not None:
         removed = session.disk.prune(max_entries=args.prune_cache)
         stats = session.disk.stats()
         print(f"[{prog}] cache pruned: {removed} entry(ies) evicted, "
               f"{stats['entries']} kept ({stats['bytes']} bytes)",
               file=sys.stderr)
-    session.close()
 
 
 def run_cli(run, args: argparse.Namespace, prog: str) -> None:

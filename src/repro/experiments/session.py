@@ -109,6 +109,10 @@ class CampaignPlan:
 class ExperimentSession:
     """Deduplicating, parallel, cache-backed experiment runner.
 
+    A session holds nothing that needs closing: every campaign it
+    opens is closed before the call that opened it returns, and the
+    CLIs bound the cache with ``--prune-cache`` after a run.
+
     Args:
         jobs: Worker processes for cache misses.  ``1`` (the default)
             drains the campaign queue inline in the calling process.
@@ -118,10 +122,6 @@ class ExperimentSession:
             override it.
         cycles / warmup: Default run windows (``warmup=None`` means the
             config's ``warmup_cycles``).
-        cache_budget_entries: Maintenance policy for long campaigns —
-            on :meth:`close` (or context-manager exit) the persistent
-            cache is pruned to at most this many entries, oldest-first.
-            ``None`` (the default) keeps the cache unbounded.
         retries: Re-execution budget per failed cell (crash, exception
             or timeout), folded into each queue row's lease state;
             retried cells are deterministic given (seed, config), so
@@ -149,16 +149,12 @@ class ExperimentSession:
                  config: SimConfig | None = None,
                  cycles: int = DEFAULT_CYCLES,
                  warmup: int | None = None,
-                 cache_budget_entries: int | None = None,
                  retries: int = 0,
                  cell_timeout: float | None = None,
                  strict: bool = True,
                  campaign_dir=None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if cache_budget_entries is not None and cache_budget_entries < 0:
-            raise ValueError(f"cache_budget_entries must be >= 0, got "
-                             f"{cache_budget_entries}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if cell_timeout is not None and cell_timeout <= 0:
@@ -169,13 +165,11 @@ class ExperimentSession:
         self.cycles = cycles
         self.warmup = warmup
         self.disk = ResultCache(cache_dir) if cache_dir is not None else None
-        self.cache_budget_entries = cache_budget_entries
         self.campaign_dir = campaign_dir
         self.retries = retries
         self.cell_timeout = cell_timeout
         self.strict = strict
         self._memo: dict[str, SimResult] = {}
-        self._closed = False
         # Execution attempts charged in campaign queues: equals
         # distinct cells simulated on a healthy run; under faults,
         # retries count too (so the accounting shows recovery work,
@@ -185,38 +179,6 @@ class ExperimentSession:
         self.failures: list[CellFailure] = []
         self.last_failures: tuple[CellFailure, ...] = ()
         self.last_campaign: CampaignInfo | None = None
-
-    # ------------------------------------------------------------------
-    # lifecycle / cache maintenance
-    # ------------------------------------------------------------------
-
-    def close(self) -> int:
-        """Run end-of-session cache maintenance; returns evictions.
-
-        With ``cache_budget_entries`` set and a persistent cache
-        attached, prunes the cache to the budget (oldest entries first;
-        a pruned cell simply re-simulates on next use).  Idempotent —
-        the second and later calls do nothing and return ``0`` — and
-        exception-safe: maintenance trouble (an unreadable or vanished
-        cache directory) is swallowed, because :meth:`__exit__` calls
-        this on the error path and must never mask the original
-        exception.
-        """
-        if self._closed:
-            return 0
-        self._closed = True
-        if self.disk is None or self.cache_budget_entries is None:
-            return 0
-        try:
-            return self.disk.prune(max_entries=self.cache_budget_entries)
-        except OSError:
-            return 0
-
-    def __enter__(self) -> "ExperimentSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # cell resolution

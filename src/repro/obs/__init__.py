@@ -1,28 +1,23 @@
-"""Campaign observability: event journal, metrics, status analytics.
+"""Campaign observability: event journal and status analytics.
 
 The campaign engine (:mod:`repro.campaign`) is a durable, fault-
 tolerant execution stack — but durability alone does not make a
-running campaign *diagnosable*.  This package adds the three signals a
-fleet operator needs, all strictly **outside** the fused cycle loop
+running campaign *diagnosable*.  This package adds what a fleet
+operator needs, all strictly **outside** the fused cycle loop
 (instrumentation lives at the campaign layer; the simulator hot path
 is untouched, so golden parity and throughput are preserved):
 
 * :mod:`repro.obs.journal` — an append-only, crash-safe **JSONL event
-  journal** per campaign (``<campaign_root>/<id>/events.jsonl``).
-  Every lifecycle transition — plan, lease, execute, ack, nack, retry,
-  timeout, quarantine, worker start/exit — is one self-describing JSON
-  line stamped with campaign id, cell key, worker id, attempt number
-  and both wall-clock and monotonic timestamps.  Appends are atomic
-  (single ``write(2)`` on an ``O_APPEND`` descriptor), so any number
-  of workers share one journal file and a torn final line from a
-  killed worker never corrupts the lines before it.
-
-* :mod:`repro.obs.metrics` — a dependency-free **metrics registry**
-  (counters, gauges, histograms) with a Prometheus-style textfile
-  exporter.  Workers count cells executed/failed, retries, timeouts
-  and cache traffic, and observe per-cell latency split into
-  queue-wait / execute / cache-put histograms; each worker writes its
-  own ``metrics/<worker_id>.prom`` under the campaign directory.
+  journal** per campaign (``<campaign_root>/<id>/events.jsonl``), the
+  campaign's one telemetry record.  Every lifecycle transition — plan,
+  lease, execute, ack, nack, retry, timeout, quarantine, worker
+  start/exit — is one self-describing JSON line stamped with campaign
+  id, cell key, worker id, attempt number and both wall-clock and
+  monotonic timestamps; the ``lease`` and ``execute`` events carry
+  each cell's queue-wait, execute and cache-put latencies.  Appends
+  are atomic (single ``write(2)`` on an ``O_APPEND`` descriptor), so
+  any number of workers share one journal file and a torn final line
+  from a killed worker never corrupts the lines before it.
 
 * :mod:`repro.obs.status` — the read side: reconstruct queue depth,
   per-worker throughput, ETA and per-cell timelines from the journal
@@ -32,9 +27,9 @@ is untouched, so golden parity and throughput are preserved):
 * :mod:`repro.obs.logging_setup` — shared structured-``logging``
   configuration for the CLIs (``--log-level`` / ``--log-json``).
 
-The whole layer is disableable with ``REPRO_OBS=0`` (the journal and
-textfiles are simply not written); results are byte-identical either
-way, because observability only ever *watches* the execution stack.
+The journal is disableable with ``REPRO_OBS=0``; results are
+byte-identical either way, because observability only ever *watches*
+the execution stack.
 """
 
 from repro.obs.journal import (
@@ -53,25 +48,13 @@ from repro.obs.logging_setup import (
     setup_from_args,
     setup_logging,
 )
-from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 
 __all__ = [
     "EVENTS_NAME",
     "JOURNAL_SCHEMA_VERSION",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "Journal",
-    "MetricsRegistry",
     "NULL_JOURNAL",
     "NullJournal",
-    "REGISTRY",
     "add_logging_args",
     "get_logger",
     "obs_enabled",

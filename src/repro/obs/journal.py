@@ -84,8 +84,8 @@ JOURNAL_SCHEMA_VERSION = 1
 """Bump when the record shape changes incompatibly."""
 
 ENV_VAR = "REPRO_OBS"
-"""Set to ``0``/``off``/``false`` to disable journal and metrics
-output entirely (the kill switch for overhead-paranoid runs)."""
+"""Set to ``0``/``off``/``false`` to disable the journal entirely
+(the kill switch for overhead-paranoid runs)."""
 
 _DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
 

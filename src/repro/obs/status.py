@@ -22,7 +22,6 @@ Two entry points, mirroring the CLI's two modes:
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import statistics
 import time
@@ -30,7 +29,7 @@ from pathlib import Path
 
 from repro.campaign.health import (DEFAULT_HEARTBEAT_STALE_SECONDS,
                                    HeartbeatStore)
-from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME
+from repro.campaign.manifest import QUEUE_NAME, read_campaign_id
 from repro.obs.journal import journal_path, read_events
 
 CELL_EVENTS = ("lease", "execute", "ack", "nack", "retry", "failed",
@@ -39,37 +38,35 @@ CELL_EVENTS = ("lease", "execute", "ack", "nack", "retry", "failed",
 """Events that carry a cell ``key`` (per-cell timeline material)."""
 
 
-def read_queue_counts(campaign_dir: str | Path) -> dict[str, int]:
-    """Row count per state, via a read-only connection.
+def connect_read_only(queue_file: str | Path) -> sqlite3.Connection:
+    """A connection to a queue database that only ever reads it.
 
-    Read-only is load-bearing: the status tool must never take a
-    write lock on a queue that live workers are leasing from.  Falls
-    back to a plain connection for filesystems where the ``mode=ro``
-    URI open fails (the connection still only runs SELECTs).
+    Read-only is load-bearing: the status and doctor tools must never
+    take a write lock on a queue that live workers are leasing from.
+    Falls back to a plain connection for filesystems where the
+    ``mode=ro`` URI open fails (callers still only run SELECTs).  Rows
+    are :class:`sqlite3.Row`.
     """
+    try:
+        conn = sqlite3.connect(f"file:{queue_file}?mode=ro", uri=True,
+                               timeout=5.0)
+    except sqlite3.OperationalError:
+        conn = sqlite3.connect(str(queue_file), timeout=5.0)
+    conn.row_factory = sqlite3.Row
+    return conn
+
+
+def read_queue_counts(campaign_dir: str | Path) -> dict[str, int]:
+    """Row count per state, via :func:`connect_read_only`."""
     path = Path(campaign_dir) / QUEUE_NAME
     if not path.exists():
         raise FileNotFoundError(f"no queue at {path}")
-    try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
-                               timeout=5.0)
-    except sqlite3.OperationalError:
-        conn = sqlite3.connect(str(path), timeout=5.0)
+    conn = connect_read_only(path)
     try:
         return {state: n for state, n in conn.execute(
             "SELECT state, COUNT(*) FROM cells GROUP BY state")}
     finally:
         conn.close()
-
-
-def read_campaign_id(campaign_dir: str | Path) -> str | None:
-    """Campaign id from the manifest (``None`` if unreadable)."""
-    try:
-        with open(Path(campaign_dir) / MANIFEST_NAME,
-                  encoding="utf-8") as fh:
-            return json.load(fh)["campaign"]
-    except (OSError, ValueError, KeyError):
-        return None
 
 
 def load_journal(campaign_dir: str | Path) -> list[dict]:

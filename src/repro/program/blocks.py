@@ -113,10 +113,6 @@ class Program:
                                           key=lambda i: i.addr)
                 if instr.is_branch]
 
-    def static_avg_block_size(self) -> float:
-        """Mean static basic-block size in instructions."""
-        return self.instruction_count / len(self.blocks)
-
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation.
 

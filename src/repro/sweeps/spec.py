@@ -16,7 +16,7 @@ caller and silently corrupted for the next.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.backend import get_backend
 from repro.core.config import DEFAULT_CONFIG, SimConfig

@@ -12,7 +12,7 @@ continuation).
 
 from __future__ import annotations
 
-from repro.isa.instruction import INSTR_BYTES, BranchKind, InstrClass, \
+from repro.isa.instruction import INSTR_BYTES, BranchKind, \
     StaticInstruction
 from repro.program.blocks import Program
 
@@ -47,10 +47,6 @@ class ThreadContext:
     def call_depth(self) -> int:
         """Current architectural call-stack depth."""
         return len(self._call_stack)
-
-    def peek_occurrence(self, static: StaticInstruction) -> int:
-        """Occurrence index the next execution of ``static`` would get."""
-        return self._counts.get(static.sid, 0)
 
     def step(self, static: StaticInstruction) -> tuple[bool, int]:
         """Execute ``static`` architecturally and advance the context.

@@ -160,10 +160,3 @@ def dynamic_stats(program: Program,
         load_frac=loads / max(instructions, 1),
         store_frac=stores / max(instructions, 1),
     )
-
-
-def first_static(program: Program) -> StaticInstruction:
-    """The entry instruction of a program (convenience for tests)."""
-    static = program.instr_at(program.entry_addr)
-    assert static is not None
-    return static

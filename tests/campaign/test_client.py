@@ -1,20 +1,24 @@
-"""Session lifecycle, cache auditing and the CLI campaign flags.
+"""Cache auditing and the CLI campaign flags.
 
-The satellite guarantees of the campaign refactor: ``close()`` is
-idempotent and exception-safe, ``ResultCache.verify()`` quarantines
-corruption proactively, and the CLIs expose plan/resume/verify as
-thin clients of the campaign engine.
+``ResultCache.verify()`` quarantines corruption proactively, and the
+CLIs expose plan/resume/verify as thin clients of the campaign
+engine; the external worker CLI drains a planned campaign through the
+same bootstrap as a spawned worker.
 """
 
 import importlib.util
 import json
-import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.campaign.health import HeartbeatStore
+from repro.campaign.worker import DrainStats
 from repro.experiments import ExperimentSession
 from repro.experiments.cache import ResultCache
+from repro.obs.journal import read_events
+from repro.obs.status import read_queue_counts
+from repro.resilience import FaultSpec, inject_faults
 
 SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 
@@ -35,41 +39,6 @@ sweep_cli = load_cli("run_sweep")
 
 def one_cell(session):
     return [session.make_cell("2_MIX", "stream", "ICOUNT.1.8")]
-
-
-class TestCloseSemantics:
-    def test_close_is_idempotent(self, tmp_path):
-        session = ExperimentSession(cache_dir=tmp_path / "cache",
-                                    cache_budget_entries=0, **FAST)
-        session.run_cells(one_cell(session))
-        assert session.close() == 1            # budget 0 evicts the entry
-        assert session.close() == 0            # second close: no-op
-        assert session.close() == 0
-
-    def test_close_survives_a_vanished_cache_dir(self, tmp_path):
-        session = ExperimentSession(cache_dir=tmp_path / "cache",
-                                    cache_budget_entries=0, **FAST)
-        session.run_cells(one_cell(session))
-        shutil.rmtree(tmp_path / "cache")
-        assert session.close() == 0            # swallowed, not raised
-
-    def test_exit_never_masks_the_original_exception(self, tmp_path):
-        # __exit__ runs close() on the error path; the user's exception
-        # must propagate even when cache maintenance would misbehave.
-        with pytest.raises(RuntimeError, match="user error"):
-            with ExperimentSession(cache_dir=tmp_path / "cache",
-                                   cache_budget_entries=0,
-                                   **FAST) as session:
-                session.run_cells(one_cell(session))
-                shutil.rmtree(tmp_path / "cache")
-                raise RuntimeError("user error")
-
-    def test_context_manager_closes_exactly_once(self, tmp_path):
-        with ExperimentSession(cache_dir=tmp_path / "cache",
-                               cache_budget_entries=0,
-                               **FAST) as session:
-            session.run_cells(one_cell(session))
-        assert session.close() == 0            # already closed by exit
 
 
 class TestCacheVerify:
@@ -194,13 +163,21 @@ class TestWorkerCliRoundTrip:
                         "--plan-only"])
         cid = capsys.readouterr().out.strip()
 
-        worker_cli.main(["--campaign",
-                         str(tmp_path / "cache" / "campaigns" / cid),
+        cdir = tmp_path / "cache" / "campaigns" / cid
+        worker_cli.main(["--campaign", str(cdir),
                          "--cache-dir", str(tmp_path / "cache"),
-                         "--no-wait"])
+                         "--worker-id", "cli-w", "--no-wait"])
         err = capsys.readouterr().err
-        assert "2 cell(s) executed" in err
+        assert "cli-w: 2 cell(s) executed" in err
         assert "done=2" in err
+        # The CLI drains through the spawned workers' bootstrap: it
+        # journals its own lifecycle and clears its heartbeat on exit.
+        events = [e for e in read_events(cdir / "events.jsonl")
+                  if e["worker"] == "cli-w"]
+        assert any(e["ev"] == "worker_start" for e in events)
+        (exit_event,) = [e for e in events if e["ev"] == "worker_exit"]
+        assert exit_event["executed"] == 2
+        assert HeartbeatStore(cdir).age("cli-w") is None
 
         # The warm resume assembles the report with zero simulations.
         out = tmp_path / "report.md"
@@ -215,3 +192,116 @@ class TestWorkerCliRoundTrip:
         worker_cli = load_cli("campaign_worker")
         with pytest.raises(SystemExit, match="no queue at"):
             worker_cli.main(["--campaign", str(tmp_path / "nowhere")])
+
+    def plan(self, tmp_path, capsys, where=None):
+        """Plan the two-cell grid; optionally move the campaign to
+        ``where`` (a directory not named after its id)."""
+        sweep_cli.main(["--axis", "ftq_depth=1,2", *FAST_FLAGS,
+                        "--cache-dir", str(tmp_path / "cache"),
+                        "--plan-only"])
+        cid = capsys.readouterr().out.strip()
+        cdir = tmp_path / "cache" / "campaigns" / cid
+        if where is not None:
+            cdir = cdir.rename(where)
+        return cid, cdir
+
+    def drain_cli(self, tmp_path, cdir, *extra):
+        load_cli("campaign_worker").main(
+            ["--campaign", str(cdir), "--cache-dir",
+             str(tmp_path / "cache"), "--worker-id", "cli-w",
+             "--no-wait", *extra])
+
+    def worker_starts(self, cdir):
+        return [e for e in read_events(cdir / "events.jsonl")
+                if e["ev"] == "worker_start"]
+
+    def test_journal_names_the_manifest_campaign(self, tmp_path,
+                                                 capsys):
+        cid, cdir = self.plan(tmp_path, capsys, tmp_path / "moved")
+        self.drain_cli(tmp_path, cdir)
+        assert [e["campaign"] for e in self.worker_starts(cdir)] == [cid]
+
+    def test_campaign_id_falls_back_to_the_directory_name(self, tmp_path,
+                                                          capsys):
+        _, cdir = self.plan(tmp_path, capsys, tmp_path / "moved")
+        (cdir / "manifest.json").unlink()
+        self.drain_cli(tmp_path, cdir)
+        assert "done=2" in capsys.readouterr().err
+        assert [e["campaign"] for e in self.worker_starts(cdir)] \
+            == ["moved"]
+
+    def test_failed_cells_exit_3(self, tmp_path, capsys):
+        _, cdir = self.plan(tmp_path, capsys)
+        with inject_faults(FaultSpec(kind="raise", match="ftq_depth=2",
+                                     times=1),
+                           spool=tmp_path / "spool"):
+            with pytest.raises(SystemExit) as exc:
+                self.drain_cli(tmp_path, cdir)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "cli-w: 1 cell(s) executed, 1 failed attempt(s)" in err
+        assert "queue now done=1 failed=1" in err
+
+    def test_no_cache_leaves_results_in_the_queue_only(self, tmp_path,
+                                                       capsys):
+        _, cdir = self.plan(tmp_path, capsys)
+        self.drain_cli(tmp_path, cdir, "--no-cache")
+        assert "done=2" in capsys.readouterr().err
+        assert len(ResultCache(tmp_path / "cache")) == 0
+
+    def test_disk_floor_refuses_to_start(self, tmp_path, capsys):
+        _, cdir = self.plan(tmp_path, capsys)
+        with pytest.raises(SystemExit,
+                           match="campaign_worker: only .* MB free"):
+            self.drain_cli(tmp_path, cdir, "--disk-floor-mb", "1e12")
+        assert read_queue_counts(cdir) == {"pending": 2}
+        assert self.worker_starts(cdir) == []
+
+    def test_flags_reach_the_bootstrap(self, tmp_path, capsys,
+                                       monkeypatch):
+        worker_cli = load_cli("campaign_worker")
+        cdir = tmp_path / "somewhere"
+        cdir.mkdir()
+        (cdir / "queue.sqlite").touch()
+        (cdir / "manifest.json").write_text(
+            json.dumps({"campaign": "feedface"}), encoding="utf-8")
+        calls = []
+
+        def bootstrap(*args, **kwargs):
+            calls.append((args, kwargs))
+            return DrainStats(executed=1, leases=1), {"done": 3}
+
+        monkeypatch.setattr(worker_cli, "worker_process_entry",
+                            bootstrap)
+        worker_cli.main(["--campaign", str(cdir), "--no-cache",
+                         "--worker-id", "w7", "--cell-timeout", "9",
+                         "--lease-batch", "3", "--lease-seconds", "45",
+                         "--poll", "0.25", "--no-wait",
+                         "--heartbeat-stale", "77",
+                         "--cell-memory-mb", "2",
+                         "--disk-floor-mb", "0"])
+        ((args, kwargs),) = calls
+        assert args == (str(cdir / "queue.sqlite"), "w7", None, 9.0, 3,
+                        45.0)
+        assert kwargs == {
+            "journal_path": str(cdir / "events.jsonl"),
+            "campaign_id": "feedface",
+            "heartbeat_stale_seconds": 77.0,
+            "cell_memory": 2 * 1024 * 1024,
+            "poll": 0.25, "wait": False}
+        err = capsys.readouterr().err
+        assert "w7: 1 cell(s) executed, 0 failed attempt(s), 1 lease " \
+            "round(s)" in err
+        assert err.rstrip().endswith("queue now done=3")
+
+    @pytest.mark.parametrize("flag", [
+        "--lease-batch", "--lease-seconds", "--cell-timeout",
+        "--heartbeat-stale", "--cell-memory-mb",
+    ])
+    def test_rejects_out_of_range_flags(self, tmp_path, capsys, flag):
+        worker_cli = load_cli("campaign_worker")
+        with pytest.raises(SystemExit) as exc:
+            worker_cli.parse_args(["--campaign", str(tmp_path), flag,
+                                   "0"])
+        assert exc.value.code == 2
+        assert f"{flag} must be" in capsys.readouterr().err

@@ -6,6 +6,8 @@ backend name), and N workers draining one queue produce
 bit-identical results to the single-process path.
 """
 
+import signal
+
 import pytest
 
 from repro.campaign import (
@@ -15,10 +17,15 @@ from repro.campaign import (
     drain,
     key_for,
 )
+from repro.campaign import worker as worker_mod
 from repro.campaign.cells import descriptor_for
+from repro.campaign.manifest import QUEUE_NAME
+from repro.campaign.worker import worker_process_entry
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.metrics import SimResult
 from repro.experiments import ExperimentSession
+from repro.experiments.cache import ResultCache
+from repro.obs.journal import read_events
 from repro.resilience import FaultSpec, inject_faults
 from repro.resilience.faults import fault_label
 
@@ -88,6 +95,23 @@ class TestWorkerParity:
         assert fleet.simulated == 4
         assert as_dicts(results_2) == as_dicts(results_1)
 
+    def test_spawned_fleet_records_only_the_journal(self, tmp_path):
+        # The journal is the campaign's one telemetry record: each
+        # spawned worker narrates its exit there, and nothing else
+        # (no per-process metrics export) lands beside it.
+        fleet = ExperimentSession(cache_dir=tmp_path / "cache", jobs=2,
+                                  campaign_dir=str(tmp_path / "campaigns"),
+                                  **FAST)
+        fleet.run_cells(grid(fleet))
+        (cdir,) = (tmp_path / "campaigns").iterdir()
+        names = {p.name for p in cdir.iterdir()}
+        assert {"manifest.json", QUEUE_NAME, "events.jsonl"} <= names
+        assert "metrics" not in names
+        exits = [e for e in read_events(cdir / "events.jsonl")
+                 if e["ev"] == "worker_exit"]
+        assert len({e["worker"] for e in exits}) == 2
+        assert sum(e["executed"] for e in exits) == 4
+
     def test_two_manual_workers_partition_one_queue(self, tmp_path):
         # The standalone-worker contract without processes: two queue
         # connections interleave leases on one file; between them every
@@ -139,6 +163,102 @@ class TestWorkerParity:
             assert len(outcomes) == len(planned)
         finally:
             second.close()
+
+
+class TestWorkerBootstrap:
+    """``worker_process_entry``, the one bootstrap behind spawned
+    workers and ``scripts/campaign_worker.py``."""
+
+    def plan(self, tmp_path, retries=0):
+        planner = ExperimentSession(
+            cache_dir=tmp_path / "cache",
+            campaign_dir=str(tmp_path / "campaigns"), retries=retries,
+            **FAST)
+        info = planner.plan_campaign(
+            grid(planner, policies=("ICOUNT.1.8",)))
+        return info.campaign_id, tmp_path / "campaigns" / info.campaign_id
+
+    def entry(self, cdir, cache_dir=None, **kwargs):
+        kwargs.setdefault("install_signals", False)
+        return worker_process_entry(str(cdir / QUEUE_NAME), "w",
+                                    cache_dir, None, 8, 30.0, **kwargs)
+
+    def test_returns_drain_stats_and_queue_counts(self, tmp_path):
+        cid, cdir = self.plan(tmp_path)
+        stats, counts = self.entry(
+            cdir, str(tmp_path / "cache"),
+            journal_path=str(cdir / "events.jsonl"), campaign_id=cid,
+            wait=False)
+        assert (stats.executed, stats.failed, stats.leases) == (2, 0, 1)
+        assert not stats.drained
+        assert counts == {"done": 2}
+        assert len(ResultCache(tmp_path / "cache")) == 2
+        mine = [e for e in read_events(cdir / "events.jsonl")
+                if e["worker"] == "w"]
+        assert {e["campaign"] for e in mine} == {cid}
+        assert mine[0]["ev"] == "worker_start"
+        assert mine[-1]["ev"] == "worker_exit"
+
+    def test_no_wait_leaves_a_foreign_lease_alone(self, tmp_path):
+        _, cdir = self.plan(tmp_path)
+        with CellQueue(cdir / QUEUE_NAME) as queue:
+            assert len(queue.lease("other", limit=1,
+                                   lease_seconds=30.0)) == 1
+        stats, counts = self.entry(cdir, wait=False)
+        assert stats.executed == 1
+        assert counts == {"done": 1, "leased": 1}
+
+    def test_wait_polls_until_a_foreign_lease_is_reclaimed(self,
+                                                           tmp_path):
+        # The other owner never beats, so its short lease expires on
+        # the deadline; a waiting worker polls until it can take the
+        # cell over (the retry budget pays for the lost attempt).
+        _, cdir = self.plan(tmp_path, retries=1)
+        with CellQueue(cdir / QUEUE_NAME) as queue:
+            assert len(queue.lease("other", limit=1,
+                                   lease_seconds=0.5)) == 1
+        stats, counts = self.entry(cdir, poll=0.05)
+        assert (stats.executed, stats.leases) == (2, 2)
+        assert counts == {"done": 2}
+
+    @pytest.mark.parametrize("journal, obs", [
+        (False, "1"), (True, "0"),
+    ], ids=["no-journal-path", "REPRO_OBS=0"])
+    def test_journal_off_writes_no_worker_events(self, tmp_path,
+                                                 monkeypatch, journal,
+                                                 obs):
+        monkeypatch.setenv("REPRO_OBS", obs)
+        _, cdir = self.plan(tmp_path)
+        path = cdir / "events.jsonl"
+        stats, counts = self.entry(
+            cdir, journal_path=str(path) if journal else None,
+            wait=False)
+        assert counts == {"done": 2}
+        events = read_events(path) if path.exists() else []
+        assert [e for e in events if e["worker"] == "w"] == []
+
+    def test_without_a_cache_results_land_in_the_queue(self, tmp_path):
+        _, cdir = self.plan(tmp_path)
+        stats, counts = self.entry(cdir, cache_dir=None, wait=False)
+        assert counts == {"done": 2}
+        assert len(ResultCache(tmp_path / "cache")) == 0
+        with CellQueue(cdir / QUEUE_NAME) as queue:
+            assert len(queue.results()) == 2
+
+    def test_signal_handlers_live_only_for_the_drain(self, tmp_path,
+                                                     monkeypatch):
+        _, cdir = self.plan(tmp_path)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(signal.getsignal(signal.SIGTERM))
+            return drain(*args, **kwargs)
+
+        monkeypatch.setattr(worker_mod, "drain", spy)
+        before = signal.getsignal(signal.SIGTERM)
+        self.entry(cdir, install_signals=True, wait=False)
+        assert len(seen) == 1 and seen[0] is not before
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestLeaseFailure:

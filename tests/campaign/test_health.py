@@ -80,10 +80,7 @@ class TestHeartbeatStore:
     def test_beat_read_age_roundtrip(self, tmp_path):
         beats = HeartbeatStore(tmp_path)
         assert beats.age("w") is None          # never beat
-        beats.beat("w", executed=3)
-        record = beats.read("w")
-        assert record["worker"] == "w" and record["executed"] == 3
-        assert record["pid"] == os.getpid()
+        beats.beat("w")
         age = beats.age("w")
         assert age is not None and 0 <= age < 5.0
         assert list(beats.ages()) == ["w"]
@@ -98,13 +95,56 @@ class TestHeartbeatStore:
 
     def test_age_is_mtime_based(self, tmp_path):
         # Tests (and the doctor) manipulate liveness via utime, so age
-        # must come from the file clock, not the record contents.
+        # must come from the file clock; a beat on an existing file
+        # must refresh that clock.
         beats = HeartbeatStore(tmp_path)
         beats.beat("w")
         past = time.time() - 300.0
         os.utime(beats.path_for("w"), (past, past))
         assert beats.age("w") >= 300.0
         assert beats.ages()["w"] >= 300.0
+        beats.beat("w")
+        assert beats.age("w") < 5.0
+
+    def test_beat_touches_an_empty_file_named_for_the_worker(
+            self, tmp_path):
+        # The doctor's and status's ``*.json`` globs find heartbeats
+        # by this name; the file carries no record, only its mtime.
+        beats = HeartbeatStore(tmp_path)
+        beats.beat("w")
+        path = tmp_path / "heartbeats" / "w.json"
+        assert beats.path_for("w") == path
+        assert path.is_file() and path.stat().st_size == 0
+
+    def test_beat_refreshes_a_legacy_record(self, tmp_path):
+        # Older campaign directories hold JSON heartbeat bodies; a
+        # beat renews such a file in place like any other.
+        beats = HeartbeatStore(tmp_path)
+        beats.root.mkdir()
+        beats.path_for("old").write_text('{"worker": "old"}',
+                                         encoding="utf-8")
+        past = time.time() - 300.0
+        os.utime(beats.path_for("old"), (past, past))
+        beats.beat("old")
+        assert beats.age("old") < 5.0
+        assert list(beats.ages()) == ["old"]
+
+    def test_beat_is_best_effort(self, tmp_path):
+        # Liveness reporting must never take down the drain it
+        # reports on: an unwritable heartbeat directory is a no-op.
+        (tmp_path / "heartbeats").write_text("not a directory",
+                                             encoding="utf-8")
+        beats = HeartbeatStore(tmp_path)
+        beats.beat("w")
+        assert beats.age("w") is None
+        assert beats.ages() == {}
+
+    def test_ages_ignores_temp_debris(self, tmp_path):
+        beats = HeartbeatStore(tmp_path)
+        beats.beat("a")
+        beats.beat("b")
+        (beats.root / "tmpx1y2.tmp").write_text("{", encoding="utf-8")
+        assert sorted(beats.ages()) == ["a", "b"]
 
 
 class TestDrainControl:
@@ -526,6 +566,30 @@ class TestCampaignDoctor:
         assert doctor_cli.main(["--campaign",
                                 str(tmp_path / "nowhere")]) == 2
         assert "no queue at" in capsys.readouterr().err
+
+    def test_audit_leaves_the_queue_file_untouched(self, tmp_path,
+                                                   capsys):
+        doctor_cli = load_cli("campaign_doctor")
+        cache, cdir, _ = self.wreck(tmp_path, capsys)
+        before = (cdir / "queue.sqlite").read_bytes()
+        doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
+        assert (cdir / "queue.sqlite").read_bytes() == before
+
+    def test_report_names_the_manifest_campaign(self, tmp_path, capsys):
+        doctor_cli = load_cli("campaign_doctor")
+        cache, cdir, _ = self.wreck(tmp_path, capsys)
+        moved = cdir.rename(tmp_path / "moved")
+        doc = doctor_cli.diagnose(str(moved), cache_dir=str(cache))
+        assert doc["campaign"] == cdir.name
+
+    def test_audit_without_a_manifest_still_runs(self, tmp_path, capsys):
+        doctor_cli = load_cli("campaign_doctor")
+        cache, cdir, _ = self.wreck(tmp_path, capsys)
+        (cdir / "manifest.json").unlink()
+        doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
+        assert doc["campaign"] is None
+        assert {f["check"] for f in doc["findings"]} \
+            == {"orphan_lease", "leftover_heartbeat", "stale_tmp"}
 
 
 INTERRUPTIBLE_CLIS = pytest.mark.parametrize("name, argv", [

@@ -220,11 +220,6 @@ class TestCacheMaintenance:
         assert cache.path_for("03" * 32).exists()
         assert not cache.path_for("00" * 32).exists()
 
-    def test_prune_max_age_drops_stale_entries(self, tmp_path):
-        cache = self.filled(tmp_path, n=3)   # mtimes far in the past
-        assert cache.prune(max_age=3600) == 3
-        assert len(cache) == 0
-
     def test_prune_noop_within_budget(self, tmp_path):
         cache = self.filled(tmp_path, n=2)
         assert cache.prune(max_entries=5) == 0
@@ -242,50 +237,6 @@ class TestCacheMaintenance:
         cache = ResultCache(tmp_path)
         with pytest.raises(ValueError):
             cache.prune(max_entries=-1)
-        with pytest.raises(ValueError):
-            cache.prune(max_age=-1.0)
-
-
-class TestCacheBudget:
-    def test_close_prunes_to_budget(self, tmp_path):
-        import os
-        import time
-        session = fast_session(cache_dir=tmp_path, cache_budget_entries=1)
-        session.measure("2_MIX", "gshare+BTB", "ICOUNT.1.8",
-                        config=SimConfig(seed=2))
-        session.measure("2_MIX", "gshare+BTB", "ICOUNT.1.8",
-                        config=SimConfig(seed=3))
-        # Make the LRU-by-mtime ordering unambiguous on coarse clocks.
-        entries = sorted(tmp_path.glob("??/*.json"),
-                         key=lambda p: p.stat().st_mtime)
-        now = time.time()
-        for offset, path in enumerate(entries):
-            os.utime(path, (now + offset, now + offset))
-        assert len(session.disk) == 2
-        removed = session.close()
-        assert removed == 1
-        assert len(session.disk) == 1
-
-    def test_context_manager_closes(self, tmp_path):
-        with fast_session(cache_dir=tmp_path,
-                          cache_budget_entries=0) as session:
-            session.measure("2_MIX", "gshare+BTB", "ICOUNT.1.8",
-                            config=SimConfig(seed=2))
-            assert len(session.disk) == 1
-        assert len(session.disk) == 0
-
-    def test_close_without_budget_or_cache_is_noop(self, tmp_path):
-        assert fast_session().close() == 0
-        session = fast_session(cache_dir=tmp_path)
-        session.measure("2_MIX", "gshare+BTB", "ICOUNT.1.8",
-                        config=SimConfig(seed=2))
-        assert session.close() == 0
-        assert len(session.disk) == 1
-
-    def test_rejects_negative_budget(self):
-        import pytest
-        with pytest.raises(ValueError):
-            fast_session(cache_budget_entries=-1)
 
 
 class TestExperimentSession:

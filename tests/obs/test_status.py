@@ -7,6 +7,7 @@ the same artifacts external workers leave behind.
 
 import importlib.util
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from repro.experiments import ExperimentSession
 from repro.obs.journal import Journal
 from repro.obs.status import (
     campaign_report,
+    connect_read_only,
     live_status,
     read_queue_counts,
 )
@@ -119,6 +121,50 @@ class TestLiveStatus:
         before = (cdir / QUEUE_NAME).read_bytes()
         read_queue_counts(cdir)
         assert (cdir / QUEUE_NAME).read_bytes() == before
+
+    def test_read_only_connection_rows_are_named(self, tmp_path):
+        cdir = synthetic_campaign(tmp_path)
+        conn = connect_read_only(cdir / QUEUE_NAME)
+        try:
+            rows = conn.execute(
+                "SELECT key, state FROM cells ORDER BY key").fetchall()
+        finally:
+            conn.close()
+        assert [(row["key"], row["state"]) for row in rows] \
+            == [("k0", "done"), ("k1", "done"), ("k2", "pending")]
+
+    def test_read_only_connection_refuses_writes(self, tmp_path):
+        cdir = synthetic_campaign(tmp_path)
+        conn = connect_read_only(cdir / QUEUE_NAME)
+        try:
+            with pytest.raises(sqlite3.OperationalError,
+                               match="readonly"):
+                conn.execute("UPDATE cells SET state = 'pending'")
+        finally:
+            conn.close()
+        assert read_queue_counts(cdir) == {"done": 2, "pending": 1}
+
+    def test_read_only_connection_reads_beside_a_live_writer(
+            self, tmp_path):
+        # A worker mid-transaction must not stall the status tool, and
+        # the tool sees only committed state.
+        cdir = synthetic_campaign(tmp_path)
+        writer = sqlite3.connect(cdir / QUEUE_NAME)
+        try:
+            writer.execute("BEGIN IMMEDIATE")
+            writer.execute("UPDATE cells SET state = 'leased'"
+                           " WHERE key = 'k2'")
+            conn = connect_read_only(cdir / QUEUE_NAME)
+            conn.execute("PRAGMA busy_timeout = 0")
+            try:
+                states = dict(conn.execute(
+                    "SELECT key, state FROM cells").fetchall())
+            finally:
+                conn.close()
+            writer.rollback()
+        finally:
+            writer.close()
+        assert states["k2"] == "pending"
 
 
 class TestCampaignReport:
