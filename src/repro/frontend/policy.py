@@ -38,8 +38,10 @@ class PolicySpec:
         name, n, x = parts
         if name not in ("ICOUNT", "RR"):
             raise ValueError(f"unknown fetch policy {name!r}")
-        threads = int(n)
-        width = int(x)
+        try:
+            threads, width = int(n), int(x)
+        except ValueError:
+            threads = width = 0         # not numbers: rejected below
         if threads < 1 or width < 1:
             raise ValueError(f"bad policy parameters in {spec!r}")
         return cls(name, threads, width)

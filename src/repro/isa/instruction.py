@@ -81,6 +81,9 @@ class StaticInstruction:
     __slots__ = ("sid", "addr", "opclass", "op", "kind", "dest", "srcs",
                  "target_addr", "behavior", "memgen")
 
+    # NOTE: the program generator inlines this constructor for body
+    # instructions (repro/program/generator.py) — keep the two field
+    # lists in sync when adding or removing slots.
     def __init__(self, sid: int, addr: int, opclass: InstrClass,
                  kind: BranchKind = BranchKind.NOT_BRANCH,
                  dest: int = -1, srcs: tuple[int, ...] = (),

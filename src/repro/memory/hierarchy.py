@@ -364,8 +364,8 @@ class MemoryHierarchy:
         cold: its misses hit L2 (10 cycles) and warm up quickly.
         """
         line = self.l1i.line_bytes
-        for addr in range(start_addr - (start_addr % line), end_addr, line):
-            self.l2.fill(addr, asid)
+        self._warm_l2(asid, range(start_addr - (start_addr % line),
+                                  end_addr, line))
         page = self.itlb.page_bytes
         for addr in range(start_addr - (start_addr % page), end_addr, page):
             self.itlb.access(addr, asid)
@@ -395,11 +395,13 @@ class MemoryHierarchy:
             if base in seen:
                 continue
             seen.add(base)
-            for addr in range(base, base + footprint, line):
-                if budget <= 0:
-                    break
-                self.l2.fill(addr, asid)
-                budget -= line
+            if budget > 0:
+                # What is left of the budget buys ceil(budget / line)
+                # more lines.
+                lines = range(base, base + footprint, line)
+                lines = lines[:-(-budget // line)]
+                self._warm_l2(asid, lines)
+                budget -= len(lines) * line
             for addr in range(base, base + footprint, page):
                 if pages_left <= 0:
                     break
@@ -407,6 +409,28 @@ class MemoryHierarchy:
                 pages_left -= 1
             if budget <= 0 and pages_left <= 0:
                 break
+
+    def _warm_l2(self, asid: int, addrs: range) -> None:
+        """``self.l2.fill(addr, asid)`` for each of ``addrs``, in order.
+
+        ``Cache.fill`` inlined: every machine build warms thousands of
+        lines per thread.
+        """
+        l2 = self.l2
+        sets = l2._sets
+        mask = l2._set_mask
+        assoc = l2.assoc
+        shift = l2._line_shift
+        salt = asid * 0x9E37
+        for addr in addrs:
+            line = addr >> shift
+            lines = sets[(line ^ salt) & mask]
+            key = line * 64 + asid
+            if key in lines:
+                lines.remove(key)
+            lines.insert(0, key)
+            if len(lines) > assoc:
+                lines.pop()
 
     def reset_stats(self) -> None:
         """Zero every counter in the hierarchy (caches, TLBs, MSHRs).

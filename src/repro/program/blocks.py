@@ -83,10 +83,8 @@ class Program:
         self.behaviors = behaviors
         self.memgens = memgens
         self.entry_addr = blocks[functions[0].entry_bid].start_addr
-        self._instr_map: dict[int, StaticInstruction] = {}
-        for block in blocks:
-            for instr in block.instrs:
-                self._instr_map[instr.addr] = instr
+        self._instr_map: dict[int, StaticInstruction] = {
+            instr.addr: instr for block in blocks for instr in block.instrs}
 
     def instr_at(self, addr: int) -> StaticInstruction | None:
         """Dictionary lookup: the static instruction at ``addr``, if any.

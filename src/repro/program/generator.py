@@ -20,6 +20,7 @@ underflows its return stack on the correct path.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ from repro.program.blocks import Function, Program, StaticBasicBlock
 from repro.program.memgen import AddressGenerator, ChaseGenerator, \
     StackGenerator, StrideGenerator
 from repro.program.profiles import SPECINT2000, BenchmarkProfile
-from repro.util.bits import mix64, splitmix64
+from repro.util.bits import mix64, presalted, splitmix64
 
 CODE_BASE = 0x0040_0000
 """Base address of the code segment."""
@@ -43,6 +44,7 @@ STACK_BASE = 0x7FF0_0000
 """Base address of the stack-like data segment."""
 
 _STACK_REGION_BYTES = 8 * 1024
+_STRIDES = (8, 8, 16, 64)
 _MAX_BLOCK = 32
 _MAX_LOOP_TRIP = 64
 _CALL_REACH = 8          # function i may call (i, i + reach]
@@ -53,7 +55,18 @@ _STORE = InstrClass.STORE
 _INT_MUL = InstrClass.INT_MUL
 _FP_ALU = InstrClass.FP_ALU
 _INT_ALU = InstrClass.INT_ALU
+_BRANCH = InstrClass.BRANCH
 _NOT_BRANCH = BranchKind.NOT_BRANCH
+_COND = BranchKind.COND
+_JUMP = BranchKind.JUMP
+_CALL = BranchKind.CALL
+_RET = BranchKind.RET
+_IND_JUMP = BranchKind.IND_JUMP
+_LOAD_OP = int(_LOAD)
+_STORE_OP = int(_STORE)
+_INT_MUL_OP = int(_INT_MUL)
+_FP_ALU_OP = int(_FP_ALU)
+_INT_ALU_OP = int(_INT_ALU)
 
 
 @dataclass
@@ -205,48 +218,52 @@ def _demote_hard_branches_in_loops(plan: _FunctionPlan) -> None:
             block_plan.behavior_spec = ("fwd_rare",)
 
 
-class _DataArena:
-    """Carves shared data regions and hands out address generators.
+def _data_arena(rng: random.Random, profile: BenchmarkProfile,
+                salt: int) -> Callable[[], AddressGenerator]:
+    """Carve shared data regions; return the address-generator factory.
 
     The profile's working set is a *program* property: all chase
     generators point into one shared heap region of ``ws_kb`` so the
     union of their footprints equals the working set, and stride
-    generators rotate through a few medium arrays.
+    generators rotate through a few medium arrays.  Each call of the
+    returned factory draws one generator from the profile's mix.
     """
+    draw = rng.random
+    getrandbits = rng.getrandbits
+    chase_frac = profile.chase_frac
+    stride_cut = profile.chase_frac + profile.stride_frac
+    # Generator n is salted mix64(salt, 0xDA7A, n), which equals
+    # splitmix64(mix64(salt, 0xDA7A) ^ n): fold the prefix once.
+    salt_prefix = mix64(salt, 0xDA7A)
+    ws_bytes = profile.ws_kb * 1024
+    heap_bytes = max(ws_bytes, 4096)
+    # Hot strided arrays stay small: real ILP-class SPECint keeps its
+    # inner-loop data close to L1-resident; the big working set is
+    # reached through the chase generators over the heap region.
+    array_bytes = max(2 * 1024, min(16 * 1024, ws_bytes // 32))
+    arrays = [DATA_BASE + heap_bytes + k * array_bytes for k in range(8)]
+    serial = 0
+    next_array = 0
 
-    def __init__(self, rng: random.Random, profile: BenchmarkProfile,
-                 salt: int) -> None:
-        self._rng = rng
-        self._profile = profile
-        # Generator n is salted mix64(salt, 0xDA7A, n), which equals
-        # splitmix64(mix64(salt, 0xDA7A) ^ n): fold the prefix once.
-        self._salt_prefix = mix64(salt, 0xDA7A)
-        self._serial = 0
-        ws_bytes = profile.ws_kb * 1024
-        self._heap_base = DATA_BASE
-        self._heap_bytes = max(ws_bytes, 4096)
-        # Hot strided arrays stay small: real ILP-class SPECint keeps its
-        # inner-loop data close to L1-resident; the big working set is
-        # reached through the chase generators over the heap region.
-        array_bytes = max(2 * 1024, min(16 * 1024, ws_bytes // 32))
-        self._arrays = [self._heap_base + self._heap_bytes + k * array_bytes
-                        for k in range(8)]
-        self._array_bytes = array_bytes
-        self._next_array = 0
+    def make_generator() -> AddressGenerator:
+        nonlocal serial, next_array
+        serial += 1
+        gen_salt = splitmix64(salt_prefix ^ serial)
+        r = draw()
+        if r < chase_frac:
+            return ChaseGenerator(DATA_BASE, heap_bytes, gen_salt)
+        if r < stride_cut:
+            base = arrays[next_array % len(arrays)]
+            next_array += 1
+            # choice(_STRIDES) as Random._randbelow draws it: 3-bit
+            # words until one is below len(_STRIDES).
+            i = getrandbits(3)
+            while i >= 4:
+                i = getrandbits(3)
+            return StrideGenerator(base, _STRIDES[i], array_bytes)
+        return StackGenerator(STACK_BASE, _STACK_REGION_BYTES, gen_salt)
 
-    def make_generator(self) -> AddressGenerator:
-        """Return an address generator drawn from the profile's mix."""
-        self._serial += 1
-        salt = splitmix64(self._salt_prefix ^ self._serial)
-        r = self._rng.random()
-        if r < self._profile.chase_frac:
-            return ChaseGenerator(self._heap_base, self._heap_bytes, salt)
-        if r < self._profile.chase_frac + self._profile.stride_frac:
-            base = self._arrays[self._next_array % len(self._arrays)]
-            self._next_array += 1
-            stride = self._rng.choice((8, 8, 16, 64))
-            return StrideGenerator(base, stride, self._array_bytes)
-        return StackGenerator(STACK_BASE, _STACK_REGION_BYTES, salt)
+    return make_generator
 
 
 def _make_pattern(rng: random.Random, taken_p: float) -> tuple[bool, ...]:
@@ -355,12 +372,13 @@ def _generate_once(profile: BenchmarkProfile, seed: int,
 
     # Pass 3: instantiate.  Calibration runs this up to five times per
     # program, so the body-instruction draws are inlined with the
-    # profile fields and RNG methods they use bound to locals.  The draw
-    # order is fixed: changing it changes every generated program.
-    arena = _DataArena(rng, profile, salt)
-    make_generator = arena.make_generator
+    # profile fields and RNG methods they use bound to locals, and each
+    # rng.choice is spelled as the getrandbits rejection loop that
+    # Random._randbelow runs for it.  The draw order is fixed: changing
+    # it changes every generated program.
+    make_generator = _data_arena(rng, profile, salt)
     draw = rng.random
-    choice = rng.choice
+    getrandbits = rng.getrandbits
     boost = _mix_boost(profile)
     load_frac = profile.load_frac
     store_frac = profile.store_frac
@@ -368,6 +386,10 @@ def _generate_once(profile: BenchmarkProfile, seed: int,
     fp_frac = profile.fp_frac
     chase_chain_p = profile.chase_chain_p
     dep_window = profile.dep_window
+    n_regs = len(_ARCH_REGS)
+    reg_bits = n_regs.bit_length()
+    first_reg = _ARCH_REGS[0]
+    new = object.__new__
     behaviors: list[BranchBehavior] = []
     memgens: list[AddressGenerator] = []
     blocks: list[StaticBasicBlock] = []
@@ -376,10 +398,14 @@ def _generate_once(profile: BenchmarkProfile, seed: int,
     bid = 0
 
     # Behaviour parameters are keyed by structural position (fid,
-    # local_idx) so calibration rescales block sizes without re-rolling
-    # loop trips or branch biases: the terminator RNG is reseeded with
+    # local_idx) so calibration rescales block sizes without changing
+    # loop trips or the CFG: the terminator RNG is reseeded with
     # mix64(salt, 0xBEAF, fid, local_idx) and the behaviour salt is
-    # mix64(salt, fid, local_idx), both folded from per-function prefixes.
+    # mix64(mix64(salt, fid, local_idx), sid), with the constant
+    # prefixes folded per function.  Some behaviours still move with
+    # the scale: the sid in that salt does, and so does the number of
+    # words _pick_srcs takes from the reseeded RNG before the behaviour
+    # is drawn (DESIGN.md section 2).
     term_rng = random.Random()
     term_prefix = mix64(salt, 0xBEAF)
     for fid, plan in enumerate(plans):
@@ -388,6 +414,7 @@ def _generate_once(profile: BenchmarkProfile, seed: int,
         addrs = block_addr[fid]
         block_ids: list[int] = []
         recent_dests: list[int] = []
+        n_recent = k_recent = 0    # len(recent_dests), its bit length
         recent_alu_dests: list[int] = []
         last_load_dest = -1
         for local_idx, block_plan in enumerate(plan.blocks):
@@ -396,58 +423,83 @@ def _generate_once(profile: BenchmarkProfile, seed: int,
             for _ in range(block_plan.size - 1):
                 # One non-branch instruction with realistic dependences.
                 r = draw() / boost
-                if not recent_dests:
+                if not n_recent:
                     srcs = ()
                 else:
                     roll = draw()
                     if roll < 0.25:
                         srcs = ()               # immediate/constant operands
-                    elif len(recent_dests) == 1 or roll < 0.70:
-                        srcs = (choice(recent_dests),)
                     else:
-                        srcs = (choice(recent_dests), choice(recent_dests))
-                dest = choice(_ARCH_REGS)
+                        i = getrandbits(k_recent)
+                        while i >= n_recent:
+                            i = getrandbits(k_recent)
+                        if n_recent == 1 or roll < 0.70:
+                            srcs = (recent_dests[i],)
+                        else:
+                            j = getrandbits(k_recent)
+                            while j >= n_recent:
+                                j = getrandbits(k_recent)
+                            srcs = (recent_dests[i], recent_dests[j])
+                dest = getrandbits(reg_bits)
+                while dest >= n_regs:
+                    dest = getrandbits(reg_bits)
+                dest += first_reg
+                # StaticInstruction.__init__ inlined -- keep in sync with
+                # its slot list.
+                instr = new(StaticInstruction)
+                instr.sid = sid
+                instr.addr = addr
+                instr.kind = _NOT_BRANCH
+                instr.target_addr = 0
+                instr.behavior = -1
                 if r < load_frac:
+                    instr.memgen = len(memgens)
                     memgens.append(make_generator())
                     if last_load_dest >= 0 and draw() < chase_chain_p:
                         srcs = (last_load_dest,)
-                    instrs.append(StaticInstruction(
-                        sid, addr, _LOAD, _NOT_BRANCH, dest, srcs, 0, -1,
-                        len(memgens) - 1))
+                    instr.opclass = _LOAD
+                    instr.op = _LOAD_OP
                     last_load_dest = dest
                 elif (r := r - load_frac) < store_frac:
+                    instr.memgen = len(memgens)
                     memgens.append(make_generator())
-                    instrs.append(StaticInstruction(
-                        sid, addr, _STORE, _NOT_BRANCH, -1, srcs, 0, -1,
-                        len(memgens) - 1))
+                    instr.opclass = _STORE
+                    instr.op = _STORE_OP
                     dest = -1
                 else:
+                    instr.memgen = -1
                     if (r := r - store_frac) < mul_frac:
-                        opclass = _INT_MUL
+                        instr.opclass = _INT_MUL
+                        instr.op = _INT_MUL_OP
                     elif r - mul_frac < fp_frac:
-                        opclass = _FP_ALU
+                        instr.opclass = _FP_ALU
+                        instr.op = _FP_ALU_OP
                     else:
-                        opclass = _INT_ALU
+                        instr.opclass = _INT_ALU
+                        instr.op = _INT_ALU_OP
                         # Branch conditions prefer these: induction-
                         # variable style operands that resolve in one
                         # cycle.
                         recent_alu_dests.append(dest)
                         if len(recent_alu_dests) > 4:
                             del recent_alu_dests[0]
-                    instrs.append(StaticInstruction(sid, addr, opclass,
-                                                    _NOT_BRANCH, dest, srcs))
+                instr.dest = dest
+                instr.srcs = srcs
+                instrs.append(instr)
                 if dest >= 0:
                     recent_dests.append(dest)
-                    if len(recent_dests) > dep_window:
+                    if n_recent < dep_window:
+                        n_recent += 1
+                        k_recent = n_recent.bit_length()
+                    else:
                         del recent_dests[0]
                 sid += 1
                 addr += INSTR_BYTES
-            term_rng.seed(splitmix64(term_fid_prefix ^ local_idx))
             instrs.append(_make_terminator(
-                term_rng, profile, block_plan, addr, sid, fid,
-                block_addr, func_entry_addr, behaviors,
+                term_rng, profile, block_plan, addr, sid, addrs,
+                func_entry_addr, behaviors,
                 recent_alu_dests or recent_dests,
-                splitmix64(salt_fid_prefix ^ local_idx)))
+                term_fid_prefix ^ local_idx, salt_fid_prefix ^ local_idx))
             sid += 1
             blocks.append(StaticBasicBlock(bid, fid, start, instrs))
             block_ids.append(bid)
@@ -489,45 +541,46 @@ def _pick_srcs(rng: random.Random,
 
 
 def _make_terminator(rng: random.Random, profile: BenchmarkProfile,
-                     block_plan: _BlockPlan, addr: int, sid: int, fid: int,
-                     block_addr: list[list[int]],
-                     func_entry_addr: list[int],
+                     block_plan: _BlockPlan, addr: int, sid: int,
+                     addrs: list[int], func_entry_addr: list[int],
                      behaviors: list[BranchBehavior],
                      recent_dests: list[int],
-                     salt: int) -> StaticInstruction:
-    """Emit the terminating branch of a block from its plan."""
+                     term_key: int, salt_key: int) -> StaticInstruction:
+    """Emit the terminating branch of a block from its plan.
+
+    ``addrs`` are the block addresses of the block's function.  Only
+    conditional and indirect terminators draw anything: ``rng`` is
+    reseeded with ``splitmix64(term_key)``, :func:`_pick_srcs` draws
+    their sources and then :func:`_make_behavior` their behaviour,
+    salted ``mix64(splitmix64(salt_key), sid)``.  Returns, calls and
+    jumps have no sources and no behaviour.
+    """
     kind = block_plan.kind
-    srcs = _pick_srcs(rng, recent_dests)
-    if kind == BranchKind.RET:
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.RET, srcs=())
-    if kind == BranchKind.CALL:
-        target = func_entry_addr[block_plan.callee_fid]
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.CALL, dest=31,
-                                 target_addr=target)
-    if kind == BranchKind.JUMP:
-        target = block_addr[fid][block_plan.local_target]
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.JUMP, target_addr=target)
-    if kind == BranchKind.IND_JUMP:
-        targets = tuple(block_addr[fid][t] for t in block_plan.ind_targets)
-        behavior = _make_behavior(rng, profile, block_plan.behavior_spec,
-                                  mix64(salt, sid), ind_targets=targets)
+    instr = StaticInstruction(sid, addr, _BRANCH, kind)
+    if kind is _JUMP:
+        instr.target_addr = addrs[block_plan.local_target]
+    elif kind is _CALL:
+        instr.dest = 31
+        instr.target_addr = func_entry_addr[block_plan.callee_fid]
+    elif kind is _COND or kind is _IND_JUMP:
+        rng.seed(splitmix64(term_key))
+        instr.srcs = _pick_srcs(rng, recent_dests)
+        # mix64(block_salt, sid), as its two splitmix64 rounds.
+        salt = splitmix64(presalted(splitmix64(salt_key)) ^ sid)
+        if kind is _COND:
+            instr.target_addr = addrs[block_plan.local_target]
+            behavior = _make_behavior(rng, profile,
+                                      block_plan.behavior_spec, salt)
+        else:
+            targets = tuple(addrs[t] for t in block_plan.ind_targets)
+            behavior = _make_behavior(rng, profile,
+                                      block_plan.behavior_spec, salt,
+                                      ind_targets=targets)
+        instr.behavior = len(behaviors)
         behaviors.append(behavior)
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.IND_JUMP, srcs=srcs,
-                                 behavior=len(behaviors) - 1)
-    if kind == BranchKind.COND:
-        target = block_addr[fid][block_plan.local_target]
-        behavior = _make_behavior(rng, profile, block_plan.behavior_spec,
-                                  mix64(salt, sid))
-        behaviors.append(behavior)
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.COND, srcs=srcs,
-                                 target_addr=target,
-                                 behavior=len(behaviors) - 1)
-    raise ValueError(f"unexpected terminator kind {kind!r}")
+    elif kind is not _RET:
+        raise ValueError(f"unexpected terminator kind {kind!r}")
+    return instr
 
 
 @lru_cache(maxsize=64)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 from repro.backend import get_backend
 from repro.core.config import DEFAULT_CONFIG, SimConfig
 from repro.core.workloads import workload_benchmarks
+from repro.frontend.engine import EngineKind
 from repro.frontend.policy import PolicySpec
 
 RESERVED_AXES = ("workload", "engine", "policy", "seed")
@@ -34,6 +35,9 @@ KNOWN_AXES = RESERVED_AXES + CONFIG_AXES
 
 STRING_AXES = ("workload", "engine", "policy", "backend")
 """Axes whose values are strings (every other axis coerces to int)."""
+
+ENGINES = tuple(kind.value for kind in EngineKind)
+"""Legal ``engine`` axis values."""
 
 METRICS = ("ipc", "ipfc")
 """Aggregated metrics; a spec's ``metric`` picks the primary one."""
@@ -130,6 +134,12 @@ class SweepSpec:
                 for v in values:
                     if isinstance(v, str):
                         workload_benchmarks(v)   # raises with suggestions
+            elif axis == "engine":
+                for v in values:
+                    if v not in ENGINES:
+                        raise ValueError(
+                            f"unknown engine {v!r}; engines are "
+                            f"{', '.join(ENGINES)}")
             elif axis == "policy":
                 for v in values:
                     PolicySpec.parse(v)

@@ -48,6 +48,8 @@ class ThreadContext:
         """Current architectural call-stack depth."""
         return len(self._call_stack)
 
+    # NOTE: repro.trace.walker.dynamic_stats inlines the branch cases
+    # of this method — keep the two in sync.
     def step(self, static: StaticInstruction) -> tuple[bool, int]:
         """Execute ``static`` architecturally and advance the context.
 

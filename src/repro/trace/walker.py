@@ -10,7 +10,8 @@ engine's advantage — are measured.
 :func:`dynamic_stats` only needs counts, so it steps whole blocks: a
 block is entered only at its start and left only through its final
 instruction, so everything before that instruction runs unconditionally
-and only the terminator needs :meth:`ThreadContext.step`.
+and only the terminator is stepped, by an inlined copy of the branch
+cases of :meth:`ThreadContext.step`.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ class StreamSummary:
 
 
 _NOT_BRANCH = BranchKind.NOT_BRANCH
+_COND = BranchKind.COND
+_JUMP = BranchKind.JUMP
+_CALL = BranchKind.CALL
+_RET = BranchKind.RET
+_IND_JUMP = BranchKind.IND_JUMP
 _LOAD = int(InstrClass.LOAD)
 _STORE = int(InstrClass.STORE)
 
@@ -113,16 +119,21 @@ def dynamic_stats(program: Program,
     """Measure dynamic block/stream statistics along the correct path.
 
     Counts equal a per-instruction tally over :func:`walk`, but the
-    budget is spent a block at a time and only terminators are stepped.
+    budget is spent a block at a time and only terminators are stepped,
+    by an inlined :meth:`ThreadContext.step` that counts occurrences
+    only of the branches whose outcome reads them (conditional and
+    indirect).
 
     Raises:
         WalkError: If control reaches an address that is not the start
             of a block.
     """
     table = _block_table(program)
-    ctx = ThreadContext(program)
-    step = ctx.step
-    pc = ctx.pc
+    behaviors = program.behaviors
+    entry_addr = program.entry_addr
+    counts: dict[int, int] = {}
+    call_stack: list[int] = []
+    pc = entry_addr
     remaining = max_instructions
     branches = taken_branches = loads = stores = 0
     while remaining > 0:
@@ -143,12 +154,35 @@ def dynamic_stats(program: Program,
         if terminator is None:
             pc += size * INSTR_BYTES
             continue
-        ctx.pc = terminator.addr
-        taken, _ = step(terminator)
         branches += 1
-        if taken:
-            taken_branches += 1
-        pc = ctx.pc
+        kind = terminator.kind
+        if kind == _COND:
+            sid = terminator.sid
+            n = counts.get(sid, 0)
+            counts[sid] = n + 1
+            if behaviors[terminator.behavior].taken(n):
+                taken_branches += 1
+                pc = terminator.target_addr
+            else:
+                pc = terminator.addr + INSTR_BYTES
+            continue
+        taken_branches += 1
+        if kind == _JUMP:
+            pc = terminator.target_addr
+        elif kind == _CALL:
+            call_stack.append(terminator.addr + INSTR_BYTES)
+            pc = terminator.target_addr
+        elif kind == _RET:
+            # As in ThreadContext.step, an underflow restarts at the
+            # entry (never on a validated program's correct path).
+            pc = call_stack.pop() if call_stack else entry_addr
+        elif kind == _IND_JUMP:
+            sid = terminator.sid
+            n = counts.get(sid, 0)
+            counts[sid] = n + 1
+            pc = behaviors[terminator.behavior].target(n)
+        else:  # pragma: no cover - enum is closed
+            raise WalkError(f"unhandled branch kind {kind!r}")
     instructions = max(max_instructions, 0)
     return StreamSummary(
         instructions=instructions,

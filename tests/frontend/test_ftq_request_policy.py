@@ -1,5 +1,7 @@
 """Tests for fetch requests, FTQs and fetch policies."""
 
+import re
+
 import pytest
 
 from repro.frontend.ftq import FetchTargetQueue
@@ -71,10 +73,17 @@ class TestPolicySpec:
     def test_str_round_trip(self):
         assert str(PolicySpec.parse("ICOUNT.2.8")) == "ICOUNT.2.8"
 
-    @pytest.mark.parametrize("bad", ["ICOUNT", "FOO.1.8", "ICOUNT.0.8",
-                                     "ICOUNT.1.0", "ICOUNT.1"])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("bad,message", [
+        pytest.param(bad, message, id=bad) for bad, message in [
+            ("ICOUNT", "must look like 'ICOUNT.2.8', got 'ICOUNT'"),
+            ("FOO.1.8", "unknown fetch policy 'FOO'"),
+            ("ICOUNT.0.8", "bad policy parameters in 'ICOUNT.0.8'"),
+            ("ICOUNT.1.0", "bad policy parameters in 'ICOUNT.1.0'"),
+            ("ICOUNT.1", "must look like 'ICOUNT.2.8', got 'ICOUNT.1'"),
+            ("ICOUNT.x.8", "bad policy parameters in 'ICOUNT.x.8'"),
+        ]])
+    def test_parse_rejects(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             PolicySpec.parse(bad)
 
     def test_make(self):

@@ -80,6 +80,32 @@ class ReferenceHierarchy:
             self._miss_to_l2(addr, asid)
             self.l1d.fill(addr, asid)
 
+    def warm_instruction_side(self, asid, start_addr, end_addr):
+        for addr in range(start_addr - start_addr % LINE, end_addr, LINE):
+            self.l2.fill(addr, asid)
+        for addr in range(start_addr - start_addr % PAGE, end_addr, PAGE):
+            self.itlb.access(addr, asid)
+
+    def warm_data_side(self, asid, regions, l2_budget_bytes,
+                       tlb_budget_pages):
+        budget, pages_left, seen = l2_budget_bytes, tlb_budget_pages, set()
+        for base, footprint in regions:
+            if base in seen:
+                continue
+            seen.add(base)
+            for addr in range(base, base + footprint, LINE):
+                if budget <= 0:
+                    break
+                self.l2.fill(addr, asid)
+                budget -= LINE
+            for addr in range(base, base + footprint, PAGE):
+                if pages_left <= 0:
+                    break
+                self.dtlb.access(addr, asid)
+                pages_left -= 1
+            if budget <= 0 and pages_left <= 0:
+                break
+
 
 def state(mem) -> dict:
     """Every counter and every piece of line/translation state."""
@@ -156,3 +182,30 @@ def test_every_miss_path_branch_occurs():
     assert sum(map(len, mem.l1i._sets)) < len(fetched)
     assert mem.dmshr.rejections > 0
     assert mem.dmshr.coalesced > 0
+
+
+# Build-time warm-ups: code ranges and data regions with unaligned
+# bases, repeated bases, and budgets that run out mid-region, over an
+# L2 small enough that the warm-ups evict each other's lines.
+WARM_START = st.integers(0, PAGES * PAGE)
+REGION = st.tuples(WARM_START, st.integers(0, 2 * PAGE))
+WARM = st.one_of(
+    st.tuples(st.just("warm_instruction_side"),
+              st.integers(0, THREADS - 1), WARM_START,
+              st.integers(0, PAGE)).map(
+        lambda w: (w[0], w[1], w[2], w[2] + w[3])),
+    st.tuples(st.just("warm_data_side"), st.integers(0, THREADS - 1),
+              st.lists(REGION, max_size=6), st.integers(-LINE, 2 * PAGE),
+              st.integers(0, 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(WARM, max_size=6))
+def test_warm_ups_match_component_reference(warm_ups):
+    mem = MemoryHierarchy(l1_latency=L1_LATENCY, l2_latency=L2_LATENCY,
+                          memory_latency=MEMORY_LATENCY, **SIZES)
+    ref = ReferenceHierarchy()
+    for kind, *args in warm_ups:
+        getattr(mem, kind)(*args)
+        getattr(ref, kind)(*args)
+        assert state(mem) == state(ref), (kind, args)

@@ -2,12 +2,14 @@
 
 import enum
 import hashlib
+import random
 
 import pytest
 
 from repro.isa.instruction import BranchKind, InstrClass
 from repro.program import SPECINT2000, generate_program, program_for
-from repro.program.generator import CODE_BASE
+from repro.program.generator import CODE_BASE, _BlockPlan, \
+    _generate_once, _make_terminator
 from repro.trace import dynamic_stats, walk
 
 ALL_NAMES = sorted(SPECINT2000)
@@ -32,6 +34,80 @@ generator emits -- an instruction field, a behaviour or address
 generator parameter, a function's block list -- shows up here.  Re-pin
 only for a deliberate change of the synthetic workloads (it changes
 every simulated result, so it also needs a golden-parity regen)."""
+
+
+CALIBRATION_SCALES = (0.4, 1.0, 2.5)
+"""The ends of calibration's block-size scale clamp, and its start."""
+
+SCALE_PINS = {
+    # name: per scale in CALIBRATION_SCALES, program_digest() of
+    # _generate_once(profile, 0, scale) and the (branches, taken
+    # branches, loads, stores) of dynamic_stats(program, 50_000)
+    "bzip2": (
+        ("490edd78264aebb92f14", (9295, 4509, 11795, 4903)),
+        ("0795018559c22011af2a", (3977, 1896, 9827, 6979)),
+        ("3f89a5ccb52c8b757a23", (2203, 1122, 13152, 5162)),
+    ),
+    "crafty": (
+        ("5f6bcb7e5076eb982343", (13659, 8224, 11346, 3451)),
+        ("8f10d7bd4856556014b8", (5959, 3666, 11363, 4515)),
+        ("bc7387d22ab7f3133172", (2708, 1643, 12130, 4871)),
+    ),
+    "eon": (
+        ("c87db08eebd2c493e3dc", (13577, 4852, 8010, 8249)),
+        ("365a363fc2f0d80a4bd1", (5835, 2111, 10469, 7066)),
+        ("1f454a96691e4c1ae450", (2666, 965, 10744, 8513)),
+    ),
+    "gap": (
+        ("756a777938529258d657", (10837, 2851, 13625, 3898)),
+        ("39d75db9281351be0dd5", (6295, 2167, 17674, 3676)),
+        ("3e2c085079f361679b9d", (2224, 645, 14788, 6862)),
+    ),
+    "gcc": (
+        ("014e5f40483b543abfda", (16130, 9091, 5971, 5778)),
+        ("7b81b3878314acdcc64b", (7264, 4083, 13384, 5081)),
+        ("6631f2208c0e05310ab2", (3135, 1774, 15086, 5933)),
+    ),
+    "gzip": (
+        ("3835ff397299bd93c295", (8717, 5350, 9721, 5179)),
+        ("e2ba6abbe59205b99194", (3486, 2132, 11502, 3384)),
+        ("f0ad3f7df1403f06989c", (1891, 1139, 11116, 5711)),
+    ),
+    "mcf": (
+        ("c9edb4f49827fdcb48d7", (28283, 17452, 8376, 4371)),
+        ("915128633322cf271991", (12640, 7718, 15435, 5148)),
+        ("16d4b66f08adaccea5c5", (5689, 3515, 17164, 4251)),
+    ),
+    "parser": (
+        ("4f6d52abf10f70c9a3d1", (18615, 11662, 11978, 4790)),
+        ("2ee50c37b0ccc82303ac", (8412, 5240, 14625, 4795)),
+        ("079b16964fef1532a0b9", (3534, 2202, 13729, 8364)),
+    ),
+    "perlbmk": (
+        ("2d2eb2388a70e2947e17", (9436, 4745, 8157, 7553)),
+        ("8fec3cddf89ccb646fd8", (3874, 1952, 15441, 6380)),
+        ("2acaf03911e47e57bb17", (2065, 1009, 14134, 6950)),
+    ),
+    "twolf": (
+        ("3799a9c7bb63a65b50ac", (15238, 8414, 8901, 4139)),
+        ("45103d6490a1bb59938d", (6978, 3866, 15475, 4967)),
+        ("20563c2d312465e845db", (3008, 1683, 13771, 6102)),
+    ),
+    "vortex": (
+        ("0cc090fbc20a827d3e9c", (15507, 10512, 9015, 10502)),
+        ("259e87b4d1e1aea0e0b6", (6506, 4381, 13697, 4818)),
+        ("9d944ec60b6a325f03df", (2839, 1884, 15383, 6988)),
+    ),
+    "vpr": (
+        ("536984dc52e8579eee20", (10272, 6284, 16526, 6054)),
+        ("227257e66c744945af4b", (4274, 2610, 9495, 3935)),
+        ("349000d53d9556cf9116", (2016, 1252, 15687, 5082)),
+    ),
+}
+"""Calibration's intermediate programs.  PROGRAM_DIGESTS pins only the
+programs calibration returns, at whatever scales seeds 0 and 1 land on;
+these pin the programs it measures on the way, across the clamp range.
+Re-pin together with PROGRAM_DIGESTS."""
 
 
 def _slot_values(obj) -> tuple:
@@ -152,6 +228,42 @@ class TestProgramPins:
         before = program_digest(program)
         program.behaviors[0].salt ^= 1
         assert program_digest(program) != before
+
+
+class TestCalibrationPins:
+    def test_table_covers_every_benchmark(self):
+        assert sorted(SCALE_PINS) == ALL_NAMES
+
+    @pytest.mark.parametrize("scale", CALIBRATION_SCALES)
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_scaled_program_is_pinned(self, name, scale):
+        digest, counts = SCALE_PINS[name][CALIBRATION_SCALES.index(scale)]
+        program = _generate_once(SPECINT2000[name], 0, scale)
+        stats = dynamic_stats(program, 50_000)
+        assert program_digest(program) == digest
+        assert (stats.branches, stats.taken_branches,
+                round(stats.load_frac * stats.instructions),
+                round(stats.store_frac * stats.instructions)) == counts
+
+
+class TestTerminatorDraws:
+    @pytest.mark.parametrize("block_plan", [
+        _BlockPlan(4, BranchKind.RET),
+        _BlockPlan(4, BranchKind.CALL, callee_fid=1),
+        _BlockPlan(4, BranchKind.JUMP, local_target=2),
+    ], ids=["ret", "call", "jump"])
+    def test_unconditional_terminators_draw_nothing(self, block_plan):
+        # Only conditional and indirect terminators (re)seed and draw
+        # from the terminator RNG.
+        rng = random.Random(99)
+        before = rng.getstate()
+        behaviors = []
+        instr = _make_terminator(
+            rng, SPECINT2000["gzip"], block_plan, 0x500, 7,
+            [CODE_BASE + 64 * i for i in range(4)], [CODE_BASE, 0x9000],
+            behaviors, [3, 5, 9], 11, 13)
+        assert rng.getstate() == before
+        assert (instr.srcs, instr.behavior, behaviors) == ((), -1, [])
 
 
 class TestTable1Calibration:

@@ -2,13 +2,17 @@
 
 The CLI module is imported from ``scripts/`` and driven in-process via
 ``main(argv)`` so failures produce assertable ``SystemExit`` messages
-instead of subprocess plumbing.
+instead of subprocess plumbing; only the exit-status checks run it as
+a process.
 """
 
 import csv
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +83,25 @@ class TestErrorSurfacing:
         with pytest.raises(SystemExit, match="policy"):
             cli.main(["--axis", "policy=ICOUNT.8", "--cache-dir",
                       str(tmp_path), *FAST])
+
+    @pytest.mark.parametrize("axis,message", [
+        ("engine=foo", "unknown engine 'foo'; engines are gshare+BTB, "
+                       "gskew+FTB, stream"),
+        ("policy=ICOUNT.x.8", "bad policy parameters in 'ICOUNT.x.8'"),
+    ])
+    def test_bad_axis_value_exits_1_before_planning(self, tmp_path, axis,
+                                                   message):
+        # A usage error: exit 1 with the message, not a traceback, and
+        # not exit 3 with the cell listed under a partial report's
+        # failures.  No session is opened, so nothing is planned.
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_sweep.py"), "--axis", axis,
+             "--cache-dir", str(tmp_path / "cache"), *FAST],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")})
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == (1, "", f"run_sweep: {message}\n")
+        assert not (tmp_path / "cache").exists()
 
     def test_explicit_baseline_typo_errors_not_silently_dropped(
             self, tmp_path):

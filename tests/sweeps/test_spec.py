@@ -41,6 +41,11 @@ class TestAxisValidation:
         with pytest.raises(ValueError, match="policy"):
             spec_of({"policy": ("ICOUNT.8",)})
 
+    def test_unknown_engine_rejected_at_build(self):
+        with pytest.raises(ValueError, match="unknown engine 'foo'; "
+                           r"engines are gshare\+BTB, gskew\+FTB, stream"):
+            spec_of({"engine": ("stream", "foo")})
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):
             spec_of({"ftq_depth": ()})

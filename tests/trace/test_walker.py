@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa.instruction import BranchKind, InstrClass, StaticInstruction
 from repro.program import SPECINT2000, program_for
-from repro.program.behavior import LoopBehavior
+from repro.program.behavior import IndirectBehavior, LoopBehavior
 from repro.program.blocks import Function, Program, StaticBasicBlock
 from repro.program.memgen import StrideGenerator
 from repro.trace import dynamic_stats, walk
@@ -119,6 +119,51 @@ class TestBlockSteppedStats:
                           [head, loop, tail], [LoopBehavior(3)],
                           [StrideGenerator(0x8000, 8, 64)])
         for budget in range(40):
+            assert block_stepped_counts(program, budget) \
+                == reference_counts(program, budget), budget
+
+    def test_calls_returns_and_indirect_jumps(self):
+        # Every terminator kind the inlined step handles, including a
+        # return with an empty call stack (the walk restarts at entry).
+        blocks = [
+            StaticBasicBlock(0, 0, 0x1000, [
+                StaticInstruction(0, 0x1000, InstrClass.INT_ALU, dest=1),
+                StaticInstruction(1, 0x1004, InstrClass.BRANCH,
+                                  kind=BranchKind.CALL, dest=31,
+                                  target_addr=0x2000),
+            ]),
+            StaticBasicBlock(1, 0, 0x1008, [
+                StaticInstruction(2, 0x1008, InstrClass.LOAD, dest=2,
+                                  memgen=0),
+                StaticInstruction(3, 0x100C, InstrClass.BRANCH,
+                                  kind=BranchKind.IND_JUMP, srcs=(2,),
+                                  behavior=1),
+            ]),
+            StaticBasicBlock(2, 0, 0x1010, [
+                StaticInstruction(4, 0x1010, InstrClass.BRANCH,
+                                  kind=BranchKind.COND,
+                                  target_addr=0x1000, behavior=0),
+            ]),
+            StaticBasicBlock(3, 0, 0x1014, [
+                StaticInstruction(5, 0x1014, InstrClass.BRANCH,
+                                  kind=BranchKind.RET),
+            ]),
+            StaticBasicBlock(4, 1, 0x2000, [
+                StaticInstruction(6, 0x2000, InstrClass.STORE, srcs=(1,),
+                                  memgen=0),
+                StaticInstruction(7, 0x2004, InstrClass.BRANCH,
+                                  kind=BranchKind.RET),
+            ]),
+        ]
+        program = Program(
+            "t", 0, [Function(0, [0, 1, 2, 3]), Function(1, [4])], blocks,
+            [LoopBehavior(3), IndirectBehavior((0x1010, 0x1014), 5, 0.5)],
+            [StrideGenerator(0x8000, 8, 64)])
+        program.validate()
+        kinds = {static.kind for static, _, _ in walk(program, 200)}
+        assert {BranchKind.CALL, BranchKind.RET, BranchKind.IND_JUMP,
+                BranchKind.COND} <= kinds
+        for budget in range(120):
             assert block_stepped_counts(program, budget) \
                 == reference_counts(program, budget), budget
 
