@@ -7,6 +7,7 @@ paper's value, plus the stream length the stream engine exploits.
 
 from conftest import TIMED_CYCLES
 
+from repro.core.config import DEFAULT_CONFIG
 from repro.program import SPECINT2000, program_for
 from repro.trace import dynamic_stats
 
@@ -19,7 +20,8 @@ def bench_table1(benchmark):
     worst = 0.0
     for name in sorted(SPECINT2000):
         profile = SPECINT2000[name]
-        stats = dynamic_stats(program_for(name), 50_000)
+        stats = dynamic_stats(program_for(name, DEFAULT_CONFIG.seed),
+                              50_000)
         rel = abs(stats.avg_block_size / profile.avg_bb_size - 1)
         worst = max(worst, rel)
         print(f"{name:10s} {profile.ref_input:16s} "
@@ -29,5 +31,6 @@ def bench_table1(benchmark):
     print(f"worst relative block-size error: {worst:.1%}")
     assert worst < 0.20, "synthetic workloads drifted from Table 1"
 
-    benchmark(lambda: dynamic_stats(program_for("gzip"),
+    benchmark(lambda: dynamic_stats(program_for("gzip",
+                                                DEFAULT_CONFIG.seed),
                                     TIMED_CYCLES * 10))

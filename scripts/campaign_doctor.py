@@ -3,20 +3,18 @@
 
 The fleet-health counterpart to ``campaign_status.py``: where status
 *describes* a campaign, the doctor *judges* it.  It walks the durable
-artifacts — queue database, heartbeat files, event journal, result
+artifacts — queue database, event journal, campaign directory, result
 cache — looking for the debris that crashes and kill -9 leave behind,
 and with ``--repair`` puts every fixable finding right:
 
-* **orphan leases** — rows still ``leased`` past their deadline (or
-  owned by a heartbeat-stale worker).  Repair: ``CellQueue.reclaim``,
-  which requeues or settles them under the normal retry budget.
-* **leftover heartbeats** — heartbeat files for workers that hold no
-  leases.  A worker clears its file on clean exit, so a leftover file
-  marks an unclean death.  Repair: delete the file.
+* **orphan leases** — rows still ``leased`` past their deadline: their
+  owner stopped acking, so the queue presumes it dead (the same rule
+  ``CellQueue.lease`` applies).  Repair: ``CellQueue.reclaim``, which
+  requeues or settles them under the normal retry budget.
 * **stale temp files** — ``*.tmp`` debris from writers killed between
-  ``mkstemp`` and ``rename``, in the cache tree and the heartbeat
-  directory (heartbeats are plain touches, but older runs wrote them
-  through temp files).  Repair: delete (atomic-rename protocol makes
+  ``mkstemp`` and ``rename``, anywhere under the campaign directory
+  and the cache tree (each file reported once, even where one tree
+  holds the other).  Repair: delete (atomic-rename protocol makes
   every ``.tmp`` file garbage by construction once it is old).
 * **corrupt cache entries** — via ``ResultCache.verify`` (requires
   ``--cache-dir``).  Repair: quarantine, so the next resume
@@ -44,15 +42,13 @@ import sys
 import time
 from pathlib import Path
 
-from repro.campaign.health import (DEFAULT_HEARTBEAT_STALE_SECONDS,
-                                   HeartbeatStore)
 from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME, \
     read_campaign_id
 from repro.campaign.queue import CellQueue
 from repro.experiments.cache import ResultCache
 from repro.obs.journal import journal_path, open_journal, read_events
 from repro.obs.logging_setup import add_logging_args, setup_from_args
-from repro.obs.status import connect_read_only
+from repro.obs.status import connect_read_only, expired_leases
 
 DEFAULT_TMP_AGE_SECONDS = 900.0
 """A ``.tmp`` file older than this is debris, not a write in flight."""
@@ -71,12 +67,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--repair", action="store_true",
                         help="fix repairable findings instead of only "
                              "reporting them")
-    parser.add_argument("--heartbeat-stale", type=float,
-                        default=DEFAULT_HEARTBEAT_STALE_SECONDS,
-                        metavar="SECONDS",
-                        help="treat a worker silent this long as dead "
-                             "(default: "
-                             f"{DEFAULT_HEARTBEAT_STALE_SECONDS:g})")
     parser.add_argument("--tmp-age", type=float,
                         default=DEFAULT_TMP_AGE_SECONDS,
                         metavar="SECONDS",
@@ -88,9 +78,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "the human summary")
     add_logging_args(parser)
     args = parser.parse_args(argv)
-    if args.heartbeat_stale <= 0:
-        parser.error(f"--heartbeat-stale must be > 0, got "
-                     f"{args.heartbeat_stale}")
     if args.tmp_age < 0:
         parser.error(f"--tmp-age must be >= 0, got {args.tmp_age}")
     return args
@@ -102,48 +89,22 @@ def finding(check: str, detail: str, *, repairable: bool = True,
             "repairable": repairable, "repaired": repaired, **extra}
 
 
-def check_orphan_leases(queue_file: str, beats: HeartbeatStore,
-                        stale_after: float,
-                        now: float) -> list[dict]:
+def check_orphan_leases(queue_file: str, now: float) -> list[dict]:
     """Leased rows a live fleet would already have reclaimed."""
-    findings = []
-    conn = connect_read_only(queue_file)
-    try:
-        rows = conn.execute(
-            "SELECT key, lease_owner, lease_seconds, lease_deadline"
-            " FROM cells WHERE state = 'leased'").fetchall()
-    finally:
-        conn.close()
-    for row in rows:
-        owner = row["lease_owner"]
-        age = beats.age(owner, now) if owner else None
-        if row["lease_deadline"] < now and not (
-                age is not None and 0 < row["lease_seconds"]
-                and age < row["lease_seconds"]):
-            findings.append(finding(
-                "orphan_lease",
-                f"cell {row['key']} leased by {owner} past its "
-                "deadline with no renewing heartbeat",
-                key=row["key"], owner=owner))
-        elif age is not None and age >= stale_after:
-            findings.append(finding(
-                "orphan_lease",
-                f"cell {row['key']} leased by {owner}, whose "
-                f"heartbeat has been silent {age:.0f} s",
-                key=row["key"], owner=owner))
-    return findings
+    return [finding("orphan_lease",
+                    f"cell {row['key']} leased by {row['lease_owner']} "
+                    "past its deadline (owner stopped acking)",
+                    key=row["key"], owner=row["lease_owner"])
+            for row in expired_leases(queue_file, now)]
 
 
 def repair_orphan_leases(queue_file: str, campaign_dir: str,
-                         cid: str | None, beats: HeartbeatStore,
-                         stale_after: float, now: float) -> int:
+                         cid: str | None, now: float) -> int:
     """One reclaim sweep, journaled under the ``doctor`` worker id."""
     journal = open_journal(campaign_dir, campaign_id=cid,
                            worker_id="doctor")
     try:
-        queue = CellQueue(queue_file, journal=journal,
-                          heartbeats=beats,
-                          heartbeat_stale_seconds=stale_after)
+        queue = CellQueue(queue_file, journal=journal)
         try:
             return queue.reclaim(now)
         finally:
@@ -152,54 +113,30 @@ def repair_orphan_leases(queue_file: str, campaign_dir: str,
         journal.close()
 
 
-def check_leftover_heartbeats(queue_file: str, beats: HeartbeatStore,
-                              repair: bool) -> list[dict]:
-    """Heartbeat files for workers that no longer hold any lease."""
-    conn = connect_read_only(queue_file)
-    try:
-        holders = {row["lease_owner"] for row in conn.execute(
-            "SELECT DISTINCT lease_owner FROM cells"
-            " WHERE state = 'leased' AND lease_owner IS NOT NULL")}
-    finally:
-        conn.close()
-    findings = []
-    for worker in sorted(beats.ages()):
-        if worker in holders:
-            continue
-        f = finding("leftover_heartbeat",
-                    f"heartbeat file for {worker}, which holds no "
-                    "leases (unclean worker exit)", worker=worker)
-        if repair:
-            beats.clear(worker)
-            f["repaired"] = True
-        findings.append(f)
-    return findings
-
-
 def check_stale_tmp(roots: list[Path], min_age: float, now: float,
                     repair: bool) -> list[dict]:
-    """``.tmp`` debris older than ``min_age`` under each root."""
+    """``.tmp`` debris older than ``min_age`` under any root, each
+    file once even where one root contains another."""
     findings = []
-    for root in roots:
-        if not root.is_dir():
+    paths = {tmp.resolve() for root in roots if root.is_dir()
+             for tmp in root.rglob("*.tmp")}
+    for tmp in sorted(paths):
+        try:
+            age = now - tmp.stat().st_mtime
+        except OSError:
             continue
-        for tmp in sorted(root.rglob("*.tmp")):
+        if age < min_age:
+            continue
+        f = finding("stale_tmp",
+                    f"temp file {tmp} is {age:.0f} s old "
+                    "(writer died mid-rename)", path=str(tmp))
+        if repair:
             try:
-                age = now - tmp.stat().st_mtime
+                tmp.unlink()
+                f["repaired"] = True
             except OSError:
-                continue
-            if age < min_age:
-                continue
-            f = finding("stale_tmp",
-                        f"temp file {tmp} is {age:.0f} s old "
-                        "(writer died mid-rename)", path=str(tmp))
-            if repair:
-                try:
-                    tmp.unlink()
-                    f["repaired"] = True
-                except OSError:
-                    pass
-            findings.append(f)
+                pass
+        findings.append(f)
     return findings
 
 
@@ -250,7 +187,6 @@ def check_journal_drift(queue_file: str,
 
 def diagnose(campaign_dir: str, *, cache_dir: str | None = None,
              repair: bool = False,
-             heartbeat_stale: float = DEFAULT_HEARTBEAT_STALE_SECONDS,
              tmp_age: float = DEFAULT_TMP_AGE_SECONDS,
              now: float | None = None) -> dict:
     """Run every check; returns the JSON-safe findings document."""
@@ -259,13 +195,11 @@ def diagnose(campaign_dir: str, *, cache_dir: str | None = None,
     if not os.path.exists(queue_file):
         raise FileNotFoundError(f"no queue at {queue_file}")
     cid = read_campaign_id(campaign_dir)
-    beats = HeartbeatStore(campaign_dir)
 
-    findings = check_orphan_leases(queue_file, beats,
-                                   heartbeat_stale, now)
+    findings = check_orphan_leases(queue_file, now)
     if repair and findings:
-        reclaimed = repair_orphan_leases(
-            queue_file, campaign_dir, cid, beats, heartbeat_stale, now)
+        reclaimed = repair_orphan_leases(queue_file, campaign_dir, cid,
+                                         now)
         for f in findings:
             f["repaired"] = True
         if reclaimed < len(findings):
@@ -274,8 +208,7 @@ def diagnose(campaign_dir: str, *, cache_dir: str | None = None,
                 f"reclaim settled {reclaimed} of {len(findings)} "
                 "orphan lease(s); re-run the doctor",
                 repaired=False))
-    findings += check_leftover_heartbeats(queue_file, beats, repair)
-    tmp_roots = [beats.root]
+    tmp_roots = [Path(campaign_dir)]
     if cache_dir is not None:
         tmp_roots.append(Path(cache_dir))
     findings += check_stale_tmp(tmp_roots, tmp_age, now, repair)
@@ -315,9 +248,7 @@ def main(argv=None) -> int:
     setup_from_args(args)
     try:
         doc = diagnose(args.campaign, cache_dir=args.cache_dir,
-                       repair=args.repair,
-                       heartbeat_stale=args.heartbeat_stale,
-                       tmp_age=args.tmp_age)
+                       repair=args.repair, tmp_age=args.tmp_age)
     except FileNotFoundError as exc:
         print(f"campaign_doctor: {exc}", file=sys.stderr)
         return 2

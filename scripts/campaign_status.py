@@ -6,7 +6,9 @@ against a campaign that external workers are draining right now):
 
 * **status** (default) — queue depth by state, per-worker throughput,
   completion rate and an ETA for the remaining cells.  The question it
-  answers: *is this campaign moving, and when will it finish?*
+  answers: *is this campaign moving, and when will it finish?*  Each
+  worker shows how long ago its last journal event was, and a worker
+  holding a lease past its deadline is flagged ``(STALE)``.
 * **--report** — the post-mortem: slowest cells with their queue-wait /
   execute / cache-put breakdown, retry culprits with their last error,
   fault attribution (timeouts, expired leases, worker crashes,
@@ -91,14 +93,16 @@ def print_status(doc: dict) -> None:
             else "done")
         wrate = f"{rec['cells_per_sec']:.2f}/s" \
             if rec["cells_per_sec"] else "-"
-        beat = doc.get("heartbeats", {}).get(wid)
-        stale = wid in doc.get("stale_workers", ())
-        pulse = "" if beat is None else (
-            f", last beat {_fmt_duration(beat)} ago"
-            + (" (STALE)" if stale else ""))
+        seen = doc["last_seen"].get(wid)
+        pulse = "" if seen is None else \
+            f", last seen {_fmt_duration(seen)} ago"
+        stale = " (STALE)" if wid in doc["stale_workers"] else ""
         print(f"    {wid}: {rec['executed']} executed, "
               f"{rec['failed_attempts']} failed attempt(s), "
-              f"{wrate} [{state}]{pulse}")
+              f"{wrate} [{state}]{pulse}{stale}")
+    for wid in doc["stale_workers"]:
+        if wid not in doc["workers"]:
+            print(f"    {wid}: no journal events (STALE)")
     if doc["counts"].get("poisoned"):
         print(f"  POISONED: {doc['counts']['poisoned']} cell(s) "
               f"settled as worker-fatal; see --report")
@@ -112,9 +116,7 @@ def print_report(doc: dict) -> None:
     print(f"  activity: {doc['attempts']} attempt(s), "
           f"{doc['retries']} retried, {doc['timeouts']} timeout(s), "
           f"{doc['lease_expirations']} expired lease(s), "
-          f"{doc['releases']} release(s), "
-          f"{doc['heartbeat_stale_releases']} heartbeat-stale "
-          f"release(s)")
+          f"{doc['releases']} release(s)")
     if doc["poisoned_cells"]:
         print("  poisoned cells (worker-fatal, will not be retried):")
         for p in doc["poisoned_cells"]:

@@ -29,12 +29,12 @@ import os
 import sys
 import time
 
-from repro.campaign.health import (DEFAULT_HEARTBEAT_STALE_SECONDS,
-                                   ResourceGuardError, check_free_disk)
+from repro.campaign.health import ResourceGuardError, check_free_disk
 from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME, \
     read_campaign_id
-from repro.campaign.worker import DEFAULT_LEASE_SECONDS, \
-    DEFAULT_POLL_SECONDS, worker_process_entry
+from repro.campaign.queue import DEFAULT_LEASE_SECONDS
+from repro.campaign.worker import DEFAULT_POLL_SECONDS, \
+    worker_process_entry
 from repro.experiments.cache import DEFAULT_CACHE_DIR
 from repro.obs.journal import journal_path
 from repro.obs.logging_setup import (
@@ -68,8 +68,9 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "(default: 8)")
     parser.add_argument("--lease-seconds", type=float,
                         default=DEFAULT_LEASE_SECONDS,
-                        help="lease deadline; a worker silent this long "
-                             "forfeits its cells (default: "
+                        help="lease deadline; a worker that acks or "
+                             "nacks nothing for this long forfeits its "
+                             "cells (default: "
                              f"{DEFAULT_LEASE_SECONDS:g})")
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
@@ -84,13 +85,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="exit at the first empty lease round "
                              "instead of waiting for other workers' "
                              "leases and retry backoffs to resolve")
-    parser.add_argument("--heartbeat-stale", type=float,
-                        default=DEFAULT_HEARTBEAT_STALE_SECONDS,
-                        metavar="SECONDS",
-                        help="release other workers' leases early when "
-                             "their heartbeat is silent this long "
-                             "(default: "
-                             f"{DEFAULT_HEARTBEAT_STALE_SECONDS:g})")
     parser.add_argument("--cell-memory-mb", type=float, default=None,
                         metavar="MB",
                         help="address-space ceiling for isolated cell "
@@ -113,9 +107,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error(f"--cell-timeout must be > 0, got "
                      f"{args.cell_timeout}")
-    if args.heartbeat_stale <= 0:
-        parser.error(f"--heartbeat-stale must be > 0, got "
-                     f"{args.heartbeat_stale}")
     if args.cell_memory_mb is not None and args.cell_memory_mb <= 0:
         parser.error(f"--cell-memory-mb must be > 0, got "
                      f"{args.cell_memory_mb}")
@@ -152,7 +143,6 @@ def main(argv=None) -> None:
         queue_file, worker_id, None if args.no_cache else args.cache_dir,
         args.cell_timeout, args.lease_batch, args.lease_seconds,
         journal_path=str(journal_path(args.campaign)), campaign_id=cid,
-        heartbeat_stale_seconds=args.heartbeat_stale,
         cell_memory=cell_memory, poll=args.poll, wait=not args.no_wait)
     # User-facing CLI footer (the tested output contract), not a
     # diagnostic — always printed, whatever the log level.

@@ -21,8 +21,8 @@ Six scenarios, each on a small 4-cell grid with ``jobs=2``:
    retry budget settles it as ``poisoned`` (journaled), the other
    cells complete, and only the first attempt costs a fleet worker
    (later attempts are contained in isolated children).
-6. **doctor** — a wrecked campaign directory (orphan lease, leftover
-   heartbeat, stale cache temp file) audits dirty, is restored by
+6. **doctor** — a wrecked campaign directory (orphan lease, stale
+   cache temp file) audits dirty, is restored by
    ``campaign_doctor --repair``, and re-audits clean.
 
 Every scenario also runs with a durable campaign directory and then
@@ -43,7 +43,6 @@ Usage::
     PYTHONPATH=src python scripts/chaos_smoke.py
 """
 
-import json
 import os
 import shutil
 import signal
@@ -342,8 +341,8 @@ def scenario_doctor(workdir: Path) -> None:
     cid = plan.stdout.strip()
     cdir = cache / "campaigns" / cid
 
-    # Wreck it the way kill -9 does: a lease whose owner is gone, a
-    # heartbeat nobody will ever clear, a temp file mid-rename.
+    # Wreck it the way kill -9 does: a lease whose owner is gone and
+    # a temp file mid-rename.
     conn = sqlite3.connect(cdir / "queue.sqlite")
     conn.execute(
         "UPDATE cells SET state='leased', lease_owner='ghost',"
@@ -352,12 +351,6 @@ def scenario_doctor(workdir: Path) -> None:
         (time.time() - 300.0,))
     conn.commit()
     conn.close()
-    beats = cdir / "heartbeats"
-    beats.mkdir(exist_ok=True)
-    stale = beats / "phantom.json"
-    stale.write_text(json.dumps({"worker": "phantom"}),
-                     encoding="utf-8")
-    os.utime(stale, (time.time() - 600, time.time() - 600))
     (cache / "ab").mkdir(parents=True, exist_ok=True)
     debris = cache / "ab" / "orphan.tmp"
     debris.write_text("junk", encoding="utf-8")
@@ -367,7 +360,7 @@ def scenario_doctor(workdir: Path) -> None:
                     "--cache-dir", cache, check=False)
     assert audit.returncode == 1, \
         f"dirty audit exited {audit.returncode}:\n{audit.stdout}"
-    for check in ("orphan_lease", "leftover_heartbeat", "stale_tmp"):
+    for check in ("orphan_lease", "stale_tmp"):
         assert check in audit.stdout, \
             f"audit missed {check}:\n{audit.stdout}"
 
@@ -384,8 +377,7 @@ def scenario_doctor(workdir: Path) -> None:
     assert counts.get("leased", 0) == 0 \
         and counts.get("pending", 0) == 4, \
         f"repair did not requeue the orphan lease: {counts}"
-    assert not stale.exists() and not debris.exists(), \
-        "repair left debris behind"
+    assert not debris.exists(), "repair left debris behind"
 
 
 def main() -> int:

@@ -38,6 +38,7 @@ import statistics
 import sys
 import time
 
+from repro.core.config import DEFAULT_CONFIG
 from repro.experiments import FIGURES, PAPER_CLAIMS, ExperimentSession, \
     format_claims, format_figure
 from repro.experiments.cli import add_runner_args, check_runner_args, \
@@ -141,7 +142,8 @@ def table1_rows() -> list[dict]:
     rows = []
     for name in sorted(SPECINT2000):
         profile = SPECINT2000[name]
-        stats = dynamic_stats(program_for(name), 50_000)
+        stats = dynamic_stats(program_for(name, DEFAULT_CONFIG.seed),
+                              50_000)
         rows.append({"benchmark": name,
                      "avg_bb_paper": profile.avg_bb_size,
                      "avg_bb_measured": stats.avg_block_size,

@@ -26,7 +26,7 @@ from repro.campaign.cells import (
     execute_cell,
     key_for,
 )
-from repro.campaign.engine import Campaign, failures_of
+from repro.campaign.engine import Campaign
 from repro.campaign.manifest import (
     CAMPAIGN_FORMAT_VERSION,
     campaign_id,
@@ -52,7 +52,6 @@ __all__ = [
     "descriptor_for",
     "drain",
     "execute_cell",
-    "failures_of",
     "key_for",
     "queue_path",
     "read_manifest",

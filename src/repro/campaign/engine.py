@@ -51,11 +51,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.campaign.health import (
-    DrainControl,
-    HeartbeatStore,
-    check_free_disk,
-)
+from repro.campaign.health import DrainControl, check_free_disk
 from repro.campaign.manifest import (
     QUEUE_NAME,
     campaign_dir,
@@ -63,16 +59,11 @@ from repro.campaign.manifest import (
     queue_path,
     write_manifest,
 )
-from repro.campaign.queue import CellQueue
-from repro.campaign.worker import (
-    DEFAULT_LEASE_SECONDS,
-    DrainStats,
-    drain,
-)
+from repro.campaign.queue import DEFAULT_LEASE_SECONDS, CellQueue
+from repro.campaign.worker import DrainStats, drain
 from repro.core.metrics import SimResult
 from repro.obs.journal import NULL_JOURNAL, open_journal
 from repro.obs.logging_setup import get_logger
-from repro.resilience.policy import CellFailure
 
 log = get_logger("campaign.engine")
 
@@ -86,9 +77,9 @@ that kills a worker mid-cell only downgrades graceful to crash-safe,
 but the whole point of forwarding the signal was to avoid that."""
 
 RECLAIM_INTERVAL_SECONDS = 1.0
-"""How often the supervisor sweeps the queue for reclaimable leases
-(deadline-expired or heartbeat-stale owners, e.g. external workers
-that died without a supervisor of their own)."""
+"""How often the supervisor sweeps the queue for deadline-expired
+leases (e.g. of external workers that died without a supervisor of
+their own)."""
 
 
 class Campaign:
@@ -97,14 +88,12 @@ class Campaign:
     def __init__(self, cid: str, queue: CellQueue,
                  queue_file: str | None,
                  ephemeral_dir: str | None = None,
-                 journal=None, dir: str | None = None,
-                 heartbeats: HeartbeatStore | None = None) -> None:
+                 journal=None, dir: str | None = None) -> None:
         self.id = cid
         self.queue = queue
         self.queue_file = queue_file
         self.journal = journal if journal is not None else NULL_JOURNAL
         self.dir = dir
-        self.heartbeats = heartbeats
         self._ephemeral_dir = ephemeral_dir
         self._closed = False
 
@@ -139,7 +128,6 @@ class Campaign:
         ephemeral_dir = None
         journal = NULL_JOURNAL
         cdir: str | None = None
-        heartbeats: HeartbeatStore | None = None
         if root is not None:
             # Resource preflight: refuse to start a campaign a full
             # disk would wedge mid-drain (raises ResourceGuardError).
@@ -150,14 +138,11 @@ class Campaign:
             cdir = str(campaign_dir(root, cid))
             journal = open_journal(cdir, campaign_id=cid,
                                    worker_id=f"planner-{os.getpid()}")
-            heartbeats = HeartbeatStore(cdir)
-            queue = CellQueue(path, journal=journal,
-                              heartbeats=heartbeats)
+            queue = CellQueue(path, journal=journal)
         elif need_file:
             ephemeral_dir = tempfile.mkdtemp(prefix=f"campaign-{cid}-")
             queue_file = str(Path(ephemeral_dir) / QUEUE_NAME)
-            heartbeats = HeartbeatStore(ephemeral_dir)
-            queue = CellQueue(queue_file, heartbeats=heartbeats)
+            queue = CellQueue(queue_file)
         else:
             queue_file = None
             queue = CellQueue(":memory:")
@@ -165,7 +150,7 @@ class Campaign:
         journal.emit("plan", cells=len(planned), enqueued=added,
                      retry_attempts=max_attempts)
         return cls(cid, queue, queue_file, ephemeral_dir,
-                   journal=journal, dir=cdir, heartbeats=heartbeats)
+                   journal=journal, dir=cdir)
 
     # ------------------------------------------------------------------
     # execute
@@ -202,8 +187,7 @@ class Campaign:
                          cell_timeout=cell_timeout,
                          lease_batch=lease_batch,
                          lease_seconds=lease_seconds,
-                         journal=self.journal,
-                         heartbeats=self.heartbeats)
+                         journal=self.journal)
         if self.queue_file is None:
             raise ValueError("spawned workers need a queue file "
                              "(campaign planned with need_file=False)")
@@ -230,8 +214,7 @@ class Campaign:
             stats = drain(self.queue, worker_id="recovery",
                           cache=cache, cell_timeout=cell_timeout,
                           lease_batch=1, lease_seconds=lease_seconds,
-                          isolate=True, journal=self.journal,
-                          heartbeats=self.heartbeats)
+                          isolate=True, journal=self.journal)
         return stats
 
     def _supervise(self, count: int, *, cache_dir: str | None,
@@ -253,9 +236,9 @@ class Campaign:
         finish their in-flight cells, kills any holdout, and returns
         the signal number — the caller decides what an interrupted
         campaign means.  Returns ``None`` on an undisturbed run.  It
-        also periodically sweeps the queue for reclaimable leases
-        (heartbeat-stale or deadline-expired owners), which matters
-        when external workers share the queue file.
+        also periodically sweeps the queue for deadline-expired
+        leases, which matters when external workers share the queue
+        file.
         """
         from repro.campaign.worker import worker_process_entry
         ctx = multiprocessing.get_context()
@@ -290,10 +273,6 @@ class Campaign:
                 self.queue.release(
                     wid, "worker crashed "
                     f"(exit code {proc.exitcode})")
-                if self.heartbeats is not None:
-                    # The supervisor settled the death; the stale
-                    # heartbeat file has nothing left to witness.
-                    self.heartbeats.clear(wid)
 
         control = DrainControl().install()
         forwarded = False
@@ -324,8 +303,7 @@ class Campaign:
                         proc.join(1.0)
                         reap_dead(wid, proc)
                     break
-                if self.heartbeats is not None and \
-                        time.monotonic() - last_reclaim \
+                if time.monotonic() - last_reclaim \
                         >= RECLAIM_INTERVAL_SECONDS:
                     last_reclaim = time.monotonic()
                     self.queue.reclaim()
@@ -395,8 +373,3 @@ class Campaign:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def failures_of(outcomes: dict) -> dict[str, CellFailure]:
-    """The failed subset of an :meth:`Campaign.outcomes` mapping."""
-    return {key: value for key, value in outcomes.items()
-            if isinstance(value, CellFailure)}

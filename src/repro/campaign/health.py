@@ -1,23 +1,10 @@
-"""Fleet health primitives: heartbeats, graceful drain, resource guards.
+"""Fleet health primitives: graceful drain and resource guards.
 
 The campaign engine (queue + workers + supervisor) is crash-*safe*:
-nothing is lost when a worker dies.  This module makes fleets crash-
-*aware* and operator-friendly — the difference between "the lease
-deadline will eventually fix it" and "the fleet notices, reacts and
-narrates".  Three primitives, all above the simulator (golden parity
-is untouched):
-
-* :class:`HeartbeatStore` — per-worker liveness files under
-  ``<campaign_dir>/heartbeats/``.  A worker touches its heartbeat file
-  every lease round and after every completed cell; a worker that
-  exits cleanly (drained queue *or* graceful drain) removes it.  The
-  file is empty: the queue uses its *age* (mtime) to distinguish a
-  slow-but-alive worker (fresh heartbeat: defer reclaiming its expired
-  lease, avoiding a pointless double execution) from a dead one (stale
-  heartbeat: release its leases early instead of waiting out the full
-  lease deadline).  A leftover heartbeat file is itself a finding — it
-  means a worker died without saying goodbye — which
-  ``campaign_doctor`` reports and repairs.
+nothing is lost when a worker dies, and the queue's lease deadlines
+decide which workers are dead (see :mod:`repro.campaign.queue`).  This
+module makes fleets operator-friendly.  Two primitives, both above the
+simulator (golden parity is untouched):
 
 * :class:`DrainControl` — cooperative signal-triggered shutdown.
   Worker entry points install SIGTERM/SIGINT handlers that *request* a
@@ -44,26 +31,11 @@ import errno
 import os
 import shutil
 import signal
-import time
 from pathlib import Path
 
 from repro.obs.logging_setup import get_logger
 
 log = get_logger("campaign.health")
-
-HEARTBEATS_NAME = "heartbeats"
-"""Subdirectory of a campaign directory holding per-worker liveness
-files (``<campaign_dir>/heartbeats/<worker_id>.json``)."""
-
-DEFAULT_HEARTBEAT_STALE_SECONDS = 120.0
-"""Heartbeat age beyond which a worker is presumed dead.  Workers
-stamp their heartbeat every lease round *and* after every completed
-cell, so the age only grows while a worker is crashed, wedged inside a
-single cell, or partitioned from the filesystem.  Deliberately
-generous: a false "dead" verdict only costs a harmless double
-execution (acks are idempotent), but it also charges the cell a
-crash-attributed attempt, so the default stays well above any sane
-per-cell latency."""
 
 DISK_FLOOR_ENV_VAR = "REPRO_DISK_FLOOR_MB"
 """Environment override for the free-disk floor, in megabytes.  ``0``
@@ -77,73 +49,6 @@ into a full disk, not to reserve working space."""
 
 class ResourceGuardError(RuntimeError):
     """A resource preflight failed (e.g. free disk below the floor)."""
-
-
-# ----------------------------------------------------------------------
-# heartbeats
-# ----------------------------------------------------------------------
-
-
-class HeartbeatStore:
-    """Per-worker liveness files under one campaign directory.
-
-    A heartbeat is an empty file that each beat touches; *age* is the
-    file's mtime distance from now, which tests can manipulate with
-    ``os.utime``.  The ``.json`` suffix is kept so older campaign
-    directories and every reader's ``*.json`` glob still agree.  All
-    writes are best-effort: liveness reporting must never take down
-    the execution it reports on.
-    """
-
-    def __init__(self, campaign_dir: str | Path) -> None:
-        self.root = Path(campaign_dir) / HEARTBEATS_NAME
-
-    def path_for(self, worker_id: str) -> Path:
-        return self.root / f"{worker_id}.json"
-
-    def beat(self, worker_id: str) -> None:
-        """Stamp ``worker_id`` as alive right now (best-effort)."""
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self.path_for(worker_id).touch()
-        except OSError:
-            log.debug("could not stamp heartbeat for %s", worker_id,
-                      exc_info=True)
-
-    def clear(self, worker_id: str) -> None:
-        """Remove ``worker_id``'s heartbeat (clean exit)."""
-        try:
-            self.path_for(worker_id).unlink()
-        except OSError:
-            pass
-
-    def age(self, worker_id: str, now: float | None = None) \
-            -> float | None:
-        """Seconds since ``worker_id`` last beat; ``None`` = no file.
-
-        ``None`` means the worker either never stamped a heartbeat
-        (pre-health queues, heartbeat-less drains) or exited cleanly —
-        in both cases the caller must fall back to lease-deadline
-        semantics rather than judging liveness it has no evidence for.
-        """
-        try:
-            mtime = self.path_for(worker_id).stat().st_mtime
-        except OSError:
-            return None
-        return (time.time() if now is None else now) - mtime
-
-    def ages(self, now: float | None = None) -> dict[str, float]:
-        """worker_id -> heartbeat age for every file present."""
-        now = time.time() if now is None else now
-        out: dict[str, float] = {}
-        if not self.root.is_dir():
-            return out
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                out[path.stem] = now - path.stat().st_mtime
-            except OSError:
-                continue               # raced a clean exit
-        return out
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ On disk a campaign is a directory::
         manifest.json    # the planned cell set (write-once)
         queue.sqlite     # the durable work queue (see campaign.queue)
         events.jsonl     # append-only event journal (see repro.obs)
-        heartbeats/      # per-worker liveness files (see campaign.health)
 """
 
 from __future__ import annotations

@@ -11,11 +11,15 @@ State machine per row::
        ^                  |
        |                  +--nack/expiry/release--> pending   (budget left)
        |                  +--nack/expiry/release--> failed    (budget spent)
-       |                  +--expiry/release-------> poisoned  (budget spent,
+       |                  +--nack/expiry/release--> poisoned  (budget spent,
        |                                            every attempt worker-fatal)
        +---- add() revives failed rows when a new run re-requests them
              (poisoned rows stay settled: re-running a fleet-killer
              needs an explicit decision, not a resume)
+
+A late ``ack`` (from a worker whose lease expired while it finished
+the cell) moves a row to ``done`` from any state: results are
+deterministic, so a completed attempt is never thrown away.
 
 Retry budgets live *in the queue*, not in the caller: every row stores
 ``max_attempts`` and a ``backoff`` base, ``lease`` increments
@@ -24,39 +28,30 @@ deterministic exponential backoff (``backoff * 2**(attempts-1)``)
 expires.  The budget lives in durable state, so retries survive the
 death of the process that scheduled them.
 
-Crash safety rests on two mechanisms.  A worker that dies holding a
-lease is caught either by its supervisor (``release(owner)`` returns
-its cells immediately) or, with no supervisor, by the *lease
-deadline*: any ``lease`` call first reclaims rows whose deadline
-passed.  Both paths charge the lost attempt against the row's budget.
-A cell executed twice because a lease expired while its (slow, not
-dead) owner was still running is harmless: simulation is a pure
-function of (seed, config), and ``ack`` is idempotent — the second
-completion writes the identical result.
-
-Fleet health (PR 8) refines both mechanisms with *heartbeats* and
-*crash attribution*.  When a :class:`~repro.campaign.health.
-HeartbeatStore` is attached, a worker's heartbeat renews its leases: a
-row whose deadline passed is **deferred** (not reclaimed) while its
-owner's last beat is younger than the row's own lease duration —
-workers beat every lease round and every completed cell, so a slow-
-but-alive worker keeps its batch while a crashed one (whose beats
-stopped) is reclaimed exactly on the old deadline schedule.
-Conversely, a worker whose heartbeat has gone *stale* (default
-:data:`~repro.campaign.health.DEFAULT_HEARTBEAT_STALE_SECONDS`) has
-its leases released early — no point waiting out a long deadline for
-a worker the filesystem says is gone.
+Crash safety rests on one liveness rule: a row's *lease deadline*.
+``lease`` sets it to ``now + lease_seconds``, and every ``ack`` or
+``nack`` by an owner moves the deadline of every other row that owner
+holds to ``now`` plus that row's own lease duration, so a worker that
+keeps reporting keeps its batch.  A worker that stops reporting (it
+died, or is wedged in one cell) has its rows reclaimed by the next
+``lease`` or ``reclaim`` call once their deadline passes.  A
+supervisor that *knows* a worker died returns its cells at once with
+``release(owner)``.  Both paths charge the lost attempt against the
+row's budget.  A cell executed twice because a lease expired while its
+(slow, not dead) owner was still running is harmless: simulation is a
+pure function of (seed, config), and ``ack`` is idempotent — the
+second completion writes the identical result.
 
 Crash attribution turns retry accounting into containment: attempts
-ended by a worker death (lease expiry, supervisor release, stale
-heartbeat) are counted in ``fatal_attempts``, distinct from clean
-nacks (an exception the worker survived).  A row that exhausts its
-budget with *every* charged attempt worker-fatal settles as
-``poisoned`` rather than ``failed`` — the cell provably kills workers,
-and marking it distinctly means one bad cell can never crash-loop a
-fleet or hide among ordinary failures.  A leased cell with prior
-fatal attempts is handed out flagged ``suspect`` so workers can run
-it in an isolated child process (see :mod:`repro.campaign.worker`).
+ended by a worker death (lease expiry, supervisor release) are counted
+in ``fatal_attempts``, distinct from clean nacks (an exception the
+worker survived).  A row that exhausts its budget with *every* charged
+attempt worker-fatal settles as ``poisoned`` rather than ``failed`` —
+the cell provably kills workers, and marking it distinctly means one
+bad cell can never crash-loop a fleet or hide among ordinary failures.
+A leased cell with prior fatal attempts is handed out flagged
+``suspect`` so workers can run it in an isolated child process (see
+:mod:`repro.campaign.worker`).
 
 All mutations run inside ``BEGIN IMMEDIATE`` transactions so
 concurrent workers on one queue file serialize cleanly; WAL mode keeps
@@ -80,7 +75,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.campaign.health import DEFAULT_HEARTBEAT_STALE_SECONDS
 from repro.obs.journal import NULL_JOURNAL
 from repro.resilience.policy import CellFailure
 
@@ -108,10 +102,15 @@ CREATE TABLE IF NOT EXISTS cells (
 CREATE INDEX IF NOT EXISTS cells_state ON cells (state, not_before);
 """
 
-RESOLVED = ("done", "failed", "poisoned")
-"""Terminal states: the row needs no further execution."""
+DEFAULT_LEASE_SECONDS = 120.0
+"""How long a lease lives after it is granted or its owner last acks
+or nacks.  An owner silent this long is presumed dead and its rows are
+reclaimed by the next ``lease`` or ``reclaim``.  Generous on purpose: a false
+"dead" verdict only costs a harmless double execution (acks are
+idempotent), but it also charges the cell a worker-fatal attempt, so
+the default stays well above any sane per-cell latency."""
 
-FATAL_CAUSES = ("lease_expired", "release", "heartbeat_stale")
+FATAL_CAUSES = ("lease_expired", "release")
 """Settle causes that mean the owning worker died mid-attempt (as
 opposed to a clean ``nack``, where the worker survived to report)."""
 
@@ -147,14 +146,9 @@ class CellQueue:
     """
 
     def __init__(self, path: str | Path = ":memory:",
-                 busy_timeout: float = 30.0, journal=None,
-                 heartbeats=None,
-                 heartbeat_stale_seconds: float =
-                 DEFAULT_HEARTBEAT_STALE_SECONDS) -> None:
+                 busy_timeout: float = 30.0, journal=None) -> None:
         self.path = str(path)
         self.journal = journal if journal is not None else NULL_JOURNAL
-        self.heartbeats = heartbeats
-        self.heartbeat_stale_seconds = heartbeat_stale_seconds
         self._conn = sqlite3.connect(self.path,
                                      timeout=busy_timeout,
                                      isolation_level=None)
@@ -245,7 +239,8 @@ class CellQueue:
     # ------------------------------------------------------------------
 
     def lease(self, owner: str, limit: int = 1,
-              lease_seconds: float = 300.0) -> list[LeasedCell]:
+              lease_seconds: float = DEFAULT_LEASE_SECONDS) \
+            -> list[LeasedCell]:
         """Claim up to ``limit`` runnable cells for ``owner``.
 
         Expired leases are reclaimed first (their lost attempt charged
@@ -260,7 +255,6 @@ class CellQueue:
         events: list[tuple[str, dict]] = []
         with self._txn():
             events += self._reclaim_expired(now)
-            events += self._settle_stale_owners(now)
             rows = self._conn.execute(
                 "SELECT key, descriptor, label, attempts,"
                 " fatal_attempts, enqueued"
@@ -296,9 +290,11 @@ class CellQueue:
         A late ack from an expired lease (the cell was re-leased, maybe
         even completed, by someone else) is accepted only if the row is
         not already done — and since results are deterministic, whoever
-        wins writes the same bytes.
+        wins writes the same bytes.  Either way the ack proves
+        ``owner`` alive, so its other leases are renewed.
         """
         events: list[tuple[str, dict]] = []
+        now = time.time()
         with self._txn():
             cur = self._conn.execute(
                 "UPDATE cells SET state = 'done', result = ?,"
@@ -306,7 +302,8 @@ class CellQueue:
                 " lease_deadline = NULL,"
                 " elapsed = ? - first_leased"
                 " WHERE key = ? AND state != 'done'",
-                (json.dumps(result, sort_keys=True), time.time(), key))
+                (json.dumps(result, sort_keys=True), now, key))
+            self._renew(owner, now)
             if cur.rowcount:
                 row = self._conn.execute(
                     "SELECT label, attempts, elapsed FROM cells"
@@ -326,11 +323,14 @@ class CellQueue:
         caller *observed* — an isolated child that crashed
         (:class:`~repro.resilience.CellCrash`) is a contained fleet
         kill and must count toward poisoning exactly like an
-        uncontained one.
+        uncontained one.  The nack proves ``owner`` alive, so its
+        other leases are renewed.
         """
+        now = time.time()
         with self._txn():
-            events = self._settle(key, error, owner=owner,
+            events = self._settle(key, error, owner=owner, now=now,
                                   cause="nack", fatal=fatal)
+            self._renew(owner, now)
         self._emit(events)
 
     def unlease(self, key: str, owner: str) -> bool:
@@ -373,6 +373,13 @@ class CellQueue:
         self._emit(events)
         return released
 
+    def _renew(self, owner: str, now: float) -> None:
+        """Move every lease ``owner`` holds to ``now`` plus the row's
+        own lease duration (the caller has just heard from it)."""
+        self._conn.execute(
+            "UPDATE cells SET lease_deadline = ? + lease_seconds"
+            " WHERE state = 'leased' AND lease_owner = ?", (now, owner))
+
     def _reclaim_expired(self, now: float) -> list[tuple[str, dict]]:
         """Requeue/fail rows whose lease deadline has passed.
 
@@ -381,84 +388,27 @@ class CellQueue:
         worker that discovers a death picks up the orphaned work
         immediately instead of sleeping out a poll interval.  Returns
         the journal events to emit once the transaction commits.
-
-        With a heartbeat store attached, a beat *renews* the lease: a
-        deadline-expired row is deferred while its owner's last
-        heartbeat is younger than the row's own lease duration.
-        Workers beat every lease round and every completed cell, so an
-        alive worker grinding through a slow batch keeps its cells,
-        while a crashed worker's beats stopped with it — its rows are
-        reclaimed on exactly the deadline schedule a heartbeat-less
-        queue would use.
         """
         rows = self._conn.execute(
-            "SELECT key, lease_owner, lease_seconds FROM cells"
+            "SELECT key FROM cells"
             " WHERE state = 'leased' AND lease_deadline < ?",
             (now,)).fetchall()
         events: list[tuple[str, dict]] = []
         for row in rows:
-            if self._owner_renewed(row["lease_owner"],
-                                   row["lease_seconds"], now):
-                continue
             events += self._settle(
                 row["key"], "lease expired (worker presumed dead)",
                 now=now, cause="lease_expired")
         return events
 
-    def _owner_renewed(self, owner: str | None,
-                       lease_seconds: float, now: float) -> bool:
-        """Whether ``owner``'s heartbeat implicitly renews its lease."""
-        if self.heartbeats is None or owner is None \
-                or lease_seconds <= 0:
-            return False
-        age = self.heartbeats.age(owner, now)
-        return age is not None and age < lease_seconds
-
-    def _settle_stale_owners(self, now: float) \
-            -> list[tuple[str, dict]]:
-        """Release leases of workers whose heartbeat has gone stale.
-
-        The inverse of the deferral in :meth:`_reclaim_expired`: a
-        worker that *stopped beating* for longer than
-        ``heartbeat_stale_seconds`` is presumed dead even though its
-        lease deadlines may be far in the future — no point making
-        the fleet wait out a generous deadline for a worker the
-        filesystem says is gone.  Owners with *no* heartbeat file are
-        left to plain deadline semantics: absence of evidence (a
-        heartbeat-less external worker, a cleanly exited one) is not
-        evidence of death.
-        """
-        if self.heartbeats is None:
-            return []
-        events: list[tuple[str, dict]] = []
-        owners = [row["lease_owner"] for row in self._conn.execute(
-            "SELECT DISTINCT lease_owner FROM cells"
-            " WHERE state = 'leased' AND lease_owner IS NOT NULL")]
-        for owner in owners:
-            age = self.heartbeats.age(owner, now)
-            if age is None or age < self.heartbeat_stale_seconds:
-                continue
-            for row in self._conn.execute(
-                    "SELECT key FROM cells WHERE state = 'leased'"
-                    " AND lease_owner = ?", (owner,)).fetchall():
-                events += self._settle(
-                    row["key"],
-                    f"worker heartbeat stale ({age:.0f} s without a "
-                    "beat; worker presumed dead)",
-                    owner=owner, now=now, cause="heartbeat_stale")
-        return events
-
     def reclaim(self, now: float | None = None) -> int:
-        """Settle every reclaimable lease right now; returns how many.
+        """Settle every deadline-expired lease now; returns how many.
 
-        The supervisor's and doctor's entry point: one call sweeps
-        both deadline-expired leases (heartbeat deferral honoured) and
-        leases of heartbeat-stale owners, without leasing anything.
+        The supervisor's and doctor's entry point: one sweep without
+        leasing anything.
         """
         now = time.time() if now is None else now
         with self._txn():
             events = self._reclaim_expired(now)
-            events += self._settle_stale_owners(now)
         self._emit(events)
         return sum(1 for ev, _ in events if ev in FATAL_CAUSES)
 
@@ -473,9 +423,9 @@ class CellQueue:
         retry ``n`` (i.e. after ``n`` charged attempts) may not lease
         again before ``backoff * 2**(n-1)`` seconds pass.  Returns the
         journal events describing what happened (the *cause* — nack,
-        lease expiry, supervisor release or stale heartbeat — then the
-        consequence — retry or budget exhaustion), for the caller to
-        emit after its transaction commits.
+        lease expiry or supervisor release — then the consequence —
+        retry or budget exhaustion), for the caller to emit after its
+        transaction commits.
 
         Attempts whose cause (or explicit ``fatal`` flag) means the
         worker died are tallied in ``fatal_attempts``; a budget
@@ -557,13 +507,6 @@ class CellQueue:
             "SELECT COALESCE(SUM(attempts), 0) FROM cells").fetchone()
         return n
 
-    def earliest_not_before(self) -> float | None:
-        """Soonest time a pending row becomes leasable (None if none)."""
-        row = self._conn.execute(
-            "SELECT MIN(not_before) AS t FROM cells"
-            " WHERE state = 'pending'").fetchone()
-        return row["t"]
-
     def results(self) -> dict[str, dict]:
         """key -> stored result payload for every ``done`` row."""
         return {row["key"]: json.loads(row["result"])
@@ -591,19 +534,6 @@ class CellQueue:
             out[row["key"]] = CellFailure(
                 key=row["key"], label=row["label"],
                 attempts=row["attempts"], error=error,
-                elapsed=row["elapsed"] or 0.0)
-        return out
-
-    def poisoned(self) -> dict[str, CellFailure]:
-        """key -> :class:`CellFailure` for every ``poisoned`` row."""
-        out = {}
-        for row in self._conn.execute(
-                "SELECT key, label, attempts, fatal_attempts, error,"
-                " elapsed FROM cells WHERE state = 'poisoned'"):
-            out[row["key"]] = CellFailure(
-                key=row["key"], label=row["label"],
-                attempts=row["attempts"],
-                error=row["error"] or "retry budget exhausted",
                 elapsed=row["elapsed"] or 0.0)
         return out
 

@@ -35,11 +35,10 @@ children (surfacing as :class:`~repro.resilience.isolate.CellCrash`,
 nacked with crash attribution) while the worker and its batch-mates
 live on.
 
-Fleet health: a drain loop stamps its heartbeat (when given a
-:class:`~repro.campaign.health.HeartbeatStore`) every lease round and
-after every delivered cell, and clears it on clean exit — so the
-queue can tell slow-but-alive from dead, and a *leftover* heartbeat
-file is durable evidence of an unclean death for ``campaign_doctor``.
+Liveness needs nothing from the loop beyond its acks and nacks: each
+one renews every other lease the worker holds (see
+:mod:`repro.campaign.queue`), so a worker that keeps delivering keeps
+its batch and a dead one loses it when its lease deadlines pass.
 A :class:`~repro.campaign.health.DrainControl` makes the loop
 signal-aware: on the first SIGTERM/SIGINT the in-flight cell is
 finished and delivered, every unstarted leased cell is returned to
@@ -74,21 +73,15 @@ from dataclasses import dataclass
 
 from repro.campaign.cells import Cell, cell_from_descriptor, \
     execute_cell
-from repro.campaign.health import DEFAULT_HEARTBEAT_STALE_SECONDS, \
-    NULL_CONTROL, DrainControl, HeartbeatStore
-from repro.campaign.queue import CellQueue, LeasedCell
+from repro.campaign.health import NULL_CONTROL, DrainControl
+from repro.campaign.queue import DEFAULT_LEASE_SECONDS, CellQueue, \
+    LeasedCell
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.logging_setup import get_logger
 from repro.resilience.isolate import CellCrash, CellTimeout, \
     run_cell_isolated
 
 log = get_logger("campaign.worker")
-
-DEFAULT_LEASE_SECONDS = 300.0
-"""Lease deadline given to unsupervised workers.  Generous on purpose:
-expiry is the *fallback* reclamation path (supervised workers are
-released the moment their process is reaped), and a too-short lease
-would let a slow-but-alive worker's cells be double-executed."""
 
 DEFAULT_POLL_SECONDS = 0.05
 """Sleep between lease attempts while other workers hold the
@@ -115,7 +108,6 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
           lease_seconds: float = DEFAULT_LEASE_SECONDS,
           poll: float = DEFAULT_POLL_SECONDS, wait: bool = True,
           isolate: bool = False, journal=None, control=None,
-          heartbeats: HeartbeatStore | None = None,
           cell_memory: int | None = None) -> DrainStats:
     """Drain a queue until nothing is left (or leasable, with
     ``wait=False``).
@@ -145,8 +137,6 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
             ``requested`` flag is set (signal handler, supervisor,
             test) the loop finishes the in-flight cell, unleases the
             rest and returns with ``stats.drained`` set.
-        heartbeats: Optional :class:`HeartbeatStore`; stamped every
-            lease round and delivered cell, cleared on clean exit.
         cell_memory: Optional address-space cap (bytes) for isolated
             attempts (timeouts, suspects, recovery).
     """
@@ -159,8 +149,6 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
                  cell_timeout=cell_timeout, lease_batch=lease_batch)
     log.debug("worker %s draining %s", worker_id, queue.path)
     while not control.requested:
-        if heartbeats is not None:
-            heartbeats.beat(worker_id)
         batch = queue.lease(worker_id, limit=lease_batch,
                             lease_seconds=lease_seconds)
         if not batch:
@@ -172,7 +160,7 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
         _execute_lease(queue, batch, worker_id=worker_id, cache=cache,
                        cell_timeout=cell_timeout, isolate=isolate,
                        stats=stats, journal=journal, control=control,
-                       heartbeats=heartbeats, cell_memory=cell_memory)
+                       cell_memory=cell_memory)
     if control.requested:
         stats.drained = True
         journal.emit("worker_drain", worker=worker_id,
@@ -185,10 +173,6 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
     journal.emit("worker_exit", worker=worker_id, pid=os.getpid(),
                  executed=stats.executed, failed=stats.failed,
                  leases=stats.leases, drained=stats.drained)
-    if heartbeats is not None:
-        # A heartbeat file outliving its worker means an *unclean*
-        # death; this exit is clean (drained or done), so say goodbye.
-        heartbeats.clear(worker_id)
     log.info("worker %s done: %d executed, %d failed attempt(s), "
              "%d lease round(s)", worker_id, stats.executed,
              stats.failed, stats.leases)
@@ -199,7 +183,6 @@ def _execute_lease(queue: CellQueue, batch: list[LeasedCell], *,
                    worker_id: str, cache, cell_timeout: float | None,
                    isolate: bool, stats: DrainStats,
                    journal=NULL_JOURNAL, control=NULL_CONTROL,
-                   heartbeats: HeartbeatStore | None = None,
                    cell_memory: int | None = None) -> None:
     """Execute one leased batch, acking/nacking cell by cell.
 
@@ -227,8 +210,7 @@ def _execute_lease(queue: CellQueue, batch: list[LeasedCell], *,
         _run_lease(queue, batch, handled, worker_id=worker_id,
                    cache=cache, cell_timeout=cell_timeout,
                    isolate=isolate, stats=stats, journal=journal,
-                   control=control, heartbeats=heartbeats,
-                   cell_memory=cell_memory)
+                   control=control, cell_memory=cell_memory)
     except BaseException as exc:       # noqa: BLE001 — unlease, re-raise
         refunded = unlease_rest()
         journal.emit("worker_interrupt", worker=worker_id,
@@ -246,7 +228,6 @@ def _run_lease(queue: CellQueue, batch: list[LeasedCell],
                handled: set[str], *, worker_id: str, cache,
                cell_timeout: float | None, isolate: bool,
                stats: DrainStats, journal, control,
-               heartbeats: HeartbeatStore | None,
                cell_memory: int | None) -> None:
     """Run one lease's cells in order, marking each settled key in
     ``handled``; a cell that raises is nacked and the loop moves on."""
@@ -276,16 +257,14 @@ def _run_lease(queue: CellQueue, batch: list[LeasedCell],
         else:
             _deliver(queue, lc, cell, result, worker_id=worker_id,
                      cache=cache, stats=stats, journal=journal,
-                     execute_seconds=time.perf_counter() - t0,
-                     heartbeats=heartbeats)
+                     execute_seconds=time.perf_counter() - t0)
         handled.add(lc.key)
 
 
 def _deliver(queue: CellQueue, leased: LeasedCell, cell: Cell, result,
              *, worker_id: str, cache, stats: DrainStats,
              journal=NULL_JOURNAL,
-             execute_seconds: float | None = None,
-             heartbeats: HeartbeatStore | None = None) -> None:
+             execute_seconds: float | None = None) -> None:
     """Persist one completed cell, then ack its queue row.
 
     Order matters: cache first, ack second, so a ``done`` row never
@@ -304,10 +283,6 @@ def _deliver(queue: CellQueue, leased: LeasedCell, cell: Cell, result,
                      cache_put_seconds=round(cache_put_seconds, 6))
     queue.ack(leased.key, worker_id, result.to_dict())
     stats.executed += 1
-    if heartbeats is not None:
-        # Beat per delivered cell: an alive worker grinding a slow
-        # batch keeps renewing its leases (see CellQueue deferral).
-        heartbeats.beat(worker_id)
 
 
 def worker_process_entry(queue_path: str, worker_id: str,
@@ -318,8 +293,6 @@ def worker_process_entry(queue_path: str, worker_id: str,
                          journal_path: str | None = None,
                          campaign_id: str | None = None,
                          install_signals: bool = True,
-                         heartbeat_stale_seconds: float =
-                         DEFAULT_HEARTBEAT_STALE_SECONDS,
                          cell_memory: int | None = None,
                          poll: float = DEFAULT_POLL_SECONDS,
                          wait: bool = True) \
@@ -335,15 +308,11 @@ def worker_process_entry(queue_path: str, worker_id: str,
 
     The process is signal-aware by default: SIGTERM/SIGINT request a
     graceful drain (finish the in-flight cell, unlease the rest,
-    journal ``worker_drain``, return — i.e. exit 0), and heartbeats
-    are stamped beside the queue file so supervisors, sibling workers
-    and the doctor can judge this worker's liveness.
+    journal ``worker_drain``, return — i.e. exit 0).
 
     Returns the drain's stats and the queue's row counts by state;
     spawned workers ignore both.
     """
-    from pathlib import Path
-
     from repro.experiments.cache import ResultCache
     from repro.obs.journal import Journal, obs_enabled
     cache = ResultCache(cache_dir) if cache_dir is not None else None
@@ -353,19 +322,16 @@ def worker_process_entry(queue_path: str, worker_id: str,
                           worker_id=worker_id)
     if cache is not None:
         cache.journal = journal
-    heartbeats = HeartbeatStore(Path(queue_path).parent)
     control = DrainControl()
     if install_signals:
         control.install()
-    queue = CellQueue(queue_path, journal=journal,
-                      heartbeats=heartbeats,
-                      heartbeat_stale_seconds=heartbeat_stale_seconds)
+    queue = CellQueue(queue_path, journal=journal)
     try:
         stats = drain(queue, worker_id=worker_id, cache=cache,
                       cell_timeout=cell_timeout, lease_batch=lease_batch,
                       lease_seconds=lease_seconds, poll=poll, wait=wait,
                       journal=journal, control=control,
-                      heartbeats=heartbeats, cell_memory=cell_memory)
+                      cell_memory=cell_memory)
         return stats, queue.counts()
     finally:
         journal.close()

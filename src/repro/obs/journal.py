@@ -31,12 +31,12 @@ Design constraints, in order:
 
 Event vocabulary (the ``ev`` field)::
 
-    plan           campaign planned: cells, pending, newly enqueued
+    plan           campaign planned: cells, enqueued, retry_attempts
     lease          cell handed to a worker (attempt charged, queue_wait)
     execute        cell ran: execute_seconds, cache_put_seconds
     ack            cell completed durably (elapsed since first lease)
     nack           worker reported a failed attempt (error)
-    retry          failed cell requeued with backoff (next_not_before)
+    retry          failed cell requeued with backoff (backoff_seconds)
     failed         cell's retry budget exhausted (error)
     timeout        attempt exceeded the per-cell wall-clock budget
     lease_expired  lease deadline passed (worker presumed dead)
@@ -48,11 +48,8 @@ Event vocabulary (the ``ev`` field)::
                    supervisor observed a worker die (exitcode)
     worker_spawn   supervisor launched a worker process
 
-Fleet-health events (PR 8)::
+Fleet-health events::
 
-    heartbeat_stale       a worker stopped beating past the stale
-                          threshold; its leased cell was released
-                          early (error names the silent seconds)
     poisoned              cell's budget exhausted with every attempt
                           worker-fatal (fatal_attempts); terminal —
                           this cell kills workers and will not be
@@ -62,6 +59,7 @@ Fleet-health events (PR 8)::
                           (signal, executed, unleased)
     worker_interrupt      hard interrupt mid-batch: unstarted
                           batch-mates unleased before re-raising
+                          (error, unleased)
     campaign_interrupted  supervisor stopped a campaign on a signal
                           (unresolved count; resume picks it up)
     cache_degraded        result cache hit a full disk; puts are

@@ -27,14 +27,12 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.campaign.health import (DEFAULT_HEARTBEAT_STALE_SECONDS,
-                                   HeartbeatStore)
 from repro.campaign.manifest import QUEUE_NAME, read_campaign_id
 from repro.obs.journal import journal_path, read_events
 
 CELL_EVENTS = ("lease", "execute", "ack", "nack", "retry", "failed",
                "poisoned", "timeout", "lease_expired", "release",
-               "heartbeat_stale", "unlease")
+               "unlease")
 """Events that carry a cell ``key`` (per-cell timeline material)."""
 
 
@@ -77,10 +75,23 @@ def load_journal(campaign_dir: str | Path) -> list[dict]:
     return read_events(path)
 
 
-def heartbeat_ages(campaign_dir: str | Path,
-                   now: float | None = None) -> dict[str, float]:
-    """Seconds since each worker's last heartbeat (may be empty)."""
-    return HeartbeatStore(campaign_dir).ages(now=now)
+def expired_leases(queue_file: str | Path,
+                   now: float) -> list[sqlite3.Row]:
+    """Rows still ``leased`` past their deadline at ``now``.
+
+    The queue's liveness rule, read-only: these are exactly the rows
+    the next ``CellQueue.lease`` or ``reclaim`` settles as
+    ``lease_expired``, so their owners have stopped acking and are
+    presumed dead.  Rows carry ``key`` and ``lease_owner``.
+    """
+    conn = connect_read_only(queue_file)
+    try:
+        return conn.execute(
+            "SELECT key, lease_owner FROM cells"
+            " WHERE state = 'leased' AND lease_deadline < ?"
+            " ORDER BY seq", (now,)).fetchall()
+    finally:
+        conn.close()
 
 
 def _worker_table(events: list[dict]) -> dict[str, dict]:
@@ -134,16 +145,17 @@ def live_status(campaign_dir: str | Path,
     is honest about its basis: completion rate over the journal's ack
     history, scaled by currently-running workers when that is known.
     ``eta_seconds`` is ``None`` when nothing remains or no rate is
-    derivable yet.
+    derivable yet.  ``stale_workers`` names the owners of
+    :func:`expired_leases`; ``last_seen`` is each journaled worker's
+    age since its last event.
     """
     campaign_dir = Path(campaign_dir)
     counts = read_queue_counts(campaign_dir)
     events = load_journal(campaign_dir)
     workers = _worker_table(events)
     now = time.time() if now is None else now
-    beats = heartbeat_ages(campaign_dir, now=now)
-    stale = sorted(w for w, age in beats.items()
-                   if age >= DEFAULT_HEARTBEAT_STALE_SECONDS)
+    stale = sorted({row["lease_owner"] for row in
+                    expired_leases(campaign_dir / QUEUE_NAME, now)})
 
     total = sum(counts.values())
     done = counts.get("done", 0)
@@ -179,7 +191,9 @@ def live_status(campaign_dir: str | Path,
         "eta_seconds": eta,
         "workers": workers,
         "active_workers": active,
-        "heartbeats": beats,
+        "last_seen": {wid: now - rec["last_event"]
+                      for wid, rec in workers.items()
+                      if rec["last_event"] is not None},
         "stale_workers": stale,
         "journal_events": len(events),
         "as_of": now,
@@ -196,7 +210,7 @@ def _cell_timelines(events: list[dict]) -> dict[str, dict]:
             "queue_wait_seconds": None, "execute_seconds": None,
             "cache_put_seconds": None, "elapsed_seconds": None,
             "acked_by": None, "nacks": 0, "timeouts": 0,
-            "lease_expired": 0, "released": 0, "heartbeat_stale": 0,
+            "lease_expired": 0, "released": 0,
             "last_error": None, "done": False, "poisoned": False,
         })
 
@@ -230,9 +244,6 @@ def _cell_timelines(events: list[dict]) -> dict[str, dict]:
             rec["lease_expired"] += 1
         elif kind == "release":
             rec["released"] += 1
-            rec["last_error"] = ev.get("error", rec["last_error"])
-        elif kind == "heartbeat_stale":
-            rec["heartbeat_stale"] += 1
             rec["last_error"] = ev.get("error", rec["last_error"])
         elif kind == "failed":
             rec["done"] = False
@@ -296,8 +307,6 @@ def campaign_report(campaign_dir: str | Path, top: int = 10) -> dict:
         "lease_expirations": sum(rec["lease_expired"]
                                  for rec in cells.values()),
         "releases": sum(rec["released"] for rec in cells.values()),
-        "heartbeat_stale_releases": sum(rec["heartbeat_stale"]
-                                        for rec in cells.values()),
         "slowest_cells": slowest,
         "retry_culprits": retried,
         "quarantines": quarantines,

@@ -584,13 +584,16 @@ def _make_terminator(rng: random.Random, profile: BenchmarkProfile,
 
 
 @lru_cache(maxsize=64)
-def program_for(name: str, seed: int = 0) -> Program:
+def program_for(name: str, seed: int, /) -> Program:
     """Return the (cached) synthetic program for a SPECint2000 benchmark.
 
     Args:
         name: One of the twelve names in
             :data:`repro.program.profiles.SPECINT2000`.
         seed: Generation seed; programs are cached per (name, seed).
+            Both are positional-only and required, so every call of
+            one program shares one cache entry (``lru_cache`` keys on
+            the call's form, not on the bound arguments).
     """
     if name not in SPECINT2000:
         known = ", ".join(sorted(SPECINT2000))

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.health import HeartbeatStore
 from repro.campaign.worker import DrainStats
 from repro.experiments import ExperimentSession
 from repro.experiments.cache import ResultCache
@@ -171,13 +170,14 @@ class TestWorkerCliRoundTrip:
         assert "cli-w: 2 cell(s) executed" in err
         assert "done=2" in err
         # The CLI drains through the spawned workers' bootstrap: it
-        # journals its own lifecycle and clears its heartbeat on exit.
+        # journals its own lifecycle, and its liveness lives only in
+        # the queue rows it leases.
         events = [e for e in read_events(cdir / "events.jsonl")
                   if e["worker"] == "cli-w"]
         assert any(e["ev"] == "worker_start" for e in events)
         (exit_event,) = [e for e in events if e["ev"] == "worker_exit"]
         assert exit_event["executed"] == 2
-        assert HeartbeatStore(cdir).age("cli-w") is None
+        assert not (cdir / "heartbeats").exists()
 
         # The warm resume assembles the report with zero simulations.
         out = tmp_path / "report.md"
@@ -277,7 +277,6 @@ class TestWorkerCliRoundTrip:
                          "--worker-id", "w7", "--cell-timeout", "9",
                          "--lease-batch", "3", "--lease-seconds", "45",
                          "--poll", "0.25", "--no-wait",
-                         "--heartbeat-stale", "77",
                          "--cell-memory-mb", "2",
                          "--disk-floor-mb", "0"])
         ((args, kwargs),) = calls
@@ -286,7 +285,6 @@ class TestWorkerCliRoundTrip:
         assert kwargs == {
             "journal_path": str(cdir / "events.jsonl"),
             "campaign_id": "feedface",
-            "heartbeat_stale_seconds": 77.0,
             "cell_memory": 2 * 1024 * 1024,
             "poll": 0.25, "wait": False}
         err = capsys.readouterr().err
@@ -296,7 +294,7 @@ class TestWorkerCliRoundTrip:
 
     @pytest.mark.parametrize("flag", [
         "--lease-batch", "--lease-seconds", "--cell-timeout",
-        "--heartbeat-stale", "--cell-memory-mb",
+        "--cell-memory-mb",
     ])
     def test_rejects_out_of_range_flags(self, tmp_path, capsys, flag):
         worker_cli = load_cli("campaign_worker")

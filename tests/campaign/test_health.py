@@ -1,12 +1,13 @@
-"""The fleet health layer: heartbeats, graceful drain, poison cells,
-resource guards and the campaign doctor.
+"""The fleet health layer: graceful drain, poison cells, resource
+guards and the campaign doctor.
 
 Unit coverage for :mod:`repro.campaign.health` plus the queue/worker
-behaviours it unlocks (lease renewal by heartbeat, early release of
-heartbeat-stale owners, poisoned settlement, interrupt unleasing, the
+behaviours it unlocks (poisoned settlement, interrupt unleasing, the
 ENOSPC-degraded cache) and two integration paths: SIGTERM draining a
 real external worker with a byte-identical resume, and
 ``campaign_doctor --repair`` restoring a wrecked campaign directory.
+Lease renewal, the queue's one liveness rule, is covered in
+``test_queue.py``.
 """
 
 import errno
@@ -26,7 +27,6 @@ import pytest
 from repro.campaign import worker as worker_mod
 from repro.campaign.health import (
     DrainControl,
-    HeartbeatStore,
     ResourceGuardError,
     check_free_disk,
     disk_floor_bytes,
@@ -59,94 +59,6 @@ def fill(queue, n=3, **kwargs):
     return queue.add([entry(i) for i in range(n)], **kwargs)
 
 
-class RecordingJournal:
-    enabled = True
-    path = None
-
-    def __init__(self):
-        self.events = []
-
-    def emit(self, ev, **fields):
-        self.events.append((ev, fields))
-
-    def close(self):
-        pass
-
-    def of(self, ev):
-        return [fields for name, fields in self.events if name == ev]
-
-
-class TestHeartbeatStore:
-    def test_beat_read_age_roundtrip(self, tmp_path):
-        beats = HeartbeatStore(tmp_path)
-        assert beats.age("w") is None          # never beat
-        beats.beat("w")
-        age = beats.age("w")
-        assert age is not None and 0 <= age < 5.0
-        assert list(beats.ages()) == ["w"]
-
-    def test_clear_removes_the_file(self, tmp_path):
-        beats = HeartbeatStore(tmp_path)
-        beats.beat("w")
-        beats.clear("w")
-        assert beats.age("w") is None
-        assert beats.ages() == {}
-        beats.clear("w")                       # idempotent
-
-    def test_age_is_mtime_based(self, tmp_path):
-        # Tests (and the doctor) manipulate liveness via utime, so age
-        # must come from the file clock; a beat on an existing file
-        # must refresh that clock.
-        beats = HeartbeatStore(tmp_path)
-        beats.beat("w")
-        past = time.time() - 300.0
-        os.utime(beats.path_for("w"), (past, past))
-        assert beats.age("w") >= 300.0
-        assert beats.ages()["w"] >= 300.0
-        beats.beat("w")
-        assert beats.age("w") < 5.0
-
-    def test_beat_touches_an_empty_file_named_for_the_worker(
-            self, tmp_path):
-        # The doctor's and status's ``*.json`` globs find heartbeats
-        # by this name; the file carries no record, only its mtime.
-        beats = HeartbeatStore(tmp_path)
-        beats.beat("w")
-        path = tmp_path / "heartbeats" / "w.json"
-        assert beats.path_for("w") == path
-        assert path.is_file() and path.stat().st_size == 0
-
-    def test_beat_refreshes_a_legacy_record(self, tmp_path):
-        # Older campaign directories hold JSON heartbeat bodies; a
-        # beat renews such a file in place like any other.
-        beats = HeartbeatStore(tmp_path)
-        beats.root.mkdir()
-        beats.path_for("old").write_text('{"worker": "old"}',
-                                         encoding="utf-8")
-        past = time.time() - 300.0
-        os.utime(beats.path_for("old"), (past, past))
-        beats.beat("old")
-        assert beats.age("old") < 5.0
-        assert list(beats.ages()) == ["old"]
-
-    def test_beat_is_best_effort(self, tmp_path):
-        # Liveness reporting must never take down the drain it
-        # reports on: an unwritable heartbeat directory is a no-op.
-        (tmp_path / "heartbeats").write_text("not a directory",
-                                             encoding="utf-8")
-        beats = HeartbeatStore(tmp_path)
-        beats.beat("w")
-        assert beats.age("w") is None
-        assert beats.ages() == {}
-
-    def test_ages_ignores_temp_debris(self, tmp_path):
-        beats = HeartbeatStore(tmp_path)
-        beats.beat("a")
-        beats.beat("b")
-        (beats.root / "tmpx1y2.tmp").write_text("{", encoding="utf-8")
-        assert sorted(beats.ages()) == ["a", "b"]
-
-
 class TestDrainControl:
     def test_request_sets_flag_and_keeps_first_signal(self):
         control = DrainControl()
@@ -174,55 +86,8 @@ class TestDrainControl:
         assert signal.getsignal(signal.SIGUSR1) is previous
 
 
-class TestHeartbeatLeaseRenewal:
-    def test_fresh_heartbeat_defers_an_expired_lease(self, tmp_path):
-        beats = HeartbeatStore(tmp_path)
-        with CellQueue(heartbeats=beats) as queue:
-            fill(queue, 1, max_attempts=3)
-            queue.lease("w", lease_seconds=0.2)
-            time.sleep(0.3)                    # deadline long past
-            beats.beat("w")                    # ...but the worker lives
-            assert queue.lease("other") == []
-            assert queue.counts() == {"leased": 1}
-            time.sleep(0.3)                    # beats stopped: now dead
-            (reclaimed,) = queue.lease("other")
-            assert reclaimed.attempts == 2
-
-    def test_stale_heartbeat_releases_before_the_deadline(self, tmp_path):
-        beats = HeartbeatStore(tmp_path)
-        journal = RecordingJournal()
-        with CellQueue(heartbeats=beats, journal=journal,
-                       heartbeat_stale_seconds=0.1) as queue:
-            fill(queue, 1, max_attempts=3)
-            queue.lease("w", lease_seconds=300.0)
-            beats.beat("w")
-            past = time.time() - 1.0
-            os.utime(beats.path_for("w"), (past, past))
-            assert queue.reclaim() == 1
-            assert queue.counts() == {"pending": 1}
-            (stale,) = journal.of("heartbeat_stale")
-            assert "heartbeat stale" in stale["error"]
-            assert stale["worker"] == "w"
-            # The crash-attributed attempt marks the cell suspect.
-            (again,) = queue.lease("other")
-            assert again.suspect
-
-    def test_no_heartbeat_file_means_deadline_semantics(self, tmp_path):
-        # Absence of evidence is not evidence of death: a worker that
-        # never beat (or exited cleanly) keeps its lease to term.
-        beats = HeartbeatStore(tmp_path)
-        with CellQueue(heartbeats=beats,
-                       heartbeat_stale_seconds=0.01) as queue:
-            fill(queue, 1)
-            queue.lease("silent", lease_seconds=300.0)
-            time.sleep(0.05)
-            assert queue.reclaim() == 0
-            assert queue.counts() == {"leased": 1}
-
-
 class TestPoisonedSettlement:
-    def test_all_fatal_attempts_settle_as_poisoned(self):
-        journal = RecordingJournal()
+    def test_all_fatal_attempts_settle_as_poisoned(self, journal):
         with CellQueue(journal=journal) as queue:
             fill(queue, 1, max_attempts=2)
             (first,) = queue.lease("w")
@@ -236,7 +101,6 @@ class TestPoisonedSettlement:
             failure = queue.failures()["key0"]
             assert failure.error.startswith(
                 "poisoned after 2 worker-fatal attempt(s)")
-            assert list(queue.poisoned()) == ["key0"]
             (event,) = journal.of("poisoned")
             assert event["fatal_attempts"] == 2
 
@@ -248,7 +112,7 @@ class TestPoisonedSettlement:
             (second,) = queue.lease("w")
             queue.nack(second.key, "w", "worker crashed", fatal=True)
             assert queue.counts() == {"failed": 1}
-            assert queue.poisoned() == {}
+            assert queue.failures()["key0"].error == "worker crashed"
 
     def test_poisoned_rows_are_not_revived_by_add(self):
         with CellQueue() as queue:
@@ -285,26 +149,22 @@ class TestTransactionRetry:
 
 
 class TestWorkerDrainAndInterrupt:
-    def test_requested_control_stops_before_leasing(self, tmp_path):
-        journal = RecordingJournal()
-        beats = HeartbeatStore(tmp_path)
+    def test_requested_control_stops_before_leasing(self, journal):
         control = DrainControl()
         control.request(signal.SIGTERM)
         with CellQueue() as queue:
             fill(queue, 2)
             stats = drain(queue, worker_id="w", wait=False,
-                          journal=journal, control=control,
-                          heartbeats=beats)
+                          journal=journal, control=control)
             assert stats.drained and stats.executed == 0
             assert queue.counts() == {"pending": 2}
         (event,) = journal.of("worker_drain")
         assert event["signal"] == signal.SIGTERM
         (exit_event,) = journal.of("worker_exit")
         assert exit_event["drained"]
-        assert beats.age("w") is None          # clean exit said goodbye
 
-    def test_keyboard_interrupt_unleases_batch_mates(self, monkeypatch):
-        journal = RecordingJournal()
+    def test_keyboard_interrupt_unleases_batch_mates(self, monkeypatch,
+                                                     journal):
         monkeypatch.setattr(worker_mod, "cell_from_descriptor",
                             lambda descriptor: descriptor)
 
@@ -379,9 +239,9 @@ class FakeResult:
 
 
 class TestCacheDegradesOnFullDisk:
-    def test_enospc_degrades_then_heals(self, tmp_path, monkeypatch):
+    def test_enospc_degrades_then_heals(self, tmp_path, monkeypatch,
+                                        journal):
         cache = ResultCache(tmp_path / "cache")
-        journal = RecordingJournal()
         cache.journal = journal
 
         def full_disk(*args, **kwargs):
@@ -467,8 +327,8 @@ class TestSigtermDrainResume:
                        if ev["ev"] == "worker_drain"]
         assert drain_ev["signal"] == signal.SIGTERM
         assert drain_ev["unleased"] >= 1
-        # Clean exit: the heartbeat file said goodbye.
-        assert HeartbeatStore(cdir).ages() == {}
+        # Liveness lives in the queue rows, not in files beside them.
+        assert not (cdir / "heartbeats").exists()
 
         sweep_cli.main([*flags, "--cache-dir",
                         str(tmp_path / "drain-cache"), "--resume", cid,
@@ -495,10 +355,6 @@ class TestCampaignDoctor:
             (time.time() - 300.0,))
         conn.commit()
         conn.close()
-        beats = HeartbeatStore(cdir)
-        beats.beat("phantom")
-        past = time.time() - 600.0
-        os.utime(beats.path_for("phantom"), (past, past))
         (cache / "ab").mkdir(parents=True, exist_ok=True)
         debris = cache / "ab" / "orphan.tmp"
         debris.write_text("junk", encoding="utf-8")
@@ -512,11 +368,9 @@ class TestCampaignDoctor:
         doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
         assert not doc["ok"] and doc["repaired"] == 0
         checks = {f["check"] for f in doc["findings"]}
-        assert checks == {"orphan_lease", "leftover_heartbeat",
-                          "stale_tmp"}
+        assert checks == {"orphan_lease", "stale_tmp"}
         # Report-only: nothing moved.
         assert debris.exists()
-        assert HeartbeatStore(cdir).age("phantom") is not None
         assert read_queue_counts(cdir).get("leased") == 1
 
     def test_repair_restores_a_clean_audit(self, tmp_path, capsys):
@@ -527,11 +381,30 @@ class TestCampaignDoctor:
                                 "--repair"]) == 0
         capsys.readouterr()
         assert not debris.exists()
-        assert HeartbeatStore(cdir).ages() == {}
         counts = read_queue_counts(cdir)
         assert counts == {"pending": 2}        # orphan lease requeued
         doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
         assert doc["ok"] and doc["findings"] == []
+
+    def test_temp_debris_is_reported_once(self, tmp_path, capsys):
+        # An older campaign's heartbeats/ directory, which nothing
+        # reads any more, lies inside the campaign directory, which
+        # lies inside the cache: the sweep's two roots overlap.
+        doctor_cli = load_cli("campaign_doctor")
+        cache, cdir, debris = self.wreck(tmp_path, capsys)
+        legacy = cdir / "heartbeats" / "tmpk3j2.tmp"
+        legacy.parent.mkdir()
+        legacy.write_text("{", encoding="utf-8")
+        old = time.time() - 5000.0
+        os.utime(legacy, (old, old))
+        doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
+        assert sorted(f["path"] for f in doc["findings"]
+                      if f["check"] == "stale_tmp") \
+            == sorted([str(debris.resolve()), str(legacy.resolve())])
+        doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache),
+                                  repair=True)
+        assert doc["ok"] and len(doc["findings"]) == 3
+        assert not debris.exists() and not legacy.exists()
 
     def test_repair_quarantines_corrupt_cache_entries(self, tmp_path,
                                                       capsys):
@@ -589,7 +462,7 @@ class TestCampaignDoctor:
         doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
         assert doc["campaign"] is None
         assert {f["check"] for f in doc["findings"]} \
-            == {"orphan_lease", "leftover_heartbeat", "stale_tmp"}
+            == {"orphan_lease", "stale_tmp"}
 
 
 INTERRUPTIBLE_CLIS = pytest.mark.parametrize("name, argv", [

@@ -1,9 +1,10 @@
 """The durable cell queue: lease/ack/nack state machine, budgets,
-crash reclamation and persistence.
+crash reclamation, lease renewal and persistence.
 
 Pure queue-protocol tests — no simulations run here; descriptors are
 tiny stand-in dicts.  The integration suites (``test_engine.py``,
-``test_resume.py``) exercise the same protocol with real cells.
+``test_resume.py``) exercise the same protocol with real cells, and
+``test_queue_model.py`` checks it against a reference model.
 """
 
 import time
@@ -17,6 +18,12 @@ def entry(n):
 
 def fill(queue, n=3, **kwargs):
     return queue.add([entry(i) for i in range(n)], **kwargs)
+
+
+def not_before(queue, key):
+    (value,) = queue._conn.execute(
+        "SELECT not_before FROM cells WHERE key = ?", (key,)).fetchone()
+    return value
 
 
 class TestAdd:
@@ -125,15 +132,14 @@ class TestLeaseAckNack:
             # not_before = now + 30 * 2**0: not leasable yet.
             assert queue.lease("w") == []
             assert queue.unresolved() == 1
-            eta = queue.earliest_not_before()
-            assert eta is not None and eta > time.time() + 25
+            assert not_before(queue, "key0") > time.time() + 25
 
         def nack_delay(queue, key):
             # The delay the nack set, bracketed by the clock around it.
             before = time.time()
             queue.nack(key, "w", "boom")
             after = time.time()
-            eta = queue.earliest_not_before()
+            eta = not_before(queue, key)
             return eta - after, eta - before
 
         with CellQueue() as queue:
@@ -189,7 +195,6 @@ class TestCrashReclamation:
             assert queue.counts() == {"poisoned": 1}
             assert "lease expired" in queue.failures()["key0"].error
             assert "poisoned" in queue.failures()["key0"].error
-            assert list(queue.poisoned()) == ["key0"]
             assert queue.unresolved() == 0
 
     def test_release_returns_a_dead_workers_cells_immediately(self):
@@ -212,6 +217,106 @@ class TestCrashReclamation:
             queue.lease("fast")
             queue.ack(first.key, "slow", {"ipc": 1.0})
             assert queue.counts() == {"done": 1}
+
+
+class TestLeaseRenewal:
+    """An ack or nack renews every other lease its owner holds, so a
+    lease expires only once its owner has stopped reporting."""
+
+    def test_ack_keeps_the_owners_other_rows_alive(self, clock):
+        with CellQueue() as queue:
+            fill(queue, 3, max_attempts=2)
+            batch = queue.lease("w", limit=3, lease_seconds=10.0)
+            clock.advance(8.0)
+            queue.ack(batch[0].key, "w", {"ipc": 1.0})
+            clock.advance(8.0)                   # past the first deadline
+            assert queue.lease("other") == []
+            assert queue.counts() == {"done": 1, "leased": 2}
+
+    def test_nack_keeps_the_owners_other_rows_alive(self, clock):
+        with CellQueue() as queue:
+            fill(queue, 3, max_attempts=1)
+            batch = queue.lease("w", limit=3, lease_seconds=10.0)
+            clock.advance(8.0)
+            queue.nack(batch[0].key, "w", "boom")
+            clock.advance(8.0)                   # past the first deadline
+            assert queue.lease("other") == []
+            assert queue.counts() == {"failed": 1, "leased": 2}
+
+    def test_an_owner_that_stops_acking_loses_its_rows(self, clock,
+                                                       journal):
+        with CellQueue(journal=journal) as queue:
+            fill(queue, 3, max_attempts=2)
+            batch = queue.lease("w", limit=3, lease_seconds=10.0)
+            clock.advance(5.0)
+            queue.ack(batch[0].key, "w", {"ipc": 1.0})
+            clock.advance(9.0)                   # 9 s since the ack
+            assert queue.reclaim() == 0
+            clock.advance(2.0)                   # 11 s since the ack
+            assert queue.reclaim() == 2
+            expired = journal.of("lease_expired")
+            assert [(e["key"], e["worker"]) for e in expired] \
+                == [("key1", "w"), ("key2", "w")]
+            assert dict(queue._conn.execute(
+                "SELECT key, fatal_attempts FROM cells")) \
+                == {"key0": 0, "key1": 1, "key2": 1}
+            again = queue.lease("other", limit=3)
+            assert [(lc.key, lc.attempts, lc.suspect) for lc in again] \
+                == [("key1", 2, True), ("key2", 2, True)]
+
+    def test_a_silent_owner_keeps_its_lease_to_the_deadline(self, clock):
+        with CellQueue() as queue:
+            fill(queue, 1)
+            queue.lease("w", lease_seconds=10.0)
+            clock.advance(10.0)                  # at, not past, it
+            assert queue.reclaim() == 0
+            clock.advance(0.5)
+            assert queue.reclaim() == 1
+
+    def test_renewal_uses_each_rows_own_lease_seconds(self, clock):
+        with CellQueue() as queue:
+            fill(queue, 3, max_attempts=2)
+            queue.lease("w", lease_seconds=10.0)
+            queue.lease("w", lease_seconds=30.0)
+            (last,) = queue.lease("w", lease_seconds=10.0)
+            clock.advance(5.0)
+            queue.ack(last.key, "w", {"ipc": 1.0})   # key0: 15, key1: 35
+            clock.advance(11.0)
+            assert queue.reclaim() == 1
+            assert queue.counts() == {"done": 1, "leased": 1,
+                                      "pending": 1}
+            clock.advance(17.0)                  # 33 s: key1 lives on
+            assert queue.reclaim() == 0
+            clock.advance(3.0)
+            assert queue.reclaim() == 1
+
+    def test_renewal_leaves_other_owners_alone(self, clock):
+        with CellQueue() as queue:
+            fill(queue, 3, max_attempts=2)
+            queue.lease("a", lease_seconds=10.0)
+            queue.lease("b", limit=2, lease_seconds=10.0)
+            clock.advance(8.0)
+            queue.ack("key1", "b", {"ipc": 1.0})
+            clock.advance(3.0)
+            assert queue.reclaim() == 1          # only a's row
+            assert queue.counts() == {"done": 1, "leased": 1,
+                                      "pending": 1}
+
+    def test_a_late_ack_still_renews_the_acker(self, clock):
+        # The ack lands after the row was reclaimed and re-leased; it
+        # still proves its sender alive.
+        with CellQueue() as queue:
+            fill(queue, 2, max_attempts=2)
+            queue.lease("w", lease_seconds=10.0)
+            clock.advance(5.0)
+            queue.lease("w", lease_seconds=10.0)     # key1: deadline 15
+            clock.advance(6.0)
+            (taken,) = queue.lease("other", lease_seconds=10.0)
+            assert taken.key == "key0"
+            queue.ack("key0", "w", {"ipc": 1.0})     # key1: deadline 21
+            clock.advance(8.0)
+            assert queue.reclaim() == 0
+            assert queue.counts() == {"done": 1, "leased": 1}
 
 
 class TestPersistence:

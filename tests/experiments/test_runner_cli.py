@@ -2,13 +2,20 @@
 
 ``scripts/run_experiments.py`` and ``scripts/run_sweep.py`` take the
 same execution flags; each case here runs against both scripts, loaded
-from ``scripts/`` and driven through their ``parse_args(argv)``.
+from ``scripts/`` and driven through their ``parse_args(argv)``.  One
+more case checks that ``run_experiments.py``'s Table 1 reads the same
+cached programs the simulator builds.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from repro.core.config import DEFAULT_CONFIG
+from repro.core.simulator import Simulator
+from repro.core.workloads import workload_benchmarks
+from repro.program import program_for
 
 SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 
@@ -86,3 +93,12 @@ def test_legacy_positional_cycles():
 def test_backend_flag_is_rejected(name, capsys):
     err = parse_error(name, ["--backend=reference"], capsys)
     assert "unrecognized arguments: --backend=reference" in err
+
+
+def test_table1_and_a_machine_generate_each_program_once():
+    # Table 1 covers all twelve benchmarks; a 2_MIX (Figure 2) machine
+    # then needs gzip and twolf again, which must be cache hits.
+    program_for.cache_clear()
+    CLIS["run_experiments"].table1_rows()
+    Simulator(workload_benchmarks("2_MIX"), config=DEFAULT_CONFIG)
+    assert program_for.cache_info().misses == 12

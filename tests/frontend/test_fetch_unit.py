@@ -19,7 +19,7 @@ from repro.trace.context import ThreadContext
 
 def build_unit(engine_kind="gshare+BTB", policy="ICOUNT.1.8",
                benchmarks=("gzip",), buffer_capacity=64):
-    contexts = [ThreadContext(program_for(name), tid)
+    contexts = [ThreadContext(program_for(name, 0), tid)
                 for tid, name in enumerate(benchmarks)]
     spec = PolicySpec.parse(policy)
     engine = make_engine(engine_kind, len(contexts))

@@ -8,6 +8,7 @@ the same artifacts external workers leave behind.
 import importlib.util
 import json
 import sqlite3
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,31 @@ class TestLiveStatus:
         assert w1["running"] is False
         assert w1["exitcode"] == 0
         assert w1["cells_per_sec"] == pytest.approx(2 / 8)
+
+    def test_last_seen_is_the_last_journal_event(self, tmp_path):
+        doc = live_status(synthetic_campaign(tmp_path), now=110.0)
+        assert doc["last_seen"]["w1"] == pytest.approx(2.0)
+
+    def test_stale_workers_hold_a_lease_past_its_deadline(self,
+                                                          tmp_path):
+        cdir = synthetic_campaign(tmp_path)
+        with CellQueue(cdir / QUEUE_NAME) as queue:
+            queue.lease("ghost", lease_seconds=5.0)
+        now = time.time()
+        assert live_status(cdir, now=now)["stale_workers"] == []
+        assert live_status(cdir, now=now + 10.0)["stale_workers"] \
+            == ["ghost"]
+
+    def test_status_flags_stale_workers(self, tmp_path, capsys):
+        cdir = synthetic_campaign(tmp_path)
+        with CellQueue(cdir / QUEUE_NAME) as queue:
+            queue.lease("ghost", lease_seconds=5.0)
+        load_cli("campaign_status").print_status(
+            live_status(cdir, now=time.time() + 10.0))
+        out = capsys.readouterr().out
+        assert "ghost: no journal events (STALE)" in out
+        (w1,) = [line for line in out.splitlines() if "w1:" in line]
+        assert "last seen" in w1 and "STALE" not in w1
 
     def test_missing_queue_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -146,7 +146,7 @@ def program_digest(program) -> str:
 
 @pytest.fixture(scope="module", params=ALL_NAMES)
 def program(request):
-    return program_for(request.param)
+    return program_for(request.param, 0)
 
 
 class TestGeneratedStructure:
@@ -206,11 +206,11 @@ class TestDeterminism:
         assert shapes_a != shapes_b
 
     def test_program_for_cached(self):
-        assert program_for("mcf") is program_for("mcf")
+        assert program_for("mcf", 0) is program_for("mcf", 0)
 
     def test_program_for_unknown(self):
         with pytest.raises(KeyError, match="unknown benchmark"):
-            program_for("doom")
+            program_for("doom", 0)
 
 
 class TestProgramPins:

@@ -45,7 +45,7 @@ def edge_budgets(program):
 
 @pytest.fixture(scope="module")
 def gzip():
-    return program_for("gzip")
+    return program_for("gzip", 0)
 
 
 class TestWalk:
@@ -87,7 +87,7 @@ class TestBlockSteppedStats:
 
     @pytest.mark.parametrize("name", sorted(SPECINT2000))
     def test_matches_reference_walk(self, name):
-        program = program_for(name)
+        program = program_for(name, 0)
         mid_block, on_terminator = edge_budgets(program)
         for budget in (1, mid_block, on_terminator, 50_000):
             assert block_stepped_counts(program, budget) \
