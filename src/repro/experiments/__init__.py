@@ -1,10 +1,11 @@
 """Experiment harness: regenerate every figure of the paper.
 
 ``FIGURES`` maps figure ids (``fig2`` ... ``fig8b``) to grid
-specifications; :func:`run_figure` executes the grid (with caching) and
-returns rows in the paper's plotting order; :mod:`paper_data` records
-the paper's claims so results can be checked for *shape* agreement
-(who wins, by roughly what factor) rather than absolute numbers.
+specifications; :class:`ExperimentSession` executes grids (with
+caching) and :meth:`~ExperimentSession.run_figure` returns rows in the
+paper's plotting order; :mod:`paper_data` records the paper's claims
+so results can be checked for *shape* agreement (who wins, by roughly
+what factor) rather than absolute numbers.
 """
 
 from repro.experiments.cache import ResultCache, cell_key
@@ -13,11 +14,8 @@ from repro.experiments.paper_data import PAPER_CLAIMS, Claim
 from repro.experiments.runner import (
     ClaimOutcome,
     FigureResult,
-    check_claims,
     format_claims,
     format_figure,
-    measure,
-    run_figure,
 )
 from repro.experiments.session import Cell, ExperimentSession
 
@@ -32,9 +30,6 @@ __all__ = [
     "PAPER_CLAIMS",
     "ResultCache",
     "cell_key",
-    "check_claims",
     "format_claims",
     "format_figure",
-    "measure",
-    "run_figure",
 ]

@@ -5,8 +5,8 @@ JSON rendering of everything that determines its outcome — workload,
 engine, policy, measured cycles, warm-up cycles and every
 :class:`~repro.core.config.SimConfig` field (seed included).  Two cells
 with equal content hash to the same key regardless of object identity,
-so results survive process restarts and are shared between the figure
-runner, the claim checker, benchmarks and ad-hoc sweeps.
+so results survive process restarts and are shared between the paper
+document, its figures and claims, and sweeps.
 
 On disk, each result is one JSON file under a two-character fan-out
 directory (``<cache_dir>/<key[:2]>/<key>.json``) holding the key, the

@@ -1,9 +1,9 @@
 """Grid specifications for every figure in the paper's evaluation.
 
-Tables 1-3 are configuration artifacts (regenerated by
-``benchmarks/bench_table1_profiles.py`` and asserted in
-``tests/core/test_config_workloads.py``); the figures below are
-measurement grids.
+Tables 1-3 are configuration artifacts (Table 1 is regenerated by
+the ``table1`` section of ``scripts/run_experiments.py``, and all
+three are asserted in ``tests/core/test_config_workloads.py``); the
+figures below are measurement grids.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ from a figure.  The reproduction does not chase absolute equality — the
 substrate is a synthetic-workload simulator, not the authors' Alpha
 traces — but the sign and rough magnitude of every claim should hold.
 
-Claim ids appear in EXPERIMENTS.md.
+Claim ids label the rows of the claims section of the paper
+document (``scripts/run_experiments.py --only claims``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ class Claim:
     """One checkable statement from the paper.
 
     Attributes:
-        claim_id: Stable identifier used in EXPERIMENTS.md.
+        claim_id: Stable identifier, the row label in the paper
+            document's claims section.
         text: The claim as stated (or read off a figure).
         metric: ``"ipfc"`` or ``"ipc"``.
         workloads: Workloads the claim averages over.

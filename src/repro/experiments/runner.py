@@ -1,40 +1,40 @@
-"""Grid execution, table formatting and claim checking.
+"""Figure values and claim ratios from measured cells, and their tables.
 
-The module-level :func:`measure` / :func:`run_figure` /
-:func:`check_claims` keep their historical signatures but route through
-a process-wide :class:`~repro.experiments.session.ExperimentSession`:
-results are memoised on the *content* of the cell — workload, engine,
-policy, run windows and every ``SimConfig`` field — not on object
-identity.  (The previous scheme keyed on ``id(config)``, which CPython
-reuses after garbage collection: a stale hit could silently return
-results for a different machine configuration.)
-
-Construct an :class:`ExperimentSession` directly for parallel execution
-(``jobs=N``) or a persistent on-disk cache (``cache_dir=...``).
+:func:`figure_result` and :func:`claim_outcomes` turn a batch of
+measured cells into a figure's bar heights and the paper claims'
+ratios.  :class:`~repro.experiments.session.ExperimentSession`'s
+``run_figure``/``check_claims`` and the paper document
+(``scripts/run_experiments.py``) both compute through them, so a table
+reads the same whichever way it was produced.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from repro.core.config import SimConfig
+from repro.campaign.cells import Cell
 from repro.core.metrics import SimResult
 from repro.experiments.figures import FigureSpec
 from repro.experiments.paper_data import Claim
-from repro.experiments.session import DEFAULT_CYCLES, ExperimentSession
 
-DEFAULT_SESSION = ExperimentSession()
-"""Process-wide session behind the module-level convenience functions
-(in-process memo only; no worker processes, no disk)."""
+Grid = Mapping[tuple, SimResult]
+"""Measured cells keyed by ``(workload, engine, policy)``."""
 
 
-def measure(workload: str, engine: str, policy: str,
-            cycles: int = DEFAULT_CYCLES,
-            config: SimConfig | None = None,
-            warmup: int | None = None) -> SimResult:
-    """Run (or recall) one grid cell."""
-    return DEFAULT_SESSION.measure(workload, engine, policy, cycles,
-                                   config, warmup)
+def grid_of(results: Mapping[Cell, SimResult]) -> dict[tuple, SimResult]:
+    """Re-key a ``run_cells`` result map by (workload, engine, policy).
+
+    Meaningful for a batch whose cells share run windows and machine
+    configuration, as every figure, claim and document batch does.
+    """
+    return {(cell.workload, cell.engine, cell.policy): result
+            for cell, result in results.items()}
+
+
+def metric_value(result: SimResult, metric: str) -> float:
+    """The figure/claim metric of one cell: ``ipfc`` or ``ipc``."""
+    return result.ipfc if metric == "ipfc" else result.ipc
 
 
 @dataclass
@@ -56,11 +56,22 @@ class FigureResult:
         return sum(cells) / len(cells)
 
 
-def run_figure(spec: FigureSpec, cycles: int = DEFAULT_CYCLES,
-               config: SimConfig | None = None,
-               warmup: int | None = None) -> FigureResult:
-    """Execute a figure's full measurement grid."""
-    return DEFAULT_SESSION.run_figure(spec, cycles, config, warmup)
+def figure_result(spec: FigureSpec, cycles: int,
+                  grid: Grid) -> FigureResult:
+    """A figure's bar heights, in plotting order, read from ``grid``.
+
+    A cell absent from ``grid`` (it failed after retries) is absent
+    from ``values`` too, and :func:`format_figure` marks it.
+    """
+    out = FigureResult(spec, cycles)
+    for workload in spec.workloads:
+        for engine in spec.engines:
+            for policy in spec.policies:
+                result = grid.get((workload, engine, policy))
+                if result is not None:
+                    out.values[(workload, engine, policy)] = \
+                        metric_value(result, spec.metric)
+    return out
 
 
 def format_figure(result: FigureResult) -> str:
@@ -110,12 +121,23 @@ class ClaimOutcome:
             or abs(self.measured_ratio - 1.0) < 0.02
 
 
-def check_claims(claims: tuple[Claim, ...],
-                 cycles: int = DEFAULT_CYCLES,
-                 config: SimConfig | None = None,
-                 warmup: int | None = None) -> list[ClaimOutcome]:
-    """Measure the grid cells behind each claim and compute its ratio."""
-    return DEFAULT_SESSION.check_claims(claims, cycles, config, warmup)
+def claim_outcomes(claims: Iterable[Claim],
+                   grid: Grid) -> list[ClaimOutcome]:
+    """Each claim's ratio: mean numerator over mean denominator.
+
+    Every cell behind ``claims`` must be in ``grid``; a missing one
+    raises :class:`KeyError`.
+    """
+    outcomes = []
+    for claim in claims:
+        def mean(side: tuple[str, str]) -> float:
+            values = [metric_value(grid[(workload, *side)], claim.metric)
+                      for workload in claim.workloads]
+            return sum(values) / len(values)
+
+        outcomes.append(ClaimOutcome(claim, mean(claim.numer)
+                                     / mean(claim.denom)))
+    return outcomes
 
 
 def format_claims(outcomes: list[ClaimOutcome]) -> str:

@@ -49,6 +49,8 @@ from repro.core.metrics import SimResult
 from repro.experiments.cache import ResultCache
 from repro.experiments.figures import FigureSpec
 from repro.experiments.paper_data import Claim
+from repro.experiments.runner import ClaimOutcome, FigureResult, \
+    claim_outcomes, figure_result, grid_of
 from repro.obs.journal import NULL_JOURNAL
 from repro.resilience.faults import fault_label
 from repro.resilience.policy import CellExecutionError, CellFailure
@@ -204,10 +206,6 @@ class ExperimentSession:
         if not isinstance(workload, str):
             workload = tuple(workload)
         return Cell(workload, engine, policy, cycles, warmup, config)
-
-    def key_for(self, cell: Cell) -> str:
-        """Content-hash cache key of ``cell``."""
-        return key_for(cell)
 
     # ------------------------------------------------------------------
     # plan
@@ -407,43 +405,29 @@ class ExperimentSession:
 
     def run_figure(self, spec: FigureSpec, cycles: int | None = None,
                    config: SimConfig | None = None,
-                   warmup: int | None = None):
-        """Execute a figure's full grid; returns a ``FigureResult``."""
-        from repro.experiments.runner import FigureResult
-        resolved_cycles, _, config = self._resolve(cycles, warmup, config)
+                   warmup: int | None = None) -> FigureResult:
+        """Execute a figure's full grid.
+
+        On a partial-mode session a failed cell is absent from the
+        result's ``values``.
+        """
+        resolved_cycles, _, _ = self._resolve(cycles, warmup, config)
         cells = self.cells_for_figure(spec, cycles, warmup, config)
-        results = self.run_cells(cells)
-        out = FigureResult(spec, resolved_cycles)
-        for cell, result in results.items():
-            metric = result.ipfc if spec.metric == "ipfc" else result.ipc
-            out.values[(cell.workload, cell.engine, cell.policy)] = metric
-        return out
+        return figure_result(spec, resolved_cycles,
+                             grid_of(self.run_cells(cells)))
 
     def check_claims(self, claims: tuple[Claim, ...],
                      cycles: int | None = None,
                      config: SimConfig | None = None,
-                     warmup: int | None = None):
-        """Measure all claims' cells (one batch) and compute ratios."""
-        from repro.experiments.runner import ClaimOutcome
-        self.run_cells(self.cells_for_claims(claims, cycles, warmup,
-                                             config))
-        outcomes = []
-        for claim in claims:
-            numer_vals = []
-            denom_vals = []
-            for workload in claim.workloads:
-                n = self.measure(workload, claim.numer[0], claim.numer[1],
-                                 cycles, config, warmup)
-                d = self.measure(workload, claim.denom[0], claim.denom[1],
-                                 cycles, config, warmup)
-                numer_vals.append(n.ipfc if claim.metric == "ipfc"
-                                  else n.ipc)
-                denom_vals.append(d.ipfc if claim.metric == "ipfc"
-                                  else d.ipc)
-            ratio = (sum(numer_vals) / len(numer_vals)) \
-                / (sum(denom_vals) / len(denom_vals))
-            outcomes.append(ClaimOutcome(claim, ratio))
-        return outcomes
+                     warmup: int | None = None) -> list[ClaimOutcome]:
+        """Measure all claims' cells (one batch) and compute ratios.
+
+        Always strict: a claim has no ratio without both of its cells,
+        so a dead cell raises ``CellExecutionError``.
+        """
+        cells = self.cells_for_claims(claims, cycles, warmup, config)
+        return claim_outcomes(claims,
+                              grid_of(self.run_cells(cells, strict=True)))
 
     # ------------------------------------------------------------------
     # introspection

@@ -94,8 +94,19 @@ def expired_leases(queue_file: str | Path,
         conn.close()
 
 
+WORKER_EVENTS = ("worker_start", "worker_spawn")
+"""Events that make their ``worker`` a worker: it ran a drain loop, or
+a supervisor launched it (a worker that crashed before its drain loop
+began journals no ``worker_start``).  Other records also carry a
+``worker`` field, such as the planner's ``plan`` event, without naming
+one."""
+
+
 def _worker_table(events: list[dict]) -> dict[str, dict]:
-    """Per-worker aggregates from the journal."""
+    """Per-worker aggregates from the journal, for the ids named by a
+    :data:`WORKER_EVENTS` record."""
+    known = {ev["worker"] for ev in events
+             if ev.get("ev") in WORKER_EVENTS and ev.get("worker")}
     workers: dict[str, dict] = {}
 
     def entry(worker: str) -> dict:
@@ -107,7 +118,7 @@ def _worker_table(events: list[dict]) -> dict[str, dict]:
 
     for ev in events:
         worker = ev.get("worker")
-        if worker is None:
+        if worker not in known:
             continue
         rec = entry(worker)
         t = ev.get("t_wall")

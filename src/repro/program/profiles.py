@@ -11,8 +11,8 @@ structure mix, branch predictability, data working set and dependence
 density.  The knob values are chosen per benchmark class so the four
 properties the paper's results depend on (block/stream length,
 predictability, I-footprint, D-miss behaviour) land in realistic ranges;
-``benchmarks/bench_table1_profiles.py`` regenerates the measured
-equivalents of Table 1.
+the ``table1`` section of ``scripts/run_experiments.py`` regenerates
+the measured equivalents of Table 1.
 """
 
 from __future__ import annotations

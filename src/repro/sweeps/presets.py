@@ -2,9 +2,8 @@
 
 Each preset is a frozen :class:`~repro.sweeps.spec.SweepSpec`; derive
 variants with ``with_seeds`` / ``with_axis`` rather than mutating.  The
-presets subsume the hand-rolled ablation benchmarks (the
-``bench_ablation_*`` scripts now draw their grids from here) and give
-``scripts/run_sweep.py --preset`` its vocabulary.
+presets are the ablation studies (``ftq_depth`` and ``bank_conflicts``
+included) and give ``scripts/run_sweep.py --preset`` its vocabulary.
 """
 
 from __future__ import annotations

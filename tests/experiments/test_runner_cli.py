@@ -1,13 +1,17 @@
-"""The flag contract the two runner CLIs share.
+"""The flag contract the two runner CLIs share, and the paper document.
 
 ``scripts/run_experiments.py`` and ``scripts/run_sweep.py`` take the
 same execution flags; each case here runs against both scripts, loaded
-from ``scripts/`` and driven through their ``parse_args(argv)``.  One
-more case checks that ``run_experiments.py``'s Table 1 reads the same
-cached programs the simulator builds.
+from ``scripts/`` and driven through their ``parse_args(argv)``.  The
+remaining cases drive ``run_experiments.py``'s ``main(argv)`` in
+process: its document is built from one batch of cells, so nothing
+after that batch simulates, not even a cell that failed in it.  One
+more case checks that its Table 1 reads the same cached programs the
+simulator builds.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.core.simulator import Simulator
 from repro.core.workloads import workload_benchmarks
 from repro.program import program_for
+from repro.resilience import FaultSpec, inject_faults
 
 SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 
@@ -83,12 +88,6 @@ def test_cycles_default_resolves(name):
     assert CLIS[name].parse_args(["--cycles", "700"]).cycles == 700
 
 
-def test_legacy_positional_cycles():
-    cli = CLIS["run_experiments"]
-    assert cli.parse_args(["5000"]).cycles == 5000
-    assert cli.parse_args(["5000", "--cycles", "7000"]).cycles == 7000
-
-
 @runner
 def test_backend_flag_is_rejected(name, capsys):
     err = parse_error(name, ["--backend=reference"], capsys)
@@ -102,3 +101,58 @@ def test_table1_and_a_machine_generate_each_program_once():
     CLIS["run_experiments"].table1_rows()
     Simulator(workload_benchmarks("2_MIX"), config=DEFAULT_CONFIG)
     assert program_for.cache_info().misses == 12
+
+
+TINY = ["--cycles", "300", "--warmup", "100", "--no-cache"]
+
+
+def document(argv, capsys) -> tuple[str, str]:
+    """``run_experiments.py``'s stdout and stderr for ``argv``."""
+    CLIS["run_experiments"].main([*TINY, *argv])
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+def test_document_reads_only_its_one_batch(capsys):
+    # fig2's two cells are two of dist's four: four distinct cells run
+    # once, and rendering either format re-reads none of them.
+    for fmt in ("json", "md"):
+        out, err = document(["--only", "fig2,dist", "--format", fmt],
+                            capsys)
+        assert "4 cell(s) simulated, 0 memo hit(s)" in err
+    assert out.rstrip().endswith(
+        "(4 cell(s) simulated, 0 memo hit(s))._")
+
+
+@pytest.mark.parametrize("times", [100, 1], ids=["always", "once"])
+def test_no_strict_run_never_reexecutes_a_failed_cell(times, tmp_path,
+                                                      capsys):
+    # One claims/dist cell fails its only attempt.  Whether or not a
+    # second attempt would succeed, the run must not make one: both
+    # sections that read the cell are skipped and the run is partial.
+    cli = CLIS["run_experiments"]
+    out = {}
+    for fmt in ("json", "md"):
+        with inject_faults(FaultSpec("raise", "2_MIX:gshare+BTB:ICOUNT.2.8:",
+                                     times=times),
+                           spool=tmp_path / fmt):
+            with pytest.raises(SystemExit) as exc:
+                document(["--only", "claims,dist", "--no-strict",
+                          "--format", fmt], capsys)
+        assert exc.value.code == 3
+        out[fmt], err = capsys.readouterr()
+        assert "1 cell(s) FAILED" in err
+        assert "WARNING: 1 cell(s) failed after retries" in err
+    doc = json.loads(out["json"])
+    assert doc["meta"]["simulated"] == 84
+    assert doc["meta"]["failed_cells"] == 1
+    assert doc["meta"]["skipped_sections"] == ["claims", "dist"]
+    assert doc["claims"] is None and doc["distributions"] is None
+    md = out["md"]
+    _, claims, dist = md.split("\n## ")
+    assert claims.startswith("Quantitative claims")
+    assert dist.startswith("Sections 3.1/3.2")
+    assert cli.SKIPPED in claims and cli.SKIPPED in dist
+    # The Markdown is a rendering of the same document.
+    assert md.startswith(cli.render_markdown(doc)
+                         + "\n_Total regeneration time: ")

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.campaign.cells import key_for
 from repro.core.config import DEFAULT_CONFIG, SimConfig
 from repro.core.metrics import SimResult
 from repro.core.simulator import simulate
@@ -306,8 +307,7 @@ class TestExperimentSession:
         seeded_cell = session.make_cell("2_MIX", "gshare+BTB",
                                         "ICOUNT.1.8",
                                         config=SimConfig(seed=9))
-        assert session.key_for(default_cell) != \
-            session.key_for(seeded_cell)
+        assert key_for(default_cell) != key_for(seeded_cell)
         results = session.run_cells([default_cell, seeded_cell])
         assert session.simulated == 2
         assert results[seeded_cell] == session.measure(

@@ -105,6 +105,22 @@ class TestLiveStatus:
         assert w1["exitcode"] == 0
         assert w1["cells_per_sec"] == pytest.approx(2 / 8)
 
+    def test_workers_are_drain_loops_and_spawned_processes(self,
+                                                           tmp_path):
+        # The planner's plan record carries a worker field but names no
+        # worker; a spawned worker that crashed before its drain loop
+        # began (no worker_start) is still one.
+        cdir = synthetic_campaign(tmp_path)
+        with Journal(cdir / "events.jsonl", campaign_id="deadbeef",
+                     worker_id="planner") as j:
+            j.emit("worker_spawn", worker="w2", pid=7, t_wall=100.0)
+            j.emit("worker_exit", worker="w2", pid=7, exitcode=86,
+                   crashed=True, t_wall=101.0)
+        doc = live_status(cdir)
+        assert sorted(doc["workers"]) == ["w1", "w2"]
+        assert doc["workers"]["w2"]["exitcode"] == 86
+        assert sorted(campaign_report(cdir)["workers"]) == ["w1", "w2"]
+
     def test_last_seen_is_the_last_journal_event(self, tmp_path):
         doc = live_status(synthetic_campaign(tmp_path), now=110.0)
         assert doc["last_seen"]["w1"] == pytest.approx(2.0)
@@ -271,6 +287,10 @@ class TestStatusCli:
         assert doc["attempts"] == 2
         assert len(doc["slowest_cells"]) == 2
         assert doc["retry_culprits"] == []
+
+    def test_the_planner_is_not_a_worker(self, campaign):
+        assert list(live_status(campaign)["workers"]) == ["inline"]
+        assert list(campaign_report(campaign)["workers"]) == ["inline"]
 
     def test_missing_campaign_exits_2(self, tmp_path, capsys):
         cli = load_cli("campaign_status")

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.campaign.cells import key_for
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments import ExperimentSession
 from repro.experiments.cache import ResultCache
@@ -29,7 +30,7 @@ def one_cell(session):
 
 
 def entry_path(session):
-    return session.disk.path_for(session.key_for(one_cell(session)))
+    return session.disk.path_for(key_for(one_cell(session)))
 
 
 class TestQuarantine:

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.campaign.cells import key_for
 from repro.experiments import ExperimentSession
 from repro.sweeps import (
     SweepSpec,
@@ -44,7 +45,7 @@ class TestMultiSeedKeys:
         # the confidence intervals would be fiction.
         session = fast_session()
         spec = tiny_spec().with_seeds(3)
-        keys = {session.key_for(cell)
+        keys = {key_for(cell)
                 for _, cell in expand_cells(spec, session)}
         assert len(keys) == spec.n_cells() == 6
 
