@@ -22,6 +22,10 @@ forfeits only its in-flight cells, which return to the queue when
 their lease deadline expires (or immediately, if a supervisor releases
 them).  Restarting a worker — or starting a different one — resumes
 exactly where the campaign left off.
+
+A worker refuses to start when the filesystem holding the campaign or
+the cache has less free space than ``$REPRO_DISK_FLOOR_MB`` (default:
+64 MB; ``0`` disables the check).
 """
 
 import argparse
@@ -84,18 +88,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--no-wait", action="store_true",
                         help="exit at the first empty lease round "
                              "instead of waiting for other workers' "
-                             "leases and retry backoffs to resolve")
+                             "leases to resolve")
     parser.add_argument("--cell-memory-mb", type=float, default=None,
                         metavar="MB",
                         help="address-space ceiling for isolated cell "
                              "attempts (requires --cell-timeout or a "
                              "suspect cell; default: unlimited)")
-    parser.add_argument("--disk-floor-mb", type=float, default=None,
-                        metavar="MB",
-                        help="refuse to start when free disk under the "
-                             "cache falls below this floor (default: "
-                             "64 MB, or $REPRO_DISK_FLOOR_MB; 0 "
-                             "disables)")
     add_logging_args(parser)
     args = parser.parse_args(argv)
     if args.lease_batch < 1:
@@ -126,12 +124,10 @@ def main(argv=None) -> None:
         os.path.basename(os.path.normpath(args.campaign))
     worker_id = args.worker_id or \
         f"worker-{os.uname().nodename}-{os.getpid()}"
-    floor = None if args.disk_floor_mb is None \
-        else int(args.disk_floor_mb * 1024 * 1024)
     try:
-        check_free_disk(args.campaign, floor=floor)
+        check_free_disk(args.campaign)
         if not args.no_cache:
-            check_free_disk(args.cache_dir, floor=floor)
+            check_free_disk(args.cache_dir)
     except ResourceGuardError as exc:
         raise SystemExit(f"campaign_worker: {exc}") from None
     cell_memory = None if args.cell_memory_mb is None \

@@ -184,8 +184,9 @@ def build_document(sections: set, fig_ids: set, cycles: int, campaign,
         -> tuple[dict, list[str]]:
     """The paper document, as JSON-safe data, from one batch's results.
 
-    ``cells`` is :func:`section_cells`' map and ``results`` the
-    batch's ``run_cells`` result map.  A cell absent from ``results``
+    ``cells`` is :func:`section_cells`' map, ``campaign`` the batch's
+    plan (``None`` when no section simulates) and ``results`` the map
+    its execution returned.  A cell absent from ``results``
     failed after retries: a figure keeps its other cells, and each
     section of :data:`WHOLE_SECTIONS` that reads it is ``None``.
     Returns the document and the names of those skipped sections.
@@ -340,7 +341,7 @@ def run(args) -> None:
         if campaign is None:
             return
         try:
-            results = session.run_cells(batch)
+            results = session.execute(campaign)
         except CellExecutionError as exc:
             raise SystemExit(
                 f"run_experiments: {exc}\n(use --no-strict to emit the "

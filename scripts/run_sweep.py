@@ -51,10 +51,9 @@ from repro.sweeps import (
     PRESETS,
     SweepSpec,
     coerce_axis_value,
-    run_sweep,
     validate_axis,
 )
-from repro.sweeps.run import expand_cells
+from repro.sweeps.run import aggregate, expand_cells
 
 PROG = "run_sweep"
 
@@ -179,24 +178,25 @@ def run(args) -> None:
         raise SystemExit(f"run_sweep: {message}") from None
 
     session = open_session(args, PROG, warmup=spec.warmup)
-    if plan(session, [cell for _, cell in expand_cells(spec, session)],
-            args, PROG) is None:
+    pairs = expand_cells(spec, session)
+    batch = plan(session, [cell for _, cell in pairs], args, PROG)
+    if batch is None:
         return
 
     t0 = time.time()
     print(f"[run_sweep] {spec.name}: {spec.n_cells()} cell(s), "
           f"jobs={args.jobs}", file=sys.stderr)
     try:
-        result = run_sweep(spec, session)
-    except KeyError as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"run_sweep: {message}") from None
+        results = session.execute(batch)
     except CellExecutionError as exc:
         raise SystemExit(f"run_sweep: {exc}\n(use --no-strict for a "
                          "partial report, --retries/--cell-timeout to "
                          "recover flaky cells)") from None
     print(f"[run_sweep] {session.summary()} "
           f"({time.time() - t0:.0f} s)", file=sys.stderr)
+    result = aggregate(spec, pairs, results,
+                       failures=session.last_failures,
+                       provenance=batch.as_dict())
 
     report = FORMATTERS[args.fmt](result)
     if args.output:

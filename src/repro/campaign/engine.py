@@ -1,12 +1,14 @@
 """Campaign orchestration: plan a cell set, execute it, collect it.
 
-:class:`Campaign` is the seam between *planning* (enumerate and dedup
-cells, compute the campaign id, write the manifest, enqueue the cache
-misses) and *execution* (drain the queue).  Everything above it —
-:class:`~repro.experiments.session.ExperimentSession`, the sweep
-runner, both CLIs — is a client; everything below it — the queue, the
-worker loop, the backend — neither knows nor cares who planned the
-campaign.
+:class:`Campaign` is the seam between a *plan* and its *execution*.
+The plan — the deduplicated cell set, its cache misses and its
+campaign id — is computed once, by
+:meth:`~repro.experiments.session.ExperimentSession.plan`;
+:meth:`Campaign.open` persists it (manifest, enqueued misses) under
+the id it is given, and :meth:`Campaign.execute` drains the queue.
+Everything above it — the session, the sweep runner, both CLIs — is a
+client; everything below it — the queue, the worker loop, the backend
+— neither knows nor cares who planned the campaign.
 
 Execution modes, all draining the same queue with the same worker
 code:
@@ -55,7 +57,6 @@ from repro.campaign.health import DrainControl, check_free_disk
 from repro.campaign.manifest import (
     QUEUE_NAME,
     campaign_dir,
-    campaign_id,
     queue_path,
     write_manifest,
 )
@@ -102,13 +103,15 @@ class Campaign:
     # ------------------------------------------------------------------
 
     @classmethod
-    def open(cls, planned: dict[str, dict], misses, *,
+    def open(cls, cid: str, planned: dict[str, dict], misses, *,
              root: str | Path | None = None,
              max_attempts: int = 1,
              need_file: bool = False) -> "Campaign":
-        """Plan a campaign: id, manifest, queue, enqueued misses.
+        """Open a planned campaign: manifest, queue, enqueued misses.
 
         Args:
+            cid: The campaign id the planner computed over ``planned``
+                (:func:`~repro.campaign.manifest.campaign_id`).
             planned: key -> descriptor for **every** distinct cell of
                 the campaign (hits included) — the id names the whole
                 measurement, so a warm and a cold run of one grid plan
@@ -124,7 +127,6 @@ class Campaign:
                 included) folded into the queue rows.
             need_file: Require a real queue file even without a root.
         """
-        cid = campaign_id(planned.values())
         ephemeral_dir = None
         journal = NULL_JOURNAL
         cdir: str | None = None
@@ -225,8 +227,8 @@ class Campaign:
         """Run worker processes; reap the dead, release their leases.
 
         Workers exit on their own once every row is resolved (they
-        wait out each other's leases and backoffs, so a released cell
-        is always picked up by a survivor).  Processes are non-daemonic
+        wait out each other's leases, so a released cell is always
+        picked up by a survivor).  Processes are non-daemonic
         because workers with a ``cell_timeout`` spawn isolation
         children of their own.
 

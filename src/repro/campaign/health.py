@@ -28,6 +28,7 @@ thread (worker entry points and CLIs, never library code).
 from __future__ import annotations
 
 import errno
+import math
 import os
 import shutil
 import signal
@@ -111,16 +112,23 @@ instance)."""
 
 
 def disk_floor_bytes(default: int = DEFAULT_DISK_FLOOR_BYTES) -> int:
-    """The free-disk floor in bytes (env override; ``0`` disables)."""
+    """The free-disk floor in bytes (env override; ``0`` disables).
+
+    A value that does not parse, or parses to no finite byte count
+    (``inf``, ``nan``, ``1e400``), is ignored with a warning.
+    """
     raw = os.environ.get(DISK_FLOOR_ENV_VAR, "").strip()
     if not raw:
         return default
     try:
-        return max(0, int(float(raw) * 1024 * 1024))
+        floor = float(raw) * 1024 * 1024
     except ValueError:
+        floor = math.nan
+    if not math.isfinite(floor):
         log.warning("ignoring unparseable %s=%r", DISK_FLOOR_ENV_VAR,
                     raw)
         return default
+    return max(0, int(floor))
 
 
 def free_disk_bytes(path: str | Path) -> int | None:

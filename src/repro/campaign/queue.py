@@ -22,11 +22,10 @@ the cell) moves a row to ``done`` from any state: results are
 deterministic, so a completed attempt is never thrown away.
 
 Retry budgets live *in the queue*, not in the caller: every row stores
-``max_attempts`` and a ``backoff`` base, ``lease`` increments
-``attempts``, and a nacked row is only re-runnable once its
-deterministic exponential backoff (``backoff * 2**(attempts-1)``)
-expires.  The budget lives in durable state, so retries survive the
-death of the process that scheduled them.
+``max_attempts``, ``lease`` increments ``attempts``, and a nacked row
+with budget left is pending again at once.  The budget lives in
+durable state, so retries survive the death of the process that
+scheduled them.
 
 Crash safety rests on one liveness rule: a row's *lease deadline*.
 ``lease`` sets it to ``now + lease_seconds``, and every ``ack`` or
@@ -88,8 +87,6 @@ CREATE TABLE IF NOT EXISTS cells (
     attempts       INTEGER NOT NULL DEFAULT 0,
     fatal_attempts INTEGER NOT NULL DEFAULT 0,
     max_attempts   INTEGER NOT NULL DEFAULT 1,
-    backoff        REAL NOT NULL DEFAULT 0.0,
-    not_before     REAL NOT NULL DEFAULT 0.0,
     enqueued       REAL NOT NULL DEFAULT 0.0,
     lease_owner    TEXT,
     lease_deadline REAL,
@@ -99,7 +96,7 @@ CREATE TABLE IF NOT EXISTS cells (
     error          TEXT,
     result         TEXT
 );
-CREATE INDEX IF NOT EXISTS cells_state ON cells (state, not_before);
+CREATE INDEX IF NOT EXISTS cells_state ON cells (state);
 """
 
 DEFAULT_LEASE_SECONDS = 120.0
@@ -162,7 +159,8 @@ class CellQueue:
                            f"{max(0, int(busy_timeout * 1000))}")
         self._conn.executescript(_SCHEMA)
         # Queue files written by earlier layers lack newer columns;
-        # migrate in place (idempotent).
+        # migrate in place (idempotent).  Columns they carry that this
+        # layer no longer reads keep their defaults and are ignored.
         for migration in (
                 "ALTER TABLE cells ADD COLUMN enqueued "
                 "REAL NOT NULL DEFAULT 0.0",
@@ -192,8 +190,7 @@ class CellQueue:
     # producer side
     # ------------------------------------------------------------------
 
-    def add(self, entries, *, max_attempts: int = 1,
-            backoff: float = 0.0) -> int:
+    def add(self, entries, *, max_attempts: int = 1) -> int:
         """Enqueue cells; returns how many rows were newly inserted.
 
         ``entries`` yields ``(key, descriptor, label)`` triples.  The
@@ -214,20 +211,20 @@ class CellQueue:
             for key, descriptor, label in entries:
                 cur = self._conn.execute(
                     "INSERT INTO cells (key, descriptor, label,"
-                    " max_attempts, backoff, enqueued)"
-                    " VALUES (?, ?, ?, ?, ?, ?)"
+                    " max_attempts, enqueued)"
+                    " VALUES (?, ?, ?, ?, ?)"
                     " ON CONFLICT(key) DO NOTHING",
                     (key, json.dumps(descriptor, sort_keys=True), label,
-                     max_attempts, backoff, now))
+                     max_attempts, now))
                 added += cur.rowcount
                 self._conn.execute(
-                    "UPDATE cells SET max_attempts = ?, backoff = ?"
+                    "UPDATE cells SET max_attempts = ?"
                     " WHERE key = ?"
                     " AND state NOT IN ('done', 'poisoned')",
-                    (max_attempts, backoff, key))
+                    (max_attempts, key))
                 self._conn.execute(
                     "UPDATE cells SET state = 'pending', attempts = 0,"
-                    " fatal_attempts = 0, not_before = 0,"
+                    " fatal_attempts = 0,"
                     " lease_owner = NULL, lease_deadline = NULL,"
                     " error = NULL"
                     " WHERE key = ? AND state = 'failed'",
@@ -244,11 +241,10 @@ class CellQueue:
         """Claim up to ``limit`` runnable cells for ``owner``.
 
         Expired leases are reclaimed first (their lost attempt charged
-        against the budget), then the oldest pending rows whose backoff
-        has elapsed are leased.  Each lease increments ``attempts`` —
-        the attempt is charged when the work is *handed out*, so a
-        worker that dies without reporting cannot spend the budget
-        forever.
+        against the budget), then the oldest pending rows are leased.
+        Each lease increments ``attempts`` — the attempt is charged
+        when the work is *handed out*, so a worker that dies without
+        reporting cannot spend the budget forever.
         """
         now = time.time()
         leased: list[LeasedCell] = []
@@ -259,8 +255,8 @@ class CellQueue:
                 "SELECT key, descriptor, label, attempts,"
                 " fatal_attempts, enqueued"
                 " FROM cells"
-                " WHERE state = 'pending' AND not_before <= ?"
-                " ORDER BY seq LIMIT ?", (now, limit)).fetchall()
+                " WHERE state = 'pending'"
+                " ORDER BY seq LIMIT ?", (limit,)).fetchall()
             for row in rows:
                 attempts = row["attempts"] + 1
                 self._conn.execute(
@@ -317,7 +313,7 @@ class CellQueue:
 
     def nack(self, key: str, owner: str, error: str,
              fatal: bool = False) -> None:
-        """Report failure; requeues with backoff or fails by budget.
+        """Report failure; requeues or fails by budget.
 
         ``fatal=True`` attributes the attempt to a worker death the
         caller *observed* — an isolated child that crashed
@@ -328,7 +324,7 @@ class CellQueue:
         """
         now = time.time()
         with self._txn():
-            events = self._settle(key, error, owner=owner, now=now,
+            events = self._settle(key, error, owner=owner,
                                   cause="nack", fatal=fatal)
             self._renew(owner, now)
         self._emit(events)
@@ -383,11 +379,11 @@ class CellQueue:
     def _reclaim_expired(self, now: float) -> list[tuple[str, dict]]:
         """Requeue/fail rows whose lease deadline has passed.
 
-        Settled against the caller's ``now`` so a zero-backoff
-        reclaimed row is leasable in the *same* ``lease`` call — the
-        worker that discovers a death picks up the orphaned work
-        immediately instead of sleeping out a poll interval.  Returns
-        the journal events to emit once the transaction commits.
+        A reclaimed row with budget left is leasable in the *same*
+        ``lease`` call — the worker that discovers a death picks up the
+        orphaned work immediately instead of sleeping out a poll
+        interval.  Returns the journal events to emit once the
+        transaction commits.
         """
         rows = self._conn.execute(
             "SELECT key FROM cells"
@@ -397,7 +393,7 @@ class CellQueue:
         for row in rows:
             events += self._settle(
                 row["key"], "lease expired (worker presumed dead)",
-                now=now, cause="lease_expired")
+                cause="lease_expired")
         return events
 
     def reclaim(self, now: float | None = None) -> int:
@@ -414,18 +410,14 @@ class CellQueue:
 
     def _settle(self, key: str, error: str,
                 owner: str | None = None,
-                now: float | None = None,
                 cause: str = "nack",
                 fatal: bool = False) -> list[tuple[str, dict]]:
         """Move one leased row to pending (budget left) or failed.
 
-        Requeued rows honour the deterministic exponential backoff:
-        retry ``n`` (i.e. after ``n`` charged attempts) may not lease
-        again before ``backoff * 2**(n-1)`` seconds pass.  Returns the
-        journal events describing what happened (the *cause* — nack,
-        lease expiry or supervisor release — then the consequence —
-        retry or budget exhaustion), for the caller to emit after its
-        transaction commits.
+        Returns the journal events describing what happened (the
+        *cause* — nack, lease expiry or supervisor release — then the
+        consequence — retry or budget exhaustion), for the caller to
+        emit after its transaction commits.
 
         Attempts whose cause (or explicit ``fatal`` flag) means the
         worker died are tallied in ``fatal_attempts``; a budget
@@ -439,7 +431,7 @@ class CellQueue:
         args = (key,) + ((owner,) if owner is not None else ())
         row = self._conn.execute(
             "SELECT label, attempts, fatal_attempts, max_attempts,"
-            " backoff, first_leased, lease_owner"
+            " first_leased, lease_owner"
             " FROM cells WHERE key = ? AND state = 'leased'" + guard,
             args).fetchone()
         if row is None:
@@ -452,17 +444,12 @@ class CellQueue:
         events: list[tuple[str, dict]] = \
             [(cause, {**scope, "error": error})]
         if row["attempts"] < row["max_attempts"]:
-            delay = row["backoff"] * 2 ** (row["attempts"] - 1) \
-                if row["backoff"] else 0.0
-            settled = (now if now is not None else time.time())
             self._conn.execute(
-                "UPDATE cells SET state = 'pending', not_before = ?,"
-                " fatal_attempts = ?,"
+                "UPDATE cells SET state = 'pending', fatal_attempts = ?,"
                 " lease_owner = NULL, lease_deadline = NULL,"
                 " error = ? WHERE key = ?",
-                (settled + delay, fatal_attempts, error, key))
-            events.append(("retry", {**scope,
-                                     "backoff_seconds": delay}))
+                (fatal_attempts, error, key))
+            events.append(("retry", scope))
         else:
             poisoned = fatal and fatal_attempts >= row["attempts"]
             state = "poisoned" if poisoned else "failed"

@@ -125,7 +125,7 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
         lease_seconds: Lease deadline handed to the queue.
         poll: Sleep between empty lease rounds while work remains.
         wait: ``True`` drains until every row is resolved, waiting out
-            other workers' leases and retry backoffs; ``False`` exits
+            other workers' leases; ``False`` exits
             at the first empty lease round (the CLI's ``--no-wait``).
         isolate: Force isolated child processes even without a
             timeout — the recovery path, where whatever killed the

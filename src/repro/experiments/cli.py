@@ -3,12 +3,13 @@
 ``scripts/run_experiments.py`` and ``scripts/run_sweep.py`` both plan
 and drain one campaign through an
 :class:`~repro.experiments.session.ExperimentSession`, so they take the
-same fourteen execution flags.  This module declares them
+same thirteen execution flags.  This module declares them
 (:func:`add_runner_args`), validates them and fills in their defaults
 (:func:`check_runner_args`), builds the session they describe
-(:func:`open_session`), plans the campaign (:func:`plan`), runs the
-end-of-run cache maintenance (:func:`prune_cache`) and wraps each
-CLI's ``main`` (:func:`run_cli`: ``--profile`` and the interrupt exit).
+(:func:`open_session`), plans the campaign once (:func:`plan`: the CLI
+executes the plan it returns), runs the end-of-run cache maintenance
+(:func:`prune_cache`) and wraps each CLI's ``main`` (:func:`run_cli`:
+the interrupt exit).
 
 The one per-CLI parameter is the ``--strict`` default: on for the
 paper document, off for sweeps, whose reports can mark a failed cell.
@@ -17,17 +18,12 @@ paper document, off for sweeps, whose reports can mark a failed cell.
 from __future__ import annotations
 
 import argparse
-import cProfile
-import pstats
 import sys
 from pathlib import Path
 
 from repro.experiments.cache import DEFAULT_CACHE_DIR
-from repro.experiments.session import DEFAULT_CYCLES, CampaignInfo, \
+from repro.experiments.session import DEFAULT_CYCLES, CampaignPlan, \
     ExperimentSession
-
-PROFILE_TOP = 25
-"""Entries ``--profile`` prints from the cumulative-time ranking."""
 
 
 def add_runner_args(parser: argparse.ArgumentParser, *,
@@ -84,9 +80,6 @@ def add_runner_args(parser: argparse.ArgumentParser, *,
                              "retries; --no-strict emits partial output "
                              "with the failures marked and exits 3 "
                              f"(default: {default})")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and print the top-25 "
-                             "cumulative entries to stderr")
 
 
 def check_runner_args(parser: argparse.ArgumentParser,
@@ -140,28 +133,29 @@ def open_session(args: argparse.Namespace, prog: str, *,
 
 
 def plan(session: ExperimentSession, cells: list,
-         args: argparse.Namespace, prog: str) -> CampaignInfo | None:
-    """Name the campaign before anything executes.
+         args: argparse.Namespace, prog: str) -> CampaignPlan | None:
+    """Plan the batch once, before anything executes.
 
-    A mismatched ``--resume`` exits without simulating a single cell.
-    Returns ``None`` when ``--plan-only`` has persisted the campaign
-    and printed its id: the CLI is done.
+    Returns the plan for the CLI to execute.  A mismatched ``--resume``
+    exits without simulating a single cell.  Returns ``None`` when
+    ``--plan-only`` has persisted the plan and printed its id: the CLI
+    is done.
     """
-    info = session.plan(cells).info
-    if args.resume is not None and info.campaign_id != args.resume:
+    batch = session.plan(cells)
+    cid = batch.campaign_id
+    if args.resume is not None and cid != args.resume:
         raise SystemExit(
             f"{prog}: --resume {args.resume} does not match this "
-            f"invocation's grid (plans to campaign {info.campaign_id}); "
+            f"invocation's grid (plans to campaign {cid}); "
             "re-run with the original flags or drop --resume")
-    print(f"[{prog}] campaign {info.campaign_id} ({info.cells} distinct "
-          f"cells, {info.pending} to simulate)", file=sys.stderr)
+    print(f"[{prog}] campaign {cid} ({len(batch.by_key)} distinct "
+          f"cells, {len(batch.misses)} to simulate)", file=sys.stderr)
     if not args.plan_only:
-        return info
-    info = session.plan_campaign(cells)
-    print(f"[{prog}] campaign planned under {args.campaign_dir}/"
-          f"{info.campaign_id} — drain it with scripts/campaign_worker.py",
-          file=sys.stderr)
-    print(info.campaign_id)
+        return batch
+    session.plan_campaign(batch)
+    print(f"[{prog}] campaign planned under {args.campaign_dir}/{cid} "
+          "— drain it with scripts/campaign_worker.py", file=sys.stderr)
+    print(cid)
     return None
 
 
@@ -179,24 +173,13 @@ def prune_cache(session: ExperimentSession, args: argparse.Namespace,
 def run_cli(run, args: argparse.Namespace, prog: str) -> None:
     """Call ``run(args)`` as a runner CLI's ``main`` does.
 
-    With ``--profile`` the call runs under :mod:`cProfile` and the top
-    :data:`PROFILE_TOP` cumulative entries go to stderr, even when
-    ``run`` raises, so a slow run that dies late still yields its data.
     A :class:`KeyboardInterrupt` prints ``<prog>: interrupted`` (plus
     the interrupt's detail, such as a drained campaign's resume hint)
     and exits 130.
     """
-    profiler = cProfile.Profile() if args.profile else None
     try:
-        if profiler is None:
-            run(args)
-        else:
-            profiler.runcall(run, args)
+        run(args)
     except KeyboardInterrupt as exc:
         detail = f": {exc}" if exc.args else ""
         print(f"{prog}: interrupted{detail}", file=sys.stderr)
         raise SystemExit(130) from None
-    finally:
-        if profiler is not None:
-            pstats.Stats(profiler, stream=sys.stderr) \
-                .sort_stats("cumulative").print_stats(PROFILE_TOP)

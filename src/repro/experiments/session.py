@@ -5,26 +5,29 @@ The figures and claim checks of the paper share most of their
 exploits that structure, as a *client* of the campaign layer
 (:mod:`repro.campaign`), in two phases:
 
-* **Plan** — every figure/claim expands to a set of
-  :class:`~repro.campaign.Cell` descriptors *before* anything runs;
-  the set is deduplicated by content key, looked up in the in-process
-  memo and the persistent content-addressed cache
-  (:mod:`repro.experiments.cache`), and the distinct cells are hashed
-  into a **campaign id** — the durable name of this measurement, the
-  thing ``--resume`` resumes and reports stamp as provenance.  Cache
-  misses become rows in the campaign's
-  :class:`~repro.campaign.CellQueue` (in-memory for the degenerate
-  one-process case, a durable SQLite file under ``campaign_dir`` when
-  the caller wants crash-safe resume or external workers).
+* **Plan** (:meth:`~ExperimentSession.plan`) — every figure/claim
+  expands to a set of :class:`~repro.campaign.Cell` descriptors
+  *before* anything runs; the set is deduplicated by content key,
+  looked up in the in-process memo and the persistent
+  content-addressed cache (:mod:`repro.experiments.cache`), and the
+  distinct cells are hashed into a **campaign id** — the durable name
+  of this measurement, the thing ``--resume`` resumes and reports
+  stamp as provenance.  Each batch is planned exactly once: the
+  :class:`CampaignPlan` that names the campaign is the one that is
+  persisted (:meth:`~ExperimentSession.plan_campaign`) or executed.
 
-* **Execute** — the queue is drained by campaign workers.  ``jobs=1``
-  drains inline in this process; ``jobs > 1`` spawns supervised worker
-  processes that share the queue file and the result cache.  Retry
-  budgets, deterministic backoff and per-cell wall-clock timeouts all
-  live in queue lease state (see :mod:`repro.campaign.queue`), so a
-  crash — of a worker *or* of this planner — loses only in-flight
-  cells: every completed cell was acked durably and persisted before
-  the crash.  Cells that stay dead after their budget surface as
+* **Execute** (:meth:`~ExperimentSession.execute`) — cache misses
+  become rows in the campaign's :class:`~repro.campaign.CellQueue`
+  (in-memory for the degenerate one-process case, a durable SQLite
+  file under ``campaign_dir`` when the caller wants crash-safe resume
+  or external workers), and the queue is drained by campaign workers.
+  ``jobs=1`` drains inline in this process; ``jobs > 1`` spawns
+  supervised worker processes that share the queue file and the
+  result cache.  Retry budgets and per-cell wall-clock timeouts live
+  in queue lease state (see :mod:`repro.campaign.queue`), so a crash —
+  of a worker *or* of this planner — loses only in-flight cells: every
+  completed cell was acked durably and persisted before the crash.
+  Cells that stay dead after their budget surface as
   :class:`~repro.resilience.CellFailure` records — raised as
   :class:`~repro.resilience.CellExecutionError` in strict mode,
   returned as partial results otherwise.
@@ -67,28 +70,6 @@ KVM guest, Python 3.11; 4 interleaved runs each): medians 12.2 s and
 12.4 s, ranges 11.3-12.8 s and 11.7-13.4 s."""
 
 
-@dataclass(frozen=True)
-class CampaignInfo:
-    """Provenance stamp of one planned campaign.
-
-    Deliberately tiny and fully content-derived — no timestamps, no
-    hostnames, no backend names — so any report that embeds it stays
-    byte-identical across cold/warm caches and worker counts.
-    """
-
-    campaign_id: str
-    cells: int
-    """Distinct cells in the planned grid (hits included)."""
-    pending: int
-    """Cells that needed execution when the plan was made."""
-
-    def as_dict(self) -> dict:
-        """JSON-safe provenance for reports (excludes ``pending``,
-        which is cache-state-dependent and would break warm/cold
-        byte-identity)."""
-        return {"campaign": self.campaign_id, "cells": self.cells}
-
-
 @dataclass
 class CampaignPlan:
     """Everything the plan phase decided, ready to execute."""
@@ -101,11 +82,15 @@ class CampaignPlan:
     misses: list[str]
     campaign_id: str
 
-    @property
-    def info(self) -> CampaignInfo:
-        return CampaignInfo(campaign_id=self.campaign_id,
-                            cells=len(self.by_key),
-                            pending=len(self.misses))
+    def as_dict(self) -> dict:
+        """JSON-safe provenance for reports.
+
+        Deliberately tiny and fully content-derived — no timestamps,
+        no hostnames, no backend names, and not the cache-dependent
+        miss count — so any report that embeds it stays byte-identical
+        across cold/warm caches and worker counts.
+        """
+        return {"campaign": self.campaign_id, "cells": len(self.by_key)}
 
 
 class ExperimentSession:
@@ -132,7 +117,7 @@ class ExperimentSession:
             still running past it is killed and retried/failed instead
             of wedging the campaign.  Also routes execution through
             isolated child processes so the timeout is enforceable.
-        strict: Default failure mode of :meth:`run_cells`: ``True``
+        strict: Default failure mode of :meth:`execute`: ``True``
             raises :class:`~repro.resilience.CellExecutionError` when
             cells remain failed after retries (completed results are
             stored first), ``False`` returns partial results and
@@ -180,29 +165,26 @@ class ExperimentSession:
         self.memo_hits = 0
         self.failures: list[CellFailure] = []
         self.last_failures: tuple[CellFailure, ...] = ()
-        self.last_campaign: CampaignInfo | None = None
+        self.last_campaign: CampaignPlan | None = None
+        """The plan most recently executed or persisted."""
 
     # ------------------------------------------------------------------
     # cell resolution
     # ------------------------------------------------------------------
 
-    def _resolve(self, cycles: int | None, warmup: int | None,
-                 config: SimConfig | None) \
-            -> tuple[int, int, SimConfig]:
+    def make_cell(self, workload, engine: str, policy: str,
+                  cycles: int | None = None,
+                  warmup: int | None = None,
+                  config: SimConfig | None = None) -> Cell:
+        """Build a fully-resolved cell descriptor; an override left
+        ``None`` takes the session's default (the warm-up falls back to
+        the config's ``warmup_cycles``)."""
         config = config or self.config
         cycles = self.cycles if cycles is None else cycles
         if warmup is None:
             warmup = self.warmup
         if warmup is None:
             warmup = config.warmup_cycles
-        return cycles, warmup, config
-
-    def make_cell(self, workload, engine: str, policy: str,
-                  cycles: int | None = None,
-                  warmup: int | None = None,
-                  config: SimConfig | None = None) -> Cell:
-        """Build a fully-resolved cell descriptor."""
-        cycles, warmup, config = self._resolve(cycles, warmup, config)
         if not isinstance(workload, str):
             workload = tuple(workload)
         return Cell(workload, engine, policy, cycles, warmup, config)
@@ -240,8 +222,8 @@ class ExperimentSession:
                             misses=misses,
                             campaign_id=campaign_id(descriptors.values()))
 
-    def plan_campaign(self, cells) -> CampaignInfo:
-        """Plan *and persist* a campaign without executing anything.
+    def plan_campaign(self, plan: CampaignPlan) -> None:
+        """Persist a plan without executing anything.
 
         Writes the manifest and enqueues the misses under
         ``campaign_dir``, so external workers
@@ -252,18 +234,16 @@ class ExperimentSession:
             raise ValueError("plan_campaign needs a campaign_dir "
                              "(ephemeral campaigns cannot be handed to "
                              "external workers)")
-        plan = self.plan(cells)
         with self._open_campaign(plan, need_file=True):
             pass
-        self.last_campaign = plan.info
-        return plan.info
+        self.last_campaign = plan
 
     def _open_campaign(self, plan: CampaignPlan, *,
                        need_file: bool) -> Campaign:
         misses = [(key, plan.descriptors[key],
                    fault_label(plan.descriptors[key]))
                   for key in plan.misses]
-        return Campaign.open(plan.descriptors, misses,
+        return Campaign.open(plan.campaign_id, plan.descriptors, misses,
                              root=self.campaign_dir,
                              max_attempts=self.retries + 1,
                              need_file=need_file)
@@ -272,13 +252,13 @@ class ExperimentSession:
     # execute
     # ------------------------------------------------------------------
 
-    def run_cells(self, cells,
-                  strict: bool | None = None) -> dict[Cell, SimResult]:
-        """Execute (or recall) a batch of cells; misses run in parallel.
+    def execute(self, plan: CampaignPlan,
+                strict: bool | None = None) -> dict[Cell, SimResult]:
+        """Execute a plan; its misses run in parallel.
 
-        Cells are deduplicated by content key first, so overlapping
-        figures cost one simulation per distinct cell.  Cells may mix
-        machine configurations: each runs under its own ``config``.
+        Returns every planned cell's result: the plan's cache hits
+        plus the misses it simulated.  Cells may mix machine
+        configurations: each runs under its own ``config``.
 
         Every completed cell is persisted (cache + queue ack) the
         moment it finishes, so interrupting a campaign loses only
@@ -291,8 +271,7 @@ class ExperimentSession:
         recorded in ``self.last_failures`` / ``self.failures``.
         """
         strict = self.strict if strict is None else strict
-        plan = self.plan(cells)
-        self.last_campaign = plan.info
+        self.last_campaign = plan
 
         results: dict[str, SimResult] = dict(plan.cached)
         failures: dict[str, CellFailure] = {}
@@ -309,6 +288,15 @@ class ExperimentSession:
             raise CellExecutionError(failures.values())
         return {cell: results[plan.keys[cell]] for cell in plan.cells
                 if plan.keys[cell] in results}
+
+    def run_cells(self, cells,
+                  strict: bool | None = None) -> dict[Cell, SimResult]:
+        """Plan and execute a batch of cells (see :meth:`execute`).
+
+        Cells are deduplicated by content key first, so overlapping
+        figures cost one simulation per distinct cell.
+        """
+        return self.execute(self.plan(cells), strict=strict)
 
     def _execute_plan(self, plan: CampaignPlan) -> dict:
         """Execute a plan's misses; returns key -> SimResult|CellFailure.
@@ -381,53 +369,37 @@ class ExperimentSession:
     # figure / claim grids
     # ------------------------------------------------------------------
 
-    def cells_for_figure(self, spec: FigureSpec,
-                         cycles: int | None = None,
-                         warmup: int | None = None,
-                         config: SimConfig | None = None) -> list[Cell]:
+    def cells_for_figure(self, spec: FigureSpec) -> list[Cell]:
         """Every cell of a figure's measurement grid, plotting order."""
-        return [self.make_cell(w, e, p, cycles, warmup, config)
+        return [self.make_cell(w, e, p)
                 for w in spec.workloads
                 for e in spec.engines
                 for p in spec.policies]
 
-    def cells_for_claims(self, claims, cycles: int | None = None,
-                         warmup: int | None = None,
-                         config: SimConfig | None = None) -> list[Cell]:
+    def cells_for_claims(self, claims) -> list[Cell]:
         """Every numerator/denominator cell behind a set of claims."""
-        cells = []
-        for claim in claims:
-            for workload in claim.workloads:
-                for engine, policy in (claim.numer, claim.denom):
-                    cells.append(self.make_cell(workload, engine, policy,
-                                                cycles, warmup, config))
-        return cells
+        return [self.make_cell(workload, engine, policy)
+                for claim in claims
+                for workload in claim.workloads
+                for engine, policy in (claim.numer, claim.denom)]
 
-    def run_figure(self, spec: FigureSpec, cycles: int | None = None,
-                   config: SimConfig | None = None,
-                   warmup: int | None = None) -> FigureResult:
+    def run_figure(self, spec: FigureSpec) -> FigureResult:
         """Execute a figure's full grid.
 
         On a partial-mode session a failed cell is absent from the
         result's ``values``.
         """
-        resolved_cycles, _, _ = self._resolve(cycles, warmup, config)
-        cells = self.cells_for_figure(spec, cycles, warmup, config)
-        return figure_result(spec, resolved_cycles,
-                             grid_of(self.run_cells(cells)))
+        return figure_result(spec, self.cycles, grid_of(
+            self.run_cells(self.cells_for_figure(spec))))
 
-    def check_claims(self, claims: tuple[Claim, ...],
-                     cycles: int | None = None,
-                     config: SimConfig | None = None,
-                     warmup: int | None = None) -> list[ClaimOutcome]:
+    def check_claims(self, claims: tuple[Claim, ...]) -> list[ClaimOutcome]:
         """Measure all claims' cells (one batch) and compute ratios.
 
         Always strict: a claim has no ratio without both of its cells,
         so a dead cell raises ``CellExecutionError``.
         """
-        cells = self.cells_for_claims(claims, cycles, warmup, config)
-        return claim_outcomes(claims,
-                              grid_of(self.run_cells(cells, strict=True)))
+        return claim_outcomes(claims, grid_of(self.run_cells(
+            self.cells_for_claims(claims), strict=True)))
 
     # ------------------------------------------------------------------
     # introspection

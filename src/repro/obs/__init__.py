@@ -24,8 +24,8 @@ is untouched, so golden parity and throughput are preserved):
   plus a read-only view of the queue.  ``scripts/campaign_status.py``
   is the CLI.
 
-* :mod:`repro.obs.logging_setup` — shared structured-``logging``
-  configuration for the CLIs (``--log-level`` / ``--log-json``).
+* :mod:`repro.obs.logging_setup` — shared ``logging`` configuration
+  for the CLIs (``--log-level``).
 
 The journal is disableable with ``REPRO_OBS=0``; results are
 byte-identical either way, because observability only ever *watches*

@@ -36,7 +36,7 @@ Event vocabulary (the ``ev`` field)::
     execute        cell ran: execute_seconds, cache_put_seconds
     ack            cell completed durably (elapsed since first lease)
     nack           worker reported a failed attempt (error)
-    retry          failed cell requeued with backoff (backoff_seconds)
+    retry          failed cell requeued, leasable again at once
     failed         cell's retry budget exhausted (error)
     timeout        attempt exceeded the per-cell wall-clock budget
     lease_expired  lease deadline passed (worker presumed dead)

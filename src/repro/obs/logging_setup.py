@@ -1,25 +1,21 @@
-"""Shared structured-logging configuration for the CLIs and workers.
+"""Shared logging configuration for the CLIs and workers.
 
 Every diagnostic line the execution stack emits goes through the
 ``repro`` logger hierarchy (``repro.campaign.worker``,
 ``repro.campaign.engine``, ``repro.campaign_worker`` ...), configured
-exactly once per process by :func:`setup_logging`:
+exactly once per process by :func:`setup_logging` as
+``HH:MM:SS level [name] message`` lines on stderr.  The campaign's
+machine-readable record is its event journal (:mod:`repro.obs.journal`),
+not its log.
 
-* human mode (default): ``HH:MM:SS level [name] message`` on stderr —
-  the shape the old bare ``print(..., file=sys.stderr)`` diagnostics
-  had, plus severity and source;
-* JSON mode (``--log-json``): one JSON object per line (``ts``,
-  ``level``, ``logger``, ``msg`` + any ``extra`` fields), so a fleet's
-  worker logs are machine-mergeable with the campaign journal.
-
-CLIs opt in with two flags added by :func:`add_logging_args` and a
-single :func:`setup_from_args` call.  Libraries only ever call
-:func:`get_logger` — configuration is the entry point's job.
+CLIs opt in with the ``--log-level`` flag added by
+:func:`add_logging_args` and a single :func:`setup_from_args` call.
+Libraries only ever call :func:`get_logger` — configuration is the
+entry point's job.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
 import time
@@ -28,34 +24,12 @@ ROOT_LOGGER = "repro"
 
 LEVELS = ("debug", "info", "warning", "error")
 
-_RESERVED = frozenset(logging.LogRecord(
-    "", 0, "", 0, "", (), None).__dict__) | {"message", "asctime",
-                                             "taskName"}
-
 
 def get_logger(name: str) -> logging.Logger:
     """A logger under the ``repro`` hierarchy (idempotent)."""
     if name.startswith(ROOT_LOGGER):
         return logging.getLogger(name)
     return logging.getLogger(f"{ROOT_LOGGER}.{name}")
-
-
-class JsonFormatter(logging.Formatter):
-    """One JSON object per record; ``extra`` fields ride along."""
-
-    def format(self, record: logging.LogRecord) -> str:
-        doc = {
-            "ts": round(record.created, 3),
-            "level": record.levelname.lower(),
-            "logger": record.name,
-            "msg": record.getMessage(),
-        }
-        for key, value in record.__dict__.items():
-            if key not in _RESERVED and not key.startswith("_"):
-                doc[key] = value
-        if record.exc_info:
-            doc["exc"] = self.formatException(record.exc_info)
-        return json.dumps(doc, sort_keys=True, default=str)
 
 
 class HumanFormatter(logging.Formatter):
@@ -71,7 +45,7 @@ class HumanFormatter(logging.Formatter):
         return line
 
 
-def setup_logging(level: str = "warning", json_mode: bool = False,
+def setup_logging(level: str = "warning",
                   stream=None) -> logging.Logger:
     """Configure the ``repro`` logger tree; returns the root logger.
 
@@ -86,8 +60,7 @@ def setup_logging(level: str = "warning", json_mode: bool = False,
     logger.setLevel(getattr(logging, level.upper()))
     handler = logging.StreamHandler(stream if stream is not None
                                     else sys.stderr)
-    handler.setFormatter(JsonFormatter() if json_mode
-                         else HumanFormatter())
+    handler.setFormatter(HumanFormatter())
     for old in list(logger.handlers):
         logger.removeHandler(old)
     logger.addHandler(handler)
@@ -96,17 +69,13 @@ def setup_logging(level: str = "warning", json_mode: bool = False,
 
 
 def add_logging_args(parser) -> None:
-    """Attach the shared ``--log-level`` / ``--log-json`` flags."""
+    """Attach the shared ``--log-level`` flag."""
     parser.add_argument("--log-level", choices=LEVELS,
                         default="warning",
                         help="diagnostic verbosity on stderr "
                              "(default: warning)")
-    parser.add_argument("--log-json", action="store_true",
-                        help="emit diagnostics as JSON lines instead "
-                             "of human-formatted text")
 
 
 def setup_from_args(args) -> logging.Logger:
     """:func:`setup_logging` from a parsed argparse namespace."""
-    return setup_logging(level=args.log_level,
-                         json_mode=args.log_json)
+    return setup_logging(level=args.log_level)

@@ -10,8 +10,8 @@ result bit-for-bit because every simulation is a pure function of
 
 * :class:`CellFailure` / :class:`CellExecutionError` — durable
   failure records and the strict-mode error
-  (:mod:`repro.resilience.policy`; retry budgets and their
-  deterministic backoff live in the campaign queue's rows);
+  (:mod:`repro.resilience.policy`; retry budgets live in the
+  campaign queue's rows);
 * :func:`run_cell_isolated` — per-cell child processes with crash
   attribution and killable wall-clock timeouts
   (:mod:`repro.resilience.isolate`);

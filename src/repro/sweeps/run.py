@@ -1,13 +1,16 @@
 """Sweep execution: expand, run through a session, aggregate.
 
 :func:`run_sweep` is the subsystem's engine.  It expands a
-:class:`~repro.sweeps.spec.SweepSpec` into
-:class:`~repro.experiments.session.Cell` descriptors, executes them in
-one :meth:`~repro.experiments.session.ExperimentSession.run_cells`
-batch (deduplicated, parallel, content-cached), groups replicates
-(points differing only in ``seed``), and computes per-point statistics,
+:class:`~repro.sweeps.spec.SweepSpec` into (point,
+:class:`~repro.experiments.session.Cell`) pairs (:func:`expand_cells`),
+executes the cells in one
+:meth:`~repro.experiments.session.ExperimentSession.run_cells` batch
+(deduplicated, parallel, content-cached) and hands the pairs and the
+batch's result map to :func:`aggregate`, which groups replicates
+(points differing only in ``seed``) and computes per-point statistics,
 speedup against the spec's baseline point and a per-axis sensitivity
-ranking.
+ranking.  ``scripts/run_sweep.py`` runs the same three steps, with the
+batch planned once and executed as printed.
 """
 
 from __future__ import annotations
@@ -127,27 +130,36 @@ def _sensitivity(spec: SweepSpec,
     return ranking
 
 
-def run_sweep(spec: SweepSpec, session: ExperimentSession,
-              strict: bool | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, session: ExperimentSession) -> SweepResult:
     """Execute a sweep and aggregate its results.
 
     The whole grid goes through the session as one batch, so cells are
     deduplicated, fanned out across the session's workers and served
-    from its content-addressed cache when warm.
-
-    ``strict`` follows the session's setting by default.  In partial
-    mode, cells the session gave up on (after its retry budget) are
-    aggregated anyway: affected design points lose replicates
-    (``PointResult.missing``), fully-dead points carry ``stats=None``,
-    and the failure records ride along in ``SweepResult.failures`` so
-    every report marks missing data explicitly.
+    from its content-addressed cache when warm.  The session's
+    ``strict`` setting decides what a cell that stays failed does (see
+    :func:`aggregate`).
     """
     pairs = expand_cells(spec, session)
-    results = session.run_cells([cell for _, cell in pairs],
-                                strict=strict)
-    failures = session.last_failures
-    campaign = session.last_campaign
+    results = session.run_cells([cell for _, cell in pairs])
+    return aggregate(spec, pairs, results,
+                     failures=session.last_failures,
+                     provenance=session.last_campaign.as_dict())
 
+
+def aggregate(spec: SweepSpec, pairs: list[tuple[dict, Cell]],
+              results: dict, *, failures: tuple[CellFailure, ...],
+              provenance: dict) -> SweepResult:
+    """Aggregate one executed sweep batch into a :class:`SweepResult`.
+
+    ``pairs`` is :func:`expand_cells`' output and ``results`` the
+    batch's cell -> result map.  In partial mode, cells the session
+    gave up on (after its retry budget) are absent from ``results``:
+    affected design points lose replicates (``PointResult.missing``),
+    fully-dead points carry ``stats=None``, and the ``failures``
+    records ride along in ``SweepResult.failures`` so every report
+    marks missing data explicitly.  ``provenance`` is the batch plan's
+    :meth:`~repro.experiments.session.CampaignPlan.as_dict`.
+    """
     replicates: dict[tuple, dict[str, list[float]]] = {}
     points_by_key: dict[tuple, dict] = {}
     missing: dict[tuple, int] = {}
@@ -189,6 +201,4 @@ def run_sweep(spec: SweepSpec, session: ExperimentSession,
                        fixed={axis: value
                               for axis, value in DEFAULT_POINT.items()
                               if axis not in swept},
-                       failures=failures,
-                       provenance=campaign.as_dict()
-                       if campaign is not None else None)
+                       failures=failures, provenance=provenance)

@@ -27,7 +27,7 @@ class RecordingJournal:
 
 class FakeClock:
     """Stands in for the ``time`` module the queue reads, so lease
-    deadlines and backoffs are exact."""
+    deadlines are exact."""
 
     def __init__(self):
         self.now = 1000.0

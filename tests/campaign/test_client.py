@@ -249,11 +249,13 @@ class TestWorkerCliRoundTrip:
         assert "done=2" in capsys.readouterr().err
         assert len(ResultCache(tmp_path / "cache")) == 0
 
-    def test_disk_floor_refuses_to_start(self, tmp_path, capsys):
+    def test_disk_floor_refuses_to_start(self, tmp_path, capsys,
+                                         monkeypatch):
         _, cdir = self.plan(tmp_path, capsys)
+        monkeypatch.setenv("REPRO_DISK_FLOOR_MB", "1e12")
         with pytest.raises(SystemExit,
                            match="campaign_worker: only .* MB free"):
-            self.drain_cli(tmp_path, cdir, "--disk-floor-mb", "1e12")
+            self.drain_cli(tmp_path, cdir)
         assert read_queue_counts(cdir) == {"pending": 2}
         assert self.worker_starts(cdir) == []
 
@@ -273,12 +275,12 @@ class TestWorkerCliRoundTrip:
 
         monkeypatch.setattr(worker_cli, "worker_process_entry",
                             bootstrap)
+        monkeypatch.setenv("REPRO_DISK_FLOOR_MB", "0")
         worker_cli.main(["--campaign", str(cdir), "--no-cache",
                          "--worker-id", "w7", "--cell-timeout", "9",
                          "--lease-batch", "3", "--lease-seconds", "45",
                          "--poll", "0.25", "--no-wait",
-                         "--cell-memory-mb", "2",
-                         "--disk-floor-mb", "0"])
+                         "--cell-memory-mb", "2"])
         ((args, kwargs),) = calls
         assert args == (str(cdir / "queue.sqlite"), "w7", None, 9.0, 3,
                         45.0)

@@ -17,9 +17,11 @@ from repro.campaign import (
     drain,
     key_for,
 )
+from repro.campaign import cells as cells_mod
+from repro.campaign import manifest
 from repro.campaign import worker as worker_mod
 from repro.campaign.cells import descriptor_for
-from repro.campaign.manifest import QUEUE_NAME
+from repro.campaign.manifest import QUEUE_NAME, read_campaign_id
 from repro.campaign.worker import worker_process_entry
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.metrics import SimResult
@@ -75,14 +77,68 @@ class TestCampaignIdentity:
         warm = session.plan(cells)
         assert warm.campaign_id == cold.campaign_id
         assert not warm.misses
-        assert warm.info.cells == cold.info.cells
-        assert warm.info.as_dict() == cold.info.as_dict()
+        assert warm.as_dict() == cold.as_dict() \
+            == {"campaign": cold.campaign_id, "cells": 1}
 
     def test_run_cells_records_the_campaign(self, tmp_path):
         session = ExperimentSession(cache_dir=tmp_path / "cache", **FAST)
         session.run_cells(grid(session, seeds=(0,)))
         assert session.last_campaign is not None
-        assert session.last_campaign.cells == 2
+        assert len(session.last_campaign.by_key) == 2
+
+
+class TestPlanOnce:
+    """A batch is planned once: execution and persistence take the
+    plan they are given and never dedup, hash or probe again."""
+
+    def test_execute_runs_the_plan_it_is_given(self, tmp_path,
+                                               count_calls):
+        session = ExperimentSession(cache_dir=tmp_path / "cache", **FAST)
+        cells = grid(session, seeds=(0,))
+        plan = session.plan(cells + cells)
+        calls = count_calls((ExperimentSession, "plan"),
+                            (ExperimentSession, "_lookup"),
+                            (ResultCache, "get"),
+                            (manifest, "campaign_id"),
+                            (cells_mod, "key_for"))
+        results = session.execute(plan)
+        assert not calls
+        assert set(results) == set(cells)
+        assert session.simulated == 2
+        assert session.last_campaign is plan
+
+    def test_plan_campaign_persists_the_given_plan(self, tmp_path,
+                                                   count_calls):
+        session = ExperimentSession(
+            cache_dir=tmp_path / "cache",
+            campaign_dir=str(tmp_path / "campaigns"), **FAST)
+        plan = session.plan(grid(session, seeds=(0,)))
+        calls = count_calls((ExperimentSession, "plan"),
+                            (ResultCache, "get"),
+                            (manifest, "campaign_id"))
+        session.plan_campaign(plan)
+        assert not calls
+        assert session.last_campaign is plan
+        cdir = tmp_path / "campaigns" / plan.campaign_id
+        assert read_campaign_id(cdir) == plan.campaign_id
+        with CellQueue(cdir / QUEUE_NAME) as queue:
+            assert queue.counts() == {"pending": 2}
+
+    def test_plan_campaign_needs_a_campaign_dir(self):
+        session = ExperimentSession(**FAST)
+        with pytest.raises(ValueError, match="campaign_dir"):
+            session.plan_campaign(session.plan(grid(session)))
+
+    def test_campaign_opens_under_the_id_it_is_given(self, tmp_path):
+        session = ExperimentSession(**FAST)
+        planned = {key_for(c): descriptor_for(c)
+                   for c in grid(session, seeds=(0,))}
+        with Campaign.open("feedfacefeedface", planned, [],
+                           root=tmp_path / "campaigns") as campaign:
+            assert campaign.id == "feedfacefeedface"
+        assert read_campaign_id(tmp_path / "campaigns"
+                                / "feedfacefeedface") \
+            == "feedfacefeedface"
 
 
 class TestWorkerParity:
@@ -124,8 +180,8 @@ class TestWorkerParity:
         planned = {key_for(c): descriptor_for(c) for c in cells}
         misses = [(key, descriptor, fault_label(descriptor))
                   for key, descriptor in planned.items()]
-        campaign = Campaign.open(planned, misses,
-                                 root=tmp_path / "campaigns",
+        campaign = Campaign.open(campaign_id(planned.values()), planned,
+                                 misses, root=tmp_path / "campaigns",
                                  need_file=True)
         try:
             with CellQueue(campaign.queue_file) as a, \
@@ -151,14 +207,14 @@ class TestWorkerParity:
         cells = grid(session, seeds=(0,))
         planned = {key_for(c): descriptor_for(c) for c in cells}
         misses = [(k, d, "label") for k, d in planned.items()]
-        first = Campaign.open(planned, misses,
+        cid = campaign_id(planned.values())
+        first = Campaign.open(cid, planned, misses,
                               root=tmp_path / "campaigns", need_file=True)
         first.execute()
         first.close()
-        second = Campaign.open(planned, [],
+        second = Campaign.open(cid, planned, [],
                                root=tmp_path / "campaigns")
         try:
-            assert second.id == first.id
             outcomes = second.outcomes(planned)
             assert len(outcomes) == len(planned)
         finally:
@@ -174,9 +230,9 @@ class TestWorkerBootstrap:
             cache_dir=tmp_path / "cache",
             campaign_dir=str(tmp_path / "campaigns"), retries=retries,
             **FAST)
-        info = planner.plan_campaign(
-            grid(planner, policies=("ICOUNT.1.8",)))
-        return info.campaign_id, tmp_path / "campaigns" / info.campaign_id
+        plan = planner.plan(grid(planner, policies=("ICOUNT.1.8",)))
+        planner.plan_campaign(plan)
+        return plan.campaign_id, tmp_path / "campaigns" / plan.campaign_id
 
     def entry(self, cdir, cache_dir=None, **kwargs):
         kwargs.setdefault("install_signals", False)
@@ -289,7 +345,7 @@ class TestEphemeralCampaigns:
         session = ExperimentSession(**FAST)
         cells = grid(session, seeds=(0,), policies=("ICOUNT.1.8",))
         planned = {key_for(c): descriptor_for(c) for c in cells}
-        campaign = Campaign.open(planned,
+        campaign = Campaign.open(campaign_id(planned.values()), planned,
                                  [(k, d, "x") for k, d
                                   in planned.items()])
         try:
@@ -304,7 +360,8 @@ class TestEphemeralCampaigns:
         session = ExperimentSession(**FAST)
         cells = grid(session, seeds=(0,), policies=("ICOUNT.1.8",))
         planned = {key_for(c): descriptor_for(c) for c in cells}
-        campaign = Campaign.open(planned, [], need_file=True)
+        campaign = Campaign.open(campaign_id(planned.values()), planned,
+                                 [], need_file=True)
         queue_file = campaign.queue_file
         assert queue_file is not None and os.path.exists(queue_file)
         campaign.close()

@@ -207,6 +207,10 @@ class TestResourceGuards:
         assert disk_floor_bytes() == 0
         monkeypatch.setenv("REPRO_DISK_FLOOR_MB", "garbage")
         assert disk_floor_bytes(default=7) == 7
+        # A value with no finite byte count is ignored just the same.
+        for raw in ("inf", "-inf", "nan", "1e308"):
+            monkeypatch.setenv("REPRO_DISK_FLOOR_MB", raw)
+            assert disk_floor_bytes(default=7) == 7
 
     def test_is_enospc(self):
         assert is_enospc(OSError(errno.ENOSPC, "full"))
@@ -489,13 +493,3 @@ class TestInterruptedCliExit:
         assert excinfo.value.code == 130
         err = capsys.readouterr().err
         assert f"{name}: interrupted: resume with --resume deadbeef" in err
-
-    @INTERRUPTIBLE_CLIS
-    def test_profile_is_printed_even_when_interrupted(self, name, argv,
-                                                      monkeypatch, capsys):
-        cli = self.interrupt(name, monkeypatch)
-        with pytest.raises(SystemExit):
-            cli.main([*argv, "--profile"])
-        err = capsys.readouterr().err
-        assert f"{name}: interrupted" in err
-        assert "Ordered by: cumulative time" in err

@@ -20,11 +20,12 @@ def test_reads_the_planned_campaign_id(tmp_path):
     planner = ExperimentSession(cache_dir=tmp_path / "cache",
                                 campaign_dir=str(tmp_path / "campaigns"),
                                 **FAST)
-    info = planner.plan_campaign(
+    plan = planner.plan(
         [planner.make_cell("2_MIX", "stream", "ICOUNT.1.8")])
-    cdir = tmp_path / "campaigns" / info.campaign_id
-    assert read_campaign_id(cdir) == info.campaign_id
-    assert read_campaign_id(str(cdir)) == info.campaign_id
+    planner.plan_campaign(plan)
+    cdir = tmp_path / "campaigns" / plan.campaign_id
+    assert read_campaign_id(cdir) == plan.campaign_id
+    assert read_campaign_id(str(cdir)) == plan.campaign_id
 
 
 def _no_directory(cdir: Path) -> None:

@@ -7,7 +7,11 @@ tiny stand-in dicts.  The integration suites (``test_engine.py``,
 ``test_queue_model.py`` checks it against a reference model.
 """
 
+import sqlite3
 import time
+from contextlib import closing
+
+import pytest
 
 from repro.campaign.queue import CellQueue
 
@@ -18,12 +22,6 @@ def entry(n):
 
 def fill(queue, n=3, **kwargs):
     return queue.add([entry(i) for i in range(n)], **kwargs)
-
-
-def not_before(queue, key):
-    (value,) = queue._conn.execute(
-        "SELECT not_before FROM cells WHERE key = ?", (key,)).fetchone()
-    return value
 
 
 class TestAdd:
@@ -124,35 +122,14 @@ class TestLeaseAckNack:
             queue.nack("key0", "impostor", "boom")
             assert queue.counts() == {"leased": 1}
 
-    def test_nack_honours_exponential_backoff(self):
-        with CellQueue() as queue:
-            fill(queue, 1, max_attempts=3, backoff=30.0)
+    def test_retry_record_names_the_cell_and_attempt(self, journal):
+        with CellQueue(journal=journal) as queue:
+            fill(queue, 1, max_attempts=2)
             (leased,) = queue.lease("w")
             queue.nack(leased.key, "w", "boom")
-            # not_before = now + 30 * 2**0: not leasable yet.
-            assert queue.lease("w") == []
-            assert queue.unresolved() == 1
-            assert not_before(queue, "key0") > time.time() + 25
-
-        def nack_delay(queue, key):
-            # The delay the nack set, bracketed by the clock around it.
-            before = time.time()
-            queue.nack(key, "w", "boom")
-            after = time.time()
-            eta = not_before(queue, key)
-            return eta - after, eta - before
-
-        with CellQueue() as queue:
-            fill(queue, 1, max_attempts=3, backoff=0.2)
-            (leased,) = queue.lease("w")
-            low, high = nack_delay(queue, leased.key)
-            assert low - 1e-6 <= 0.2 <= high + 1e-6
-            time.sleep(high + 0.05)             # past the first delay
-            (leased,) = queue.lease("w")
-            assert leased.attempts == 2
-            # not_before = now + 0.2 * 2**1: twice as far out.
-            low, high = nack_delay(queue, leased.key)
-            assert low - 1e-6 <= 0.4 <= high + 1e-6
+        assert journal.of("retry") == [
+            {"key": "key0", "label": "label0", "worker": "w",
+             "attempt": 1}]
 
 
 class TestUnlease:
@@ -340,3 +317,61 @@ class TestPersistence:
             keys = {lc.key for lc in got_a} | {lc.key for lc in got_b}
             assert len(got_a) == 2 and len(got_b) == 2
             assert len(keys) == 4                    # no double-lease
+
+
+LEGACY_COLUMNS = """
+    seq            INTEGER PRIMARY KEY AUTOINCREMENT,
+    key            TEXT NOT NULL UNIQUE,
+    descriptor     TEXT NOT NULL,
+    label          TEXT NOT NULL,
+    state          TEXT NOT NULL DEFAULT 'pending',
+    attempts       INTEGER NOT NULL DEFAULT 0,
+    max_attempts   INTEGER NOT NULL DEFAULT 1,
+    backoff        REAL NOT NULL DEFAULT 0.0,
+    not_before     REAL NOT NULL DEFAULT 0.0,
+    lease_owner    TEXT,
+    lease_deadline REAL,
+    first_leased   REAL,
+    elapsed        REAL,
+    error          TEXT,
+    result         TEXT"""
+
+LEGACY_SCHEMAS = {
+    # Every column queue files carried before the retry backoff went:
+    # ``backoff`` and ``not_before`` included, indexed on both.
+    "with-backoff": "CREATE TABLE cells (" + LEGACY_COLUMNS + """,
+    fatal_attempts INTEGER NOT NULL DEFAULT 0,
+    enqueued       REAL NOT NULL DEFAULT 0.0,
+    lease_seconds  REAL NOT NULL DEFAULT 0.0);
+CREATE INDEX cells_state ON cells (state, not_before);""",
+    # Older still: before the in-place migrations added crash
+    # attribution, queue-wait stamps and per-row lease durations.
+    "pre-migration": "CREATE TABLE cells (" + LEGACY_COLUMNS + """);
+CREATE INDEX cells_state ON cells (state, not_before);""",
+}
+
+
+class TestLegacyQueueFiles:
+    @pytest.mark.parametrize("schema", sorted(LEGACY_SCHEMAS))
+    def test_adds_leases_nacks_and_acks(self, tmp_path, schema):
+        path = tmp_path / "queue.sqlite"
+        with closing(sqlite3.connect(path)) as conn, conn:
+            conn.executescript(LEGACY_SCHEMAS[schema])
+            conn.execute("INSERT INTO cells (key, descriptor, label)"
+                         " VALUES ('old', '{}', 'old-label')")
+        with CellQueue(path) as queue:
+            assert fill(queue, 2, max_attempts=2) == 2
+            batch = queue.lease("w", limit=3)
+            assert [lc.key for lc in batch] == ["old", "key0", "key1"]
+            queue.nack("key0", "w", "boom")
+            queue.ack("old", "w", {"ipc": 0.5})
+            queue.ack("key1", "w", {"ipc": 1.5})
+            (again,) = queue.lease("w")
+            assert (again.key, again.attempts) == ("key0", 2)
+            queue.ack("key0", "w", {"ipc": 1.0})
+        with CellQueue(path) as queue:      # migrations are idempotent
+            assert queue.counts() == {"done": 3}
+            assert queue.results() == {"old": {"ipc": 0.5},
+                                       "key0": {"ipc": 1.0},
+                                       "key1": {"ipc": 1.5}}
+            assert queue.total_attempts() == 4

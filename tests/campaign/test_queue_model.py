@@ -6,8 +6,7 @@ nacks, unleases, releases, reclaims and clock steps — each by a row's
 owner or by a foreign one — and after every step requires both to
 agree on every row and on every observation the queue offers.  The
 queue reads the clock through its module's ``time``, which the
-``clock`` fixture swaps for a fake so lease deadlines and backoffs are
-exact.
+``clock`` fixture swaps for a fake so lease deadlines are exact.
 """
 
 from dataclasses import dataclass
@@ -32,14 +31,12 @@ EXPIRED = "lease expired (worker presumed dead)"
 class Row:
     key: str
     max_attempts: int
-    backoff: float
     state: str = "pending"
     attempts: int = 0
     fatal: int = 0
     owner: str | None = None
     deadline: float | None = None
     lease_seconds: float = 0.0
-    not_before: float = 0.0
     error: str | None = None
 
 
@@ -49,29 +46,26 @@ class Model:
     def __init__(self) -> None:
         self.rows: dict[str, Row] = {}          # insertion = seq order
 
-    def add(self, keys, max_attempts, backoff) -> int:
+    def add(self, keys, max_attempts) -> int:
         added = 0
         for key in keys:
             if key not in self.rows:
-                self.rows[key] = Row(key, max_attempts, backoff)
+                self.rows[key] = Row(key, max_attempts)
                 added += 1
             row = self.rows[key]
             if row.state not in ("done", "poisoned"):
-                row.max_attempts, row.backoff = max_attempts, backoff
+                row.max_attempts = max_attempts
             if row.state == "failed":
                 row.state, row.attempts, row.fatal = "pending", 0, 0
-                row.not_before, row.error = 0.0, None
+                row.error = None
         return added
 
-    def settle(self, row, now, error, fatal) -> None:
+    def settle(self, row, error, fatal) -> None:
         row.fatal += fatal
         row.owner = row.deadline = None
         row.error = error
         if row.attempts < row.max_attempts:
             row.state = "pending"
-            row.not_before = now + (
-                row.backoff * 2 ** (row.attempts - 1)
-                if row.backoff else 0.0)
         elif fatal and row.fatal >= row.attempts:
             row.state = "poisoned"
         else:
@@ -94,7 +88,7 @@ class Model:
         expired = [row for row in self.rows.values()
                    if row.state == "leased" and row.deadline < now]
         for row in expired:
-            self.settle(row, now, EXPIRED, fatal=True)
+            self.settle(row, EXPIRED, fatal=True)
         return len(expired)
 
     def lease(self, owner, limit, lease_seconds, now):
@@ -103,7 +97,7 @@ class Model:
         for row in self.rows.values():
             if len(out) == limit:
                 break
-            if row.state == "pending" and row.not_before <= now:
+            if row.state == "pending":
                 row.state, row.owner = "leased", owner
                 row.attempts += 1
                 row.deadline = now + lease_seconds
@@ -121,7 +115,7 @@ class Model:
     def nack(self, key, owner, error, fatal, now) -> None:
         row = self.rows.get(key)
         if self.holds(row, owner):
-            self.settle(row, now, error, fatal)
+            self.settle(row, error, fatal)
         self.renew(owner, now)
 
     def unlease(self, key, owner) -> bool:
@@ -132,10 +126,10 @@ class Model:
         row.attempts -= 1
         return True
 
-    def release(self, owner, error, now) -> int:
+    def release(self, owner, error) -> int:
         held = self.held(owner)
         for row in held:
-            self.settle(row, now, error, fatal=True)
+            self.settle(row, error, fatal=True)
         return len(held)
 
     def failures(self) -> dict[str, tuple[int, str]]:
@@ -173,14 +167,12 @@ class QueueMachine(RuleBasedStateMachine):
         return owner
 
     @rule(chosen=st.lists(keys, min_size=1, max_size=4),
-          max_attempts=st.integers(1, 3),
-          backoff=st.sampled_from((0.0, 1.0)))
-    def add(self, chosen, max_attempts, backoff):
+          max_attempts=st.integers(1, 3))
+    def add(self, chosen, max_attempts):
         entries = [(key, {"cell": key}, f"label-{key}")
                    for key in chosen]
-        assert self.queue.add(entries, max_attempts=max_attempts,
-                              backoff=backoff) \
-            == self.model.add(chosen, max_attempts, backoff)
+        assert self.queue.add(entries, max_attempts=max_attempts) \
+            == self.model.add(chosen, max_attempts)
 
     @rule(owner=owners, limit=st.integers(1, 3),
           lease_seconds=st.sampled_from((1.0, 2.5, 5.0)))
@@ -214,7 +206,7 @@ class QueueMachine(RuleBasedStateMachine):
     @rule(owner=owners)
     def release(self, owner):
         assert self.queue.release(owner, f"{owner} died") \
-            == self.model.release(owner, f"{owner} died", self.clock.now)
+            == self.model.release(owner, f"{owner} died")
 
     @rule()
     def reclaim(self):
@@ -228,10 +220,10 @@ class QueueMachine(RuleBasedStateMachine):
     def rows_agree(self):
         rows = self.queue._conn.execute(
             "SELECT key, state, attempts, fatal_attempts, lease_owner,"
-            " lease_deadline, not_before FROM cells ORDER BY seq")
+            " lease_deadline FROM cells ORDER BY seq")
         assert [tuple(row) for row in rows] == [
-            (r.key, r.state, r.attempts, r.fatal, r.owner, r.deadline,
-             r.not_before) for r in self.model.rows.values()]
+            (r.key, r.state, r.attempts, r.fatal, r.owner, r.deadline)
+            for r in self.model.rows.values()]
 
     @invariant()
     def observations_agree(self):

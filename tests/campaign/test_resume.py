@@ -49,8 +49,9 @@ class TestWorkerDeathAndResume:
             cache_dir=cache_dir,
             campaign_dir=str(tmp_path / "campaigns"),
             retries=1, **FAST)
-        info = planner.plan_campaign(grid(planner))
-        queue_file = str(tmp_path / "campaigns" / info.campaign_id
+        plan = planner.plan(grid(planner))
+        planner.plan_campaign(plan)
+        queue_file = str(tmp_path / "campaigns" / plan.campaign_id
                          / "queue.sqlite")
 
         with inject_faults(FaultSpec(kind="crash", match="seed0",
@@ -82,7 +83,7 @@ class TestWorkerDeathAndResume:
             campaign_dir=str(tmp_path / "campaigns"), **FAST)
         resumed = resumer.run_cells(grid(resumer))
         assert resumer.simulated == 0
-        assert resumer.last_campaign.campaign_id == info.campaign_id
+        assert resumer.last_campaign.campaign_id == plan.campaign_id
         assert as_dicts(resumed) == as_dicts(clean)
 
     def test_manifest_names_the_full_cell_set(self, tmp_path):
@@ -90,18 +91,19 @@ class TestWorkerDeathAndResume:
             cache_dir=tmp_path / "cache",
             campaign_dir=str(tmp_path / "campaigns"), **FAST)
         cells = grid(planner)
-        info = planner.plan_campaign(cells)
+        plan = planner.plan(cells)
+        planner.plan_campaign(plan)
         manifest = read_manifest(tmp_path / "campaigns",
-                                 info.campaign_id)
-        assert manifest["campaign"] == info.campaign_id
+                                 plan.campaign_id)
+        assert manifest["campaign"] == plan.campaign_id
         assert len(manifest["cells"]) == len(cells)
         keys = [entry["key"] for entry in manifest["cells"]]
         assert keys == sorted(keys)
         # Replanning must not rewrite the manifest (write-once).
-        before = (tmp_path / "campaigns" / info.campaign_id
+        before = (tmp_path / "campaigns" / plan.campaign_id
                   / "manifest.json").read_bytes()
-        planner.plan_campaign(cells)
-        after = (tmp_path / "campaigns" / info.campaign_id
+        planner.plan_campaign(planner.plan(cells))
+        after = (tmp_path / "campaigns" / plan.campaign_id
                  / "manifest.json").read_bytes()
         assert after == before
 

@@ -2,12 +2,14 @@
 
 ``scripts/run_experiments.py`` and ``scripts/run_sweep.py`` take the
 same execution flags; each case here runs against both scripts, loaded
-from ``scripts/`` and driven through their ``parse_args(argv)``.  The
-remaining cases drive ``run_experiments.py``'s ``main(argv)`` in
-process: its document is built from one batch of cells, so nothing
-after that batch simulates, not even a cell that failed in it.  One
-more case checks that its Table 1 reads the same cached programs the
-simulator builds.
+from ``scripts/`` and driven through their ``parse_args(argv)``.  Both
+plan each batch once: a cold run, a warm rerun and a ``--plan-only``
+run each dedup, hash and cache-check their cells a single time, driven
+in process through ``main(argv)``.  The remaining cases drive
+``run_experiments.py``'s ``main(argv)``: its document is built from one
+batch of cells, so nothing after that batch simulates, not even a cell
+that failed in it.  One more case checks that its Table 1 reads the
+same cached programs the simulator builds.
 """
 
 import importlib.util
@@ -16,9 +18,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import manifest
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.simulator import Simulator
 from repro.core.workloads import workload_benchmarks
+from repro.experiments import ExperimentSession
+from repro.experiments.cache import ResultCache
 from repro.program import program_for
 from repro.resilience import FaultSpec, inject_faults
 
@@ -89,9 +94,50 @@ def test_cycles_default_resolves(name):
 
 
 @runner
-def test_backend_flag_is_rejected(name, capsys):
-    err = parse_error(name, ["--backend=reference"], capsys)
-    assert "unrecognized arguments: --backend=reference" in err
+@pytest.mark.parametrize("flag",
+                         ["--backend=reference", "--profile", "--log-json"])
+def test_removed_flags_are_rejected(name, flag, capsys):
+    assert f"unrecognized arguments: {flag}" \
+        in parse_error(name, [flag], capsys)
+
+
+PLAN_ONCE = {
+    # argv selecting a small batch, and its distinct cell count
+    "run_experiments": (["--only", "dist"], 4),
+    "run_sweep": (["--axis", "ftq_depth=1,2"], 2),
+}
+
+
+@runner
+def test_each_batch_is_planned_once(name, tmp_path, capsys, count_calls):
+    # One plan per invocation: the campaign id is hashed once, each
+    # distinct cell's cache entry is probed once, and the plan the CLI
+    # printed is the one it persists (--plan-only) or executes.  A warm
+    # rerun therefore reads every cell from disk and none from memo.
+    selection, distinct = PLAN_ONCE[name]
+    calls = count_calls((ExperimentSession, "plan"), (ResultCache, "get"),
+                        (manifest, "campaign_id"))
+
+    def invoke(cache, *extra):
+        calls.clear()
+        CLIS[name].main([*selection, "--cycles", "300", "--warmup", "100",
+                         "--cache-dir", str(tmp_path / cache), *extra])
+        assert calls == {"plan": 1, "campaign_id": 1, "get": distinct}
+        out, err = capsys.readouterr()
+        (line,) = [line for line in err.splitlines()
+                   if line.startswith(f"[{name}] campaign ")
+                   and "distinct cells" in line]
+        return line.split()[2], out, err
+
+    cid, out, _ = invoke("planned", "--plan-only")
+    assert out == f"{cid}\n"
+    cold_cid, _, err = invoke("cache")
+    assert f"{distinct} cell(s) simulated, 0 memo hit(s), 0 disk hit(s)" \
+        in err
+    warm_cid, _, err = invoke("cache")
+    assert f"0 cell(s) simulated, 0 memo hit(s), {distinct} disk hit(s)" \
+        in err
+    assert cold_cid == warm_cid == cid
 
 
 def test_table1_and_a_machine_generate_each_program_once():

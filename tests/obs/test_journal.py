@@ -148,13 +148,14 @@ class TestCrashReconciliation:
             cache_dir=tmp_path / "cache",
             campaign_dir=str(tmp_path / "campaigns"),
             retries=1, **FAST)
-        info = planner.plan_campaign(grid(planner))
-        cdir = tmp_path / "campaigns" / info.campaign_id
-        return info, cdir
+        plan = planner.plan(grid(planner))
+        planner.plan_campaign(plan)
+        cdir = tmp_path / "campaigns" / plan.campaign_id
+        return plan, cdir
 
     def test_killed_worker_leaves_parseable_consistent_journal(
             self, tmp_path):
-        info, cdir = self._plan(tmp_path)
+        plan, cdir = self._plan(tmp_path)
         queue_file = str(cdir / "queue.sqlite")
         jpath = str(cdir / "events.jsonl")
 
@@ -165,7 +166,7 @@ class TestCrashReconciliation:
             proc = ctx.Process(
                 target=worker_process_entry,
                 args=(queue_file, "doomed", str(tmp_path / "cache"),
-                      None, 2, 1.0, jpath, info.campaign_id))
+                      None, 2, 1.0, jpath, plan.campaign_id))
             proc.start()
             proc.join(120)
             assert proc.exitcode == 86
@@ -187,7 +188,7 @@ class TestCrashReconciliation:
             proc2 = ctx.Process(
                 target=worker_process_entry,
                 args=(queue_file, "fresh", str(tmp_path / "cache"),
-                      None, 2, 1.0, jpath, info.campaign_id))
+                      None, 2, 1.0, jpath, plan.campaign_id))
             proc2.start()
             proc2.join(120)
             assert proc2.exitcode == 0

@@ -2,7 +2,6 @@
 
 import argparse
 import io
-import json
 import logging
 
 import pytest
@@ -46,19 +45,6 @@ class TestSetup:
         assert "[repro.campaign.worker]" in line
         assert line.endswith("leased 4 cells")
 
-    def test_json_records_parse_and_carry_extras(self):
-        stream = io.StringIO()
-        setup_logging(level="debug", json_mode=True, stream=stream)
-        get_logger("worker").warning(
-            "cell timed out", extra={"key": "abc123", "attempt": 2})
-        doc = json.loads(stream.getvalue())
-        assert doc["level"] == "warning"
-        assert doc["logger"] == "repro.worker"
-        assert doc["msg"] == "cell timed out"
-        assert doc["key"] == "abc123"
-        assert doc["attempt"] == 2
-        assert doc["ts"] > 0
-
     def test_level_filtering(self):
         stream = io.StringIO()
         setup_logging(level="error", stream=stream)
@@ -94,13 +80,10 @@ class TestCliFlags:
     def test_defaults(self):
         args = self._parser().parse_args([])
         assert args.log_level == "warning"
-        assert args.log_json is False
 
     def test_parses_flags(self):
-        args = self._parser().parse_args(
-            ["--log-level", "debug", "--log-json"])
+        args = self._parser().parse_args(["--log-level", "debug"])
         assert args.log_level == "debug"
-        assert args.log_json is True
 
     def test_rejects_unknown_level(self):
         with pytest.raises(SystemExit):

@@ -66,7 +66,7 @@ def synthetic_campaign(tmp_path: Path) -> Path:
         j.emit("nack", key="k1", label="cell-1", attempt=1,
                error="boom", t_wall=103.0)
         j.emit("retry", key="k1", label="cell-1", attempt=1,
-               backoff_seconds=0.0, t_wall=103.0)
+               t_wall=103.0)
         j.emit("lease", key="k1", label="cell-1", attempt=2,
                queue_wait=1.0, t_wall=103.0)
         j.emit("execute", key="k1", label="cell-1", attempt=2,

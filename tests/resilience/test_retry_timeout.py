@@ -48,7 +48,9 @@ class TestRetryPolicy:
             root = tmp_path / f"retries{retries}"
             session = ExperimentSession(campaign_dir=root,
                                         retries=retries, **FAST)
-            cid = session.plan_campaign(grid(session)).campaign_id
+            planned = session.plan(grid(session))
+            session.plan_campaign(planned)
+            cid = planned.campaign_id
             events = read_events(journal_path(campaign_dir(root, cid)))
             (plan,) = [ev for ev in events if ev["ev"] == "plan"]
             assert plan["retry_attempts"] == retries + 1
