@@ -12,12 +12,18 @@ against a campaign that external workers are draining right now):
 * **--report** — the post-mortem: slowest cells with their queue-wait /
   execute / cache-put breakdown, retry culprits with their last error,
   fault attribution (timeouts, expired leases, worker crashes,
-  quarantined cache entries with the reason inline) and per-worker
-  totals.
+  quarantined cache entries with the reason inline), per-worker
+  totals and any drift between the queue's ``done`` rows and the
+  journal's acks (printed only when there is some).
 
 Both read the queue database (authoritative state) and the event
-journal ``events.jsonl`` (authoritative narrative); a campaign whose
-journal was suppressed (``REPRO_OBS=0``) still reports queue counts.
+journal ``events.jsonl`` (authoritative narrative); a campaign
+directory without a journal still reports queue counts.
+
+An orphaned lease (a row still leased past its deadline) needs no
+repair tool: status flags its owner ``(STALE)``, and the next worker
+or ``--resume`` to lease from the queue settles it as
+``lease_expired``.
 
 Usage::
 
@@ -25,7 +31,7 @@ Usage::
     python scripts/campaign_status.py --campaign ... --report --json
 
 Exit status: 0 on success, 2 when the campaign directory or its queue
-does not exist.
+does not exist or its journal is corrupt before its last line.
 """
 
 import argparse
@@ -42,8 +48,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                     "campaign directory.")
     parser.add_argument("--campaign", required=True, metavar="DIR",
                         help="campaign directory (holds queue.sqlite "
-                             "and, when observability is on, "
-                             "events.jsonl)")
+                             "and events.jsonl)")
     parser.add_argument("--report", action="store_true",
                         help="post-mortem report (slowest cells, retry "
                              "culprits, fault attribution) instead of "
@@ -51,14 +56,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--json", action="store_true",
                         help="emit the raw JSON document instead of the "
                              "human summary")
-    parser.add_argument("--top", type=int, default=10,
-                        help="rows in the slowest-cells table "
-                             "(default: 10)")
     add_logging_args(parser)
-    args = parser.parse_args(argv)
-    if args.top < 1:
-        parser.error(f"--top must be >= 1, got {args.top}")
-    return args
+    return parser.parse_args(argv)
 
 
 def _fmt_duration(seconds) -> str:
@@ -145,6 +144,14 @@ def print_report(doc: dict) -> None:
             print(f"    {rec['label'] or rec['key']}: "
                   f"{rec['attempts']} attempt(s), "
                   f"last error: {rec['last_error']}")
+    drift = doc["drift"]
+    if drift["done_without_ack"] or drift["acked_not_done"]:
+        print("  drift (queue vs journal; the queue is authoritative):")
+        for key in drift["done_without_ack"]:
+            print(f"    {key}: done in the queue, no ack in the journal")
+        for key in drift["acked_not_done"]:
+            print(f"    {key}: acked in the journal, not done in the "
+                  "queue")
 
 
 def main(argv=None) -> int:
@@ -152,10 +159,10 @@ def main(argv=None) -> int:
     setup_from_args(args)
     try:
         if args.report:
-            doc = campaign_report(args.campaign, top=args.top)
+            doc = campaign_report(args.campaign)
         else:
             doc = live_status(args.campaign)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"campaign_status: {exc}", file=sys.stderr)
         return 2
     if args.json:

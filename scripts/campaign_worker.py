@@ -37,8 +37,7 @@ from repro.campaign.health import ResourceGuardError, check_free_disk
 from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME, \
     read_campaign_id
 from repro.campaign.queue import DEFAULT_LEASE_SECONDS
-from repro.campaign.worker import DEFAULT_POLL_SECONDS, \
-    worker_process_entry
+from repro.campaign.worker import worker_process_entry
 from repro.experiments.cache import DEFAULT_CACHE_DIR
 from repro.obs.journal import journal_path
 from repro.obs.logging_setup import (
@@ -81,19 +80,10 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="per-cell wall-clock budget; runs each "
                              "attempt in an isolated child process "
                              "(default: unlimited, in-process)")
-    parser.add_argument("--poll", type=float,
-                        default=DEFAULT_POLL_SECONDS,
-                        help="sleep between empty lease rounds "
-                             f"(default: {DEFAULT_POLL_SECONDS:g})")
     parser.add_argument("--no-wait", action="store_true",
                         help="exit at the first empty lease round "
                              "instead of waiting for other workers' "
                              "leases to resolve")
-    parser.add_argument("--cell-memory-mb", type=float, default=None,
-                        metavar="MB",
-                        help="address-space ceiling for isolated cell "
-                             "attempts (requires --cell-timeout or a "
-                             "suspect cell; default: unlimited)")
     add_logging_args(parser)
     args = parser.parse_args(argv)
     if args.lease_batch < 1:
@@ -105,9 +95,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error(f"--cell-timeout must be > 0, got "
                      f"{args.cell_timeout}")
-    if args.cell_memory_mb is not None and args.cell_memory_mb <= 0:
-        parser.error(f"--cell-memory-mb must be > 0, got "
-                     f"{args.cell_memory_mb}")
     return args
 
 
@@ -130,8 +117,6 @@ def main(argv=None) -> None:
             check_free_disk(args.cache_dir)
     except ResourceGuardError as exc:
         raise SystemExit(f"campaign_worker: {exc}") from None
-    cell_memory = None if args.cell_memory_mb is None \
-        else int(args.cell_memory_mb * 1024 * 1024)
 
     log.info("%s draining campaign %s", worker_id, cid)
     t0 = time.time()
@@ -139,7 +124,7 @@ def main(argv=None) -> None:
         queue_file, worker_id, None if args.no_cache else args.cache_dir,
         args.cell_timeout, args.lease_batch, args.lease_seconds,
         journal_path=str(journal_path(args.campaign)), campaign_id=cid,
-        cell_memory=cell_memory, poll=args.poll, wait=not args.no_wait)
+        wait=not args.no_wait)
     # User-facing CLI footer (the tested output contract), not a
     # diagnostic — always printed, whatever the log level.
     drained = " (drained on signal)" if stats.drained else ""

@@ -21,9 +21,11 @@ Six scenarios, each on a small 4-cell grid with ``jobs=2``:
    retry budget settles it as ``poisoned`` (journaled), the other
    cells complete, and only the first attempt costs a fleet worker
    (later attempts are contained in isolated children).
-6. **doctor** — a wrecked campaign directory (orphan lease, stale
-   cache temp file) audits dirty, is restored by
-   ``campaign_doctor --repair``, and re-audits clean.
+6. **orphan** — a wrecked campaign directory (a lease whose owner is
+   gone, a stale cache temp file) needs no repair tool: status names
+   the dead owner as stale, and ``--resume --verify-cache`` settles
+   the lease as ``lease_expired``, deletes the debris and regenerates
+   a report *byte-identical* to a fault-free campaign's.
 
 Every scenario also runs with a durable campaign directory and then
 audits the **event journal**: the injected fault must be attributed to
@@ -43,6 +45,7 @@ Usage::
     PYTHONPATH=src python scripts/chaos_smoke.py
 """
 
+import json
 import os
 import shutil
 import signal
@@ -333,12 +336,18 @@ def scenario_poison(workdir: Path) -> None:
         f"poison cell kept killing fleet workers: {crashes}"
 
 
-def scenario_doctor(workdir: Path) -> None:
-    """Wrecked campaign dir: dirty audit, --repair, clean audit."""
-    cache = workdir / "doctor-cache"
-    plan = run_cli("run_sweep.py", *SWEEP_FLAGS,
-                   "--cache-dir", cache, "--plan-only")
-    cid = plan.stdout.strip()
+def scenario_orphan(workdir: Path) -> None:
+    """Wrecked campaign dir: status flags it, a resume repairs it."""
+    ref = workdir / "ref-cache"
+    cid = run_cli("run_sweep.py", *SWEEP_FLAGS, "--cache-dir", ref,
+                  "--plan-only").stdout.strip()
+    run_cli("run_sweep.py", *SWEEP_FLAGS, "--cache-dir", ref,
+            "--resume", cid, "--format", "csv",
+            "--output", workdir / "ref.csv")
+
+    cache = workdir / "orphan-cache"
+    run_cli("run_sweep.py", *SWEEP_FLAGS, "--cache-dir", cache,
+            "--plan-only")
     cdir = cache / "campaigns" / cid
 
     # Wreck it the way kill -9 does: a lease whose owner is gone and
@@ -356,34 +365,32 @@ def scenario_doctor(workdir: Path) -> None:
     debris.write_text("junk", encoding="utf-8")
     os.utime(debris, (time.time() - 5000, time.time() - 5000))
 
-    audit = run_cli("campaign_doctor.py", "--campaign", cdir,
-                    "--cache-dir", cache, check=False)
-    assert audit.returncode == 1, \
-        f"dirty audit exited {audit.returncode}:\n{audit.stdout}"
-    for check in ("orphan_lease", "stale_tmp"):
-        assert check in audit.stdout, \
-            f"audit missed {check}:\n{audit.stdout}"
+    status = json.loads(run_cli("campaign_status.py", "--campaign",
+                                cdir, "--json").stdout)
+    assert status["stale_workers"] == ["ghost"], \
+        f"status missed the dead owner: {status['stale_workers']}"
 
-    repair = run_cli("campaign_doctor.py", "--campaign", cdir,
-                     "--cache-dir", cache, "--repair", check=False)
-    assert repair.returncode == 0, \
-        f"--repair exited {repair.returncode}:\n{repair.stdout}"
-
-    clean = run_cli("campaign_doctor.py", "--campaign", cdir,
-                    "--cache-dir", cache, check=False)
-    assert clean.returncode == 0 and "clean" in clean.stdout, \
-        f"post-repair audit not clean:\n{clean.stdout}"
+    resume = run_cli("run_sweep.py", *SWEEP_FLAGS, "--cache-dir", cache,
+                     "--resume", cid, "--verify-cache", "--format", "csv",
+                     "--output", workdir / "orphan.csv")
+    assert "1 stale temp file(s) removed" in resume.stderr, \
+        f"verify did not count the debris:\n{resume.stderr}"
     counts = read_queue_counts(cdir)
-    assert counts.get("leased", 0) == 0 \
-        and counts.get("pending", 0) == 4, \
-        f"repair did not requeue the orphan lease: {counts}"
-    assert not debris.exists(), "repair left debris behind"
+    assert counts == {"done": 4}, f"resume left the queue at {counts}"
+    assert not debris.exists(), "resume left debris behind"
+    expired = [ev for ev in load_journal(cdir)
+               if ev["ev"] == "lease_expired"]
+    assert [ev.get("worker") for ev in expired] == ["ghost"], \
+        f"orphan lease not settled once, by its owner: {expired}"
+    assert (workdir / "orphan.csv").read_bytes() \
+        == (workdir / "ref.csv").read_bytes(), \
+        "post-orphan resume report differs from fault-free run"
 
 
 def main() -> int:
     scenarios = (scenario_crash, scenario_hang, scenario_corrupt,
                  scenario_sigterm_drain, scenario_poison,
-                 scenario_doctor)
+                 scenario_orphan)
     failed = 0
     for scenario in scenarios:
         name = scenario.__name__.removeprefix("scenario_")

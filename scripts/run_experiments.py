@@ -33,7 +33,7 @@ campaign's manifest and durable cell queue live under
 (drain it with ``scripts/campaign_worker.py``); ``--resume <id>``
 asserts this invocation continues that exact campaign;
 ``--verify-cache`` audits every cache entry up front, quarantining
-corrupt ones.
+corrupt ones and deleting stale ``*.tmp`` debris.
 """
 
 import argparse

@@ -34,7 +34,7 @@ state and prints the id without executing, so external
 ``scripts/campaign_worker.py`` processes can drain the queue;
 ``--resume <id>`` asserts this invocation continues that exact
 campaign.  ``--verify-cache`` audits every cache entry up front,
-quarantining corrupt ones.
+quarantining corrupt ones and deleting stale ``*.tmp`` debris.
 """
 
 import argparse

@@ -63,7 +63,7 @@ from repro.campaign.manifest import (
 from repro.campaign.queue import DEFAULT_LEASE_SECONDS, CellQueue
 from repro.campaign.worker import DrainStats, drain
 from repro.core.metrics import SimResult
-from repro.obs.journal import NULL_JOURNAL, open_journal
+from repro.obs.journal import NULL_JOURNAL, journal_path, open_journal
 from repro.obs.logging_setup import get_logger
 
 log = get_logger("campaign.engine")
@@ -76,11 +76,6 @@ DEFAULT_DRAIN_GRACE_SECONDS = 60.0
 their in-flight cells before killing the holdouts.  Generous: a drain
 that kills a worker mid-cell only downgrades graceful to crash-safe,
 but the whole point of forwarding the signal was to avoid that."""
-
-RECLAIM_INTERVAL_SECONDS = 1.0
-"""How often the supervisor sweeps the queue for deadline-expired
-leases (e.g. of external workers that died without a supervisor of
-their own)."""
 
 
 class Campaign:
@@ -237,16 +232,14 @@ class Campaign:
         drains), waits up to ``drain_grace`` seconds for them to
         finish their in-flight cells, kills any holdout, and returns
         the signal number — the caller decides what an interrupted
-        campaign means.  Returns ``None`` on an undisturbed run.  It
-        also periodically sweeps the queue for deadline-expired
-        leases, which matters when external workers share the queue
-        file.
+        campaign means.  Returns ``None`` on an undisturbed run.
+        Deadline-expired leases (say, of a dead external worker that
+        shared the queue file) need no sweep of their own: each
+        worker's next ``lease`` settles them first.
         """
         from repro.campaign.worker import worker_process_entry
         ctx = multiprocessing.get_context()
-        from repro.obs.journal import journal_path as events_file
-        jpath = str(events_file(self.dir)) \
-            if self.dir is not None and self.journal.enabled else None
+        jpath = str(journal_path(self.dir)) if self.dir is not None else None
         procs: dict[str, multiprocessing.Process] = {}
         for i in range(count):
             wid = f"worker-{os.getpid()}-{i}"
@@ -279,7 +272,6 @@ class Campaign:
         control = DrainControl().install()
         forwarded = False
         grace_deadline = 0.0
-        last_reclaim = time.monotonic()
         try:
             while procs:
                 if control.requested and not forwarded:
@@ -305,10 +297,6 @@ class Campaign:
                         proc.join(1.0)
                         reap_dead(wid, proc)
                     break
-                if time.monotonic() - last_reclaim \
-                        >= RECLAIM_INTERVAL_SECONDS:
-                    last_reclaim = time.monotonic()
-                    self.queue.reclaim()
                 for wid, proc in list(procs.items()):
                     proc.join(timeout=SUPERVISE_POLL_SECONDS)
                     if not proc.is_alive():

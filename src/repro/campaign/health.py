@@ -14,11 +14,9 @@ simulator (golden parity is untouched):
   escalates to an ordinary :class:`KeyboardInterrupt` for operators
   who really mean *now*.
 
-* Resource guards — :func:`check_free_disk` (a preflight with a
+* Resource guard — :func:`check_free_disk`, a preflight with a
   configurable floor, so a campaign refuses to start on a disk that
-  would wedge it mid-drain) and :func:`set_memory_limit` (an rlimit
-  ceiling for isolated retry children, so a cell with a pathological
-  footprint dies alone instead of OOM-killing a shared worker).
+  would wedge it mid-drain.
 
 Everything here is dependency-free and side-effect-free at import
 time; signal handlers are only installed where a process owns its main
@@ -170,29 +168,6 @@ def check_free_disk(path: str | Path,
             f"{path} (floor: {floor / 1e6:.1f} MB) — free space or "
             f"lower the floor via {DISK_FLOOR_ENV_VAR}")
     return free
-
-
-def set_memory_limit(limit_bytes: int) -> bool:
-    """Cap this process's address space via rlimit (POSIX only).
-
-    Called inside isolated cell children *before* execution so a cell
-    with a pathological memory footprint gets a clean ``MemoryError``
-    (or dies alone) instead of OOM-killing a worker that holds leases
-    for innocent cells.  Returns whether a limit was actually applied
-    — platforms without ``resource`` degrade to unlimited, silently by
-    design (the guard is an optional hardening, not a correctness
-    requirement).
-    """
-    try:
-        import resource
-    except ImportError:
-        return False
-    try:
-        resource.setrlimit(resource.RLIMIT_AS,
-                           (limit_bytes, limit_bytes))
-    except (ValueError, OSError):
-        return False
-    return True
 
 
 def is_enospc(exc: BaseException) -> bool:

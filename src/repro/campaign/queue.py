@@ -33,7 +33,7 @@ Crash safety rests on one liveness rule: a row's *lease deadline*.
 holds to ``now`` plus that row's own lease duration, so a worker that
 keeps reporting keeps its batch.  A worker that stops reporting (it
 died, or is wedged in one cell) has its rows reclaimed by the next
-``lease`` or ``reclaim`` call once their deadline passes.  A
+``lease`` call, from any worker, once their deadline passes.  A
 supervisor that *knows* a worker died returns its cells at once with
 ``release(owner)``.  Both paths charge the lost attempt against the
 row's budget.  A cell executed twice because a lease expired while its
@@ -102,7 +102,7 @@ CREATE INDEX IF NOT EXISTS cells_state ON cells (state);
 DEFAULT_LEASE_SECONDS = 120.0
 """How long a lease lives after it is granted or its owner last acks
 or nacks.  An owner silent this long is presumed dead and its rows are
-reclaimed by the next ``lease`` or ``reclaim``.  Generous on purpose: a false
+reclaimed by the next ``lease``.  Generous on purpose: a false
 "dead" verdict only costs a harmless double execution (acks are
 idempotent), but it also charges the cell a worker-fatal attempt, so
 the default stays well above any sane per-cell latency."""
@@ -202,8 +202,8 @@ class CellQueue:
         rows are never touched: their results are the cache.
         ``poisoned`` rows are never revived either: a cell that killed
         a worker on every attempt should not be re-armed by a routine
-        resume — clearing it is a deliberate act (``campaign_doctor``
-        or a fresh campaign), not a side effect.
+        resume.  Re-arming one is a deliberate act: remove its
+        campaign directory, or plan under another ``--campaign-dir``.
         """
         added = 0
         now = time.time()
@@ -395,18 +395,6 @@ class CellQueue:
                 row["key"], "lease expired (worker presumed dead)",
                 cause="lease_expired")
         return events
-
-    def reclaim(self, now: float | None = None) -> int:
-        """Settle every deadline-expired lease now; returns how many.
-
-        The supervisor's and doctor's entry point: one sweep without
-        leasing anything.
-        """
-        now = time.time() if now is None else now
-        with self._txn():
-            events = self._reclaim_expired(now)
-        self._emit(events)
-        return sum(1 for ev, _ in events if ev in FATAL_CAUSES)
 
     def _settle(self, key: str, error: str,
                 owner: str | None = None,

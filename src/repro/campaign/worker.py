@@ -38,7 +38,8 @@ live on.
 Liveness needs nothing from the loop beyond its acks and nacks: each
 one renews every other lease the worker holds (see
 :mod:`repro.campaign.queue`), so a worker that keeps delivering keeps
-its batch and a dead one loses it when its lease deadlines pass.
+its batch and a dead one loses it when its lease deadlines pass (the
+next ``lease`` call, by any worker, settles those rows first).
 A :class:`~repro.campaign.health.DrainControl` makes the loop
 signal-aware: on the first SIGTERM/SIGINT the in-flight cell is
 finished and delivered, every unstarted leased cell is returned to
@@ -55,14 +56,15 @@ one) and the queue row itself — so a campaign's results are complete
 even with no cache configured, and the planner can collect them
 without re-reading the cache.
 
-Observability: a drain loop journals its own lifecycle
-(``worker_start`` / ``worker_exit``), each executed cell's latency
-breakdown (an ``execute`` event carrying ``execute_seconds`` and
-``cache_put_seconds``, emitted just before the queue's ``ack``) and
-explicit ``timeout`` events when an attempt dies at its wall-clock
-budget.  The journal is the campaign's only telemetry, and all of it
-lives here, at the campaign layer — the simulator cycle loop is never
-touched.
+Observability: every worker of a durable campaign journals.  A drain
+loop journals its own lifecycle (``worker_start`` / ``worker_exit``),
+each executed cell's latency breakdown (an ``execute`` event carrying
+``execute_seconds`` and ``cache_put_seconds``, emitted just before
+the queue's ``ack``) and explicit ``timeout`` events when an attempt
+dies at its wall-clock budget.  The journal is the campaign's only
+telemetry, and all of it lives here, at the campaign layer — the
+simulator cycle loop is never touched, so the journal's volume is per
+cell, whatever the window.
 """
 
 from __future__ import annotations
@@ -106,9 +108,8 @@ class DrainStats:
 def drain(queue: CellQueue, *, worker_id: str, cache=None,
           cell_timeout: float | None = None, lease_batch: int = 8,
           lease_seconds: float = DEFAULT_LEASE_SECONDS,
-          poll: float = DEFAULT_POLL_SECONDS, wait: bool = True,
-          isolate: bool = False, journal=None, control=None,
-          cell_memory: int | None = None) -> DrainStats:
+          wait: bool = True, isolate: bool = False, journal=None,
+          control=None) -> DrainStats:
     """Drain a queue until nothing is left (or leasable, with
     ``wait=False``).
 
@@ -123,10 +124,10 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
             through isolated child processes.
         lease_batch: Cells to claim per lease round.
         lease_seconds: Lease deadline handed to the queue.
-        poll: Sleep between empty lease rounds while work remains.
         wait: ``True`` drains until every row is resolved, waiting out
-            other workers' leases; ``False`` exits
-            at the first empty lease round (the CLI's ``--no-wait``).
+            other workers' leases (one lease round every
+            :data:`DEFAULT_POLL_SECONDS`); ``False`` exits at the first
+            empty lease round (the CLI's ``--no-wait``).
         isolate: Force isolated child processes even without a
             timeout — the recovery path, where whatever killed the
             previous workers must not kill this one.
@@ -137,8 +138,6 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
             ``requested`` flag is set (signal handler, supervisor,
             test) the loop finishes the in-flight cell, unleases the
             rest and returns with ``stats.drained`` set.
-        cell_memory: Optional address-space cap (bytes) for isolated
-            attempts (timeouts, suspects, recovery).
     """
     journal = journal if journal is not None else NULL_JOURNAL
     if queue.journal is NULL_JOURNAL and journal is not NULL_JOURNAL:
@@ -154,13 +153,12 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
         if not batch:
             if not wait or queue.unresolved() == 0:
                 break
-            time.sleep(poll)
+            time.sleep(DEFAULT_POLL_SECONDS)
             continue
         stats.leases += 1
         _execute_lease(queue, batch, worker_id=worker_id, cache=cache,
                        cell_timeout=cell_timeout, isolate=isolate,
-                       stats=stats, journal=journal, control=control,
-                       cell_memory=cell_memory)
+                       stats=stats, journal=journal, control=control)
     if control.requested:
         stats.drained = True
         journal.emit("worker_drain", worker=worker_id,
@@ -182,8 +180,7 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
 def _execute_lease(queue: CellQueue, batch: list[LeasedCell], *,
                    worker_id: str, cache, cell_timeout: float | None,
                    isolate: bool, stats: DrainStats,
-                   journal=NULL_JOURNAL, control=NULL_CONTROL,
-                   cell_memory: int | None = None) -> None:
+                   journal=NULL_JOURNAL, control=NULL_CONTROL) -> None:
     """Execute one leased batch, acking/nacking cell by cell.
 
     Every cell ends this call settled exactly once: delivered (ack),
@@ -210,7 +207,7 @@ def _execute_lease(queue: CellQueue, batch: list[LeasedCell], *,
         _run_lease(queue, batch, handled, worker_id=worker_id,
                    cache=cache, cell_timeout=cell_timeout,
                    isolate=isolate, stats=stats, journal=journal,
-                   control=control, cell_memory=cell_memory)
+                   control=control)
     except BaseException as exc:       # noqa: BLE001 — unlease, re-raise
         refunded = unlease_rest()
         journal.emit("worker_interrupt", worker=worker_id,
@@ -227,8 +224,7 @@ def _execute_lease(queue: CellQueue, batch: list[LeasedCell], *,
 def _run_lease(queue: CellQueue, batch: list[LeasedCell],
                handled: set[str], *, worker_id: str, cache,
                cell_timeout: float | None, isolate: bool,
-               stats: DrainStats, journal, control,
-               cell_memory: int | None) -> None:
+               stats: DrainStats, journal, control) -> None:
     """Run one lease's cells in order, marking each settled key in
     ``handled``; a cell that raises is nacked and the loop moves on."""
     for lc in batch:
@@ -238,8 +234,7 @@ def _run_lease(queue: CellQueue, batch: list[LeasedCell],
         t0 = time.perf_counter()
         try:
             if isolate or cell_timeout is not None or lc.suspect:
-                result = run_cell_isolated(cell, timeout=cell_timeout,
-                                           memory_limit=cell_memory)
+                result = run_cell_isolated(cell, timeout=cell_timeout)
             else:
                 result = execute_cell(cell)
         except Exception as exc:
@@ -293,8 +288,6 @@ def worker_process_entry(queue_path: str, worker_id: str,
                          journal_path: str | None = None,
                          campaign_id: str | None = None,
                          install_signals: bool = True,
-                         cell_memory: int | None = None,
-                         poll: float = DEFAULT_POLL_SECONDS,
                          wait: bool = True) \
         -> tuple[DrainStats, dict[str, int]]:
     """Bootstrap one worker process and drain the queue.
@@ -314,10 +307,10 @@ def worker_process_entry(queue_path: str, worker_id: str,
     spawned workers ignore both.
     """
     from repro.experiments.cache import ResultCache
-    from repro.obs.journal import Journal, obs_enabled
+    from repro.obs.journal import Journal
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     journal = NULL_JOURNAL
-    if journal_path is not None and obs_enabled():
+    if journal_path is not None:
         journal = Journal(journal_path, campaign_id=campaign_id,
                           worker_id=worker_id)
     if cache is not None:
@@ -329,9 +322,8 @@ def worker_process_entry(queue_path: str, worker_id: str,
     try:
         stats = drain(queue, worker_id=worker_id, cache=cache,
                       cell_timeout=cell_timeout, lease_batch=lease_batch,
-                      lease_seconds=lease_seconds, poll=poll, wait=wait,
-                      journal=journal, control=control,
-                      cell_memory=cell_memory)
+                      lease_seconds=lease_seconds, wait=wait,
+                      journal=journal, control=control)
         return stats, queue.counts()
     finally:
         journal.close()

@@ -27,6 +27,7 @@ import contextlib
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
 
 from repro.campaign.cells import (
@@ -44,6 +45,7 @@ log = get_logger("experiments.cache")
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
+    "DEBRIS_AGE_SECONDS",
     "DEFAULT_CACHE_DIR",
     "QUARANTINE_DIR",
     "RESULT_SCHEMA_VERSION",
@@ -62,6 +64,10 @@ misses instead of silently deserialising stale dicts."""
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 """Default on-disk location, relative to the current working directory."""
+
+DEBRIS_AGE_SECONDS = 900.0
+"""A ``*.tmp`` file older than this is debris from a killed writer,
+not a write in flight: :meth:`ResultCache.verify` deletes it."""
 
 QUARANTINE_DIR = "quarantine"
 """Subdirectory (under the cache root) where corrupt entries land,
@@ -140,20 +146,24 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def verify(self, repair: bool = True) -> dict:
+    def verify(self) -> dict:
         """Proactively validate every entry; quarantine the corrupt.
 
         Walks the whole store applying exactly the :meth:`get`
         validation (parse, key match, schema, result shape) without
         waiting for a read to trip over a bad entry — the audit to run
         before archiving a cache or handing it to a worker fleet.
-        With ``repair=True`` (the default) corrupt entries are
-        quarantined next to ``.reason.txt`` files like any other
-        corruption; ``repair=False`` is a pure audit — corrupt entries
-        are reported but left in place (``campaign_doctor`` without
-        ``--repair``).  Returns ``{"checked", "healthy",
-        "quarantined", "corrupt"}`` where ``corrupt`` lists
-        ``{"key", "reason"}`` for every defective entry found.
+        Corrupt entries are quarantined next to ``.reason.txt`` files
+        like any other corruption.
+
+        It also deletes ``*.tmp`` debris anywhere under the cache root
+        (the campaign directories of the default ``--campaign-dir``
+        included) once it is :data:`DEBRIS_AGE_SECONDS` old: what a
+        writer killed between ``mkstemp`` and ``os.replace`` leaves
+        behind, garbage by construction.  Returns ``{"checked",
+        "healthy", "quarantined", "corrupt", "debris"}`` where
+        ``corrupt`` lists ``{"key", "reason"}`` for every defective
+        entry found and ``debris`` counts the temp files deleted.
         """
         checked = healthy = quarantined = 0
         corrupt: list[dict] = []
@@ -164,17 +174,29 @@ class ResultCache:
             except FileNotFoundError:
                 continue               # raced a pruner; nothing to judge
             except (OSError, ValueError, KeyError, TypeError) as exc:
-                corrupt.append({"key": path.stem,
-                                "reason": f"{type(exc).__name__}: "
-                                          f"{exc}"})
-                if repair:
-                    self._quarantine(path,
-                                     f"{type(exc).__name__}: {exc}")
-                    quarantined += 1
+                reason = f"{type(exc).__name__}: {exc}"
+                corrupt.append({"key": path.stem, "reason": reason})
+                self._quarantine(path, reason)
+                quarantined += 1
             else:
                 healthy += 1
         return {"checked": checked, "healthy": healthy,
-                "quarantined": quarantined, "corrupt": corrupt}
+                "quarantined": quarantined, "corrupt": corrupt,
+                "debris": self._sweep_debris()}
+
+    def _sweep_debris(self) -> int:
+        """Delete ``*.tmp`` files under the root older than
+        :data:`DEBRIS_AGE_SECONDS`; returns how many went."""
+        cutoff = time.time() - DEBRIS_AGE_SECONDS
+        removed = 0
+        for tmp in self.root.rglob("*.tmp"):
+            try:
+                if tmp.stat().st_mtime < cutoff:
+                    tmp.unlink()
+                    removed += 1
+            except OSError:
+                continue               # raced its writer or a sweeper
+        return removed
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a corrupt entry (plus a reason file) out of the cache.

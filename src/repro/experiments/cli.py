@@ -59,7 +59,8 @@ def add_runner_args(parser: argparse.ArgumentParser, *,
                              "stdout and exit without simulating")
     parser.add_argument("--verify-cache", action="store_true",
                         help="before running, validate every cache "
-                             "entry and quarantine corrupt ones")
+                             "entry, quarantine corrupt ones and "
+                             "delete stale *.tmp debris")
     parser.add_argument("--prune-cache", type=int, default=None,
                         metavar="MAX_ENTRIES",
                         help="after the run, evict the oldest cache "
@@ -128,7 +129,8 @@ def open_session(args: argparse.Namespace, prog: str, *,
         audit = session.disk.verify()
         print(f"[{prog}] cache verify: {audit['checked']} checked, "
               f"{audit['healthy']} healthy, {audit['quarantined']} "
-              f"quarantined", file=sys.stderr)
+              f"quarantined, {audit['debris']} stale temp file(s) "
+              "removed", file=sys.stderr)
     return session
 
 

@@ -27,9 +27,9 @@ is untouched, so golden parity and throughput are preserved):
 * :mod:`repro.obs.logging_setup` — shared ``logging`` configuration
   for the CLIs (``--log-level``).
 
-The journal is disableable with ``REPRO_OBS=0``; results are
-byte-identical either way, because observability only ever *watches*
-the execution stack.
+Every durable campaign journals, and its results are byte-identical
+to an ephemeral (journal-less) run's, because observability only ever
+*watches* the execution stack.
 """
 
 from repro.obs.journal import (
@@ -38,7 +38,6 @@ from repro.obs.journal import (
     Journal,
     NULL_JOURNAL,
     NullJournal,
-    obs_enabled,
     open_journal,
     read_events,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "NullJournal",
     "add_logging_args",
     "get_logger",
-    "obs_enabled",
     "open_journal",
     "read_events",
     "setup_from_args",

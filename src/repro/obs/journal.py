@@ -25,9 +25,11 @@ Design constraints, in order:
   ``label`` and ``attempt``.
 * **Zero simulator overhead.**  Events exist only at the campaign
   layer (plan/lease/execute/ack/...); nothing inside a backend's
-  cycle loop ever emits.  With ``REPRO_OBS=0`` (or for ephemeral,
-  rootless campaigns) call sites hold the :data:`NULL_JOURNAL`
-  singleton and every ``emit`` is a no-op method call.
+  cycle loop ever emits, so a campaign journals the same records
+  whatever its window.  A durable campaign always journals.
+  Ephemeral, rootless campaigns have no directory to journal into:
+  their call sites hold the :data:`NULL_JOURNAL` singleton and every
+  ``emit`` is a no-op method call.
 
 Event vocabulary (the ``ev`` field)::
 
@@ -81,22 +83,8 @@ EVENTS_NAME = "events.jsonl"
 JOURNAL_SCHEMA_VERSION = 1
 """Bump when the record shape changes incompatibly."""
 
-ENV_VAR = "REPRO_OBS"
-"""Set to ``0``/``off``/``false`` to disable the journal entirely
-(the kill switch for overhead-paranoid runs)."""
-
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
-
-
-def obs_enabled(environ=None) -> bool:
-    """Whether observability output is enabled for this process."""
-    value = (environ if environ is not None else os.environ) \
-        .get(ENV_VAR, "")
-    return value.strip().lower() not in _DISABLED_VALUES
-
-
 class NullJournal:
-    """No-op journal: the disabled/ephemeral stand-in.
+    """No-op journal: the ephemeral campaign's stand-in.
 
     Call sites hold a journal unconditionally and ``emit`` into it;
     this class makes "no journal" a cheap method call instead of an
@@ -191,10 +179,9 @@ def open_journal(campaign_dir: str | Path | None,
     """A :class:`Journal` for the campaign, or :data:`NULL_JOURNAL`.
 
     Returns the null journal when the campaign has no durable
-    directory (ephemeral runs leave no artifacts to journal into) or
-    when observability is disabled via :data:`ENV_VAR`.
+    directory (ephemeral runs leave no artifacts to journal into).
     """
-    if campaign_dir is None or not obs_enabled():
+    if campaign_dir is None:
         return NULL_JOURNAL
     return Journal(journal_path(campaign_dir), campaign_id=campaign_id,
                    worker_id=worker_id)

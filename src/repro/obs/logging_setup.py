@@ -4,9 +4,11 @@ Every diagnostic line the execution stack emits goes through the
 ``repro`` logger hierarchy (``repro.campaign.worker``,
 ``repro.campaign.engine``, ``repro.campaign_worker`` ...), configured
 exactly once per process by :func:`setup_logging` as
-``HH:MM:SS level [name] message`` lines on stderr.  The campaign's
-machine-readable record is its event journal (:mod:`repro.obs.journal`),
-not its log.
+``HH:MM:SS level [name] message`` lines on stderr.  The handler looks
+``sys.stderr`` up as it writes each line, so an in-process caller that
+swaps the stream and later closes it (a test capturing a CLI's output)
+loses no later diagnostic.  The campaign's machine-readable record is
+its event journal (:mod:`repro.obs.journal`), not its log.
 
 CLIs opt in with the ``--log-level`` flag added by
 :func:`add_logging_args` and a single :func:`setup_from_args` call.
@@ -45,8 +47,21 @@ class HumanFormatter(logging.Formatter):
         return line
 
 
-def setup_logging(level: str = "warning",
-                  stream=None) -> logging.Logger:
+class StderrHandler(logging.StreamHandler):
+    """A stream handler bound to ``sys.stderr`` at emit time, not at
+    setup time."""
+
+    def __init__(self) -> None:
+        # Skips StreamHandler.__init__, which would store a stream in
+        # place of the lookup below.
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def setup_logging(level: str = "warning") -> logging.Logger:
     """Configure the ``repro`` logger tree; returns the root logger.
 
     Idempotent per process: a second call replaces the handler (and
@@ -58,8 +73,7 @@ def setup_logging(level: str = "warning",
                          f"{', '.join(LEVELS)}")
     logger = logging.getLogger(ROOT_LOGGER)
     logger.setLevel(getattr(logging, level.upper()))
-    handler = logging.StreamHandler(stream if stream is not None
-                                    else sys.stderr)
+    handler = StderrHandler()
     handler.setFormatter(HumanFormatter())
     for old in list(logger.handlers):
         logger.removeHandler(old)

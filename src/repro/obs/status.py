@@ -17,7 +17,8 @@ Two entry points, mirroring the CLI's two modes:
   abandoned) campaign: slowest cells with their queue-wait / execute /
   cache-put breakdown, retry culprits with their last error, fault
   attribution (timeouts, expired leases, releases, quarantines with
-  the quarantine reason inline) and per-worker totals.
+  the quarantine reason inline), per-worker totals and any drift
+  between the queue's ``done`` rows and the journal's acks.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ CELL_EVENTS = ("lease", "execute", "ack", "nack", "retry", "failed",
                "unlease")
 """Events that carry a cell ``key`` (per-cell timeline material)."""
 
+SLOWEST_CELLS = 10
+"""Rows in a report's slowest-cells table."""
+
 
 def connect_read_only(queue_file: str | Path) -> sqlite3.Connection:
     """A connection to a queue database that only ever reads it.
 
-    Read-only is load-bearing: the status and doctor tools must never
+    Read-only is load-bearing: status and report readers must never
     take a write lock on a queue that live workers are leasing from.
     Falls back to a plain connection for filesystems where the
     ``mode=ro`` URI open fails (callers still only run SELECTs).  Rows
@@ -80,9 +84,9 @@ def expired_leases(queue_file: str | Path,
     """Rows still ``leased`` past their deadline at ``now``.
 
     The queue's liveness rule, read-only: these are exactly the rows
-    the next ``CellQueue.lease`` or ``reclaim`` settles as
-    ``lease_expired``, so their owners have stopped acking and are
-    presumed dead.  Rows carry ``key`` and ``lease_owner``.
+    the next ``CellQueue.lease`` settles as ``lease_expired``, so their
+    owners have stopped acking and are presumed dead.  Rows carry
+    ``key`` and ``lease_owner``.
     """
     conn = connect_read_only(queue_file)
     try:
@@ -266,15 +270,38 @@ def _cell_timelines(events: list[dict]) -> dict[str, dict]:
     return cells
 
 
-def campaign_report(campaign_dir: str | Path, top: int = 10) -> dict:
+def _drift(queue_file: Path, events: list[dict]) -> dict[str, list]:
+    """Keys the queue and the journal disagree about.
+
+    ``done_without_ack`` are ``done`` in the queue with no journaled
+    ``ack``; ``acked_not_done`` were acked in the journal but are not
+    ``done``.  The queue is authoritative, so drift is evidence (a
+    torn journal, a foreign writer), reported and never repaired.  A
+    journal with no acks at all proves nothing, so it gives no drift.
+    """
+    acked = {ev.get("key") for ev in events if ev.get("ev") == "ack"}
+    if not acked:
+        return {"done_without_ack": [], "acked_not_done": []}
+    conn = connect_read_only(queue_file)
+    try:
+        done = {row["key"] for row in conn.execute(
+            "SELECT key FROM cells WHERE state = 'done'")}
+    finally:
+        conn.close()
+    return {"done_without_ack": sorted(done - acked),
+            "acked_not_done": sorted(acked - done)}
+
+
+def campaign_report(campaign_dir: str | Path) -> dict:
     """Post-mortem summary of a campaign from journal + queue.
 
-    Returns a JSON-safe document: overall totals, the ``top`` slowest
-    cells (with the queue-wait / execute / cache-put breakdown),
-    retry culprits (cells that needed more than one attempt, worst
-    first, with their last error), fault attribution (timeouts,
-    expired leases, supervisor releases, worker crash exits) and
-    quarantine events with the ``.reason.txt`` content inline.
+    Returns a JSON-safe document: overall totals, the
+    :data:`SLOWEST_CELLS` slowest cells (with the queue-wait / execute
+    / cache-put breakdown), retry culprits (cells that needed more
+    than one attempt, worst first, with their last error), fault
+    attribution (timeouts, expired leases, supervisor releases, worker
+    crash exits), quarantine events with the ``.reason.txt`` content
+    inline and the queue/journal ``drift`` (see :func:`_drift`).
     """
     campaign_dir = Path(campaign_dir)
     counts = read_queue_counts(campaign_dir)
@@ -285,7 +312,7 @@ def campaign_report(campaign_dir: str | Path, top: int = 10) -> dict:
     timed = [rec for rec in cells.values()
              if rec["execute_seconds"] is not None]
     slowest = sorted(timed, key=lambda r: r["execute_seconds"],
-                     reverse=True)[:top]
+                     reverse=True)[:SLOWEST_CELLS]
     retried = sorted((rec for rec in cells.values()
                       if rec["attempts"] > 1 or rec["nacks"]),
                      key=lambda r: (r["attempts"], r["nacks"]),
@@ -324,4 +351,5 @@ def campaign_report(campaign_dir: str | Path, top: int = 10) -> dict:
         "poisoned_cells": poisoned,
         "worker_crashes": crashes,
         "workers": workers,
+        "drift": _drift(campaign_dir / QUEUE_NAME, events),
     }

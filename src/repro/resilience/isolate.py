@@ -40,14 +40,11 @@ class CellRemoteError(RuntimeError):
     """The child raised; carries the remote exception's description."""
 
 
-def _child_main(conn, cell, memory_limit=None) -> None:
+def _child_main(conn, cell) -> None:
     # Imported lazily: the resilience layer must stay importable
     # without pulling in the execution stack.
     from repro.campaign.cells import execute_cell
     try:
-        if memory_limit:
-            from repro.campaign.health import set_memory_limit
-            set_memory_limit(memory_limit)
         result = execute_cell(cell)
     except BaseException as exc:       # noqa: BLE001 — report, then die
         try:
@@ -58,24 +55,18 @@ def _child_main(conn, cell, memory_limit=None) -> None:
     conn.send(("ok", result))
 
 
-def run_cell_isolated(cell, timeout: float | None = None,
-                      memory_limit: int | None = None):
+def run_cell_isolated(cell, timeout: float | None = None):
     """Execute ``cell`` in a child process; enforce ``timeout`` seconds.
 
     Returns the cell's ``SimResult``.  Raises :class:`CellTimeout` if
     the budget expires (the child is SIGKILLed), :class:`CellCrash` if
     the child dies without reporting, or :class:`CellRemoteError`
     carrying the child's exception description.
-
-    ``memory_limit`` (bytes) caps the child's address space via
-    ``RLIMIT_AS`` where the platform supports it — a cell with a
-    pathological footprint then dies alone with a ``MemoryError``
-    instead of inviting the OOM killer into a shared worker.
     """
     ctx = multiprocessing.get_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_child_main,
-                       args=(child_conn, cell, memory_limit),
+                       args=(child_conn, cell),
                        daemon=True)
     proc.start()
     child_conn.close()     # parent keeps only the read end

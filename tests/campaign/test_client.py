@@ -1,20 +1,22 @@
 """Cache auditing and the CLI campaign flags.
 
-``ResultCache.verify()`` quarantines corruption proactively, and the
-CLIs expose plan/resume/verify as thin clients of the campaign
-engine; the external worker CLI drains a planned campaign through the
-same bootstrap as a spawned worker.
+``ResultCache.verify()`` quarantines corruption proactively and sweeps
+stale temp-file debris, and the CLIs expose plan/resume/verify as thin
+clients of the campaign engine; the external worker CLI drains a
+planned campaign through the same bootstrap as a spawned worker.
 """
 
 import importlib.util
 import json
+import os
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.campaign.worker import DrainStats
 from repro.experiments import ExperimentSession
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import DEBRIS_AGE_SECONDS, ResultCache
 from repro.obs.journal import read_events
 from repro.obs.status import read_queue_counts
 from repro.resilience import FaultSpec, inject_faults
@@ -52,7 +54,8 @@ class TestCacheVerify:
     def test_healthy_cache_verifies_clean(self, tmp_path):
         cache = self.fill(tmp_path)
         assert cache.verify() == {"checked": 3, "healthy": 3,
-                                  "quarantined": 0, "corrupt": []}
+                                  "quarantined": 0, "corrupt": [],
+                                  "debris": 0}
 
     def test_corrupt_entries_are_quarantined_proactively(self, tmp_path):
         cache = self.fill(tmp_path)
@@ -62,18 +65,11 @@ class TestCacheVerify:
         payload["schema"] = -1
         entries[1].write_text(json.dumps(payload), encoding="utf-8")
 
-        # An audit-only pass reports the corruption but touches nothing.
-        report = cache.verify(repair=False)
-        assert report["checked"] == 3 and report["healthy"] == 1
-        assert report["quarantined"] == 0
-        assert sorted(c["key"] for c in report["corrupt"]) == \
-            sorted(e.stem for e in entries[:2])
-        assert all(p.exists() for p in entries)
-
         audit = cache.verify()
         assert (audit["checked"], audit["healthy"],
                 audit["quarantined"]) == (3, 1, 2)
-        assert len(audit["corrupt"]) == 2
+        assert sorted(c["key"] for c in audit["corrupt"]) == \
+            sorted(e.stem for e in entries[:2])
         # The bad files moved out of the addressable tree, with reasons.
         assert sorted(p.name for p in entries
                       if p.exists()) == [entries[2].name]
@@ -81,7 +77,50 @@ class TestCacheVerify:
         assert len(reasons) == 2
         # And a re-verify has nothing left to complain about.
         assert cache.verify() == {"checked": 1, "healthy": 1,
-                                  "quarantined": 0, "corrupt": []}
+                                  "quarantined": 0, "corrupt": [],
+                                  "debris": 0}
+
+    def test_stale_temp_debris_is_removed_and_counted_once(self,
+                                                          tmp_path):
+        # What a writer killed between mkstemp and os.replace leaves
+        # behind: one file in a fan-out directory, one in an older
+        # campaign's heartbeats/ directory under the default campaign
+        # root.  A fresh temp file may be a write in flight.
+        cache = ResultCache(tmp_path / "cache")
+        stale = [cache.root / "ab" / "tmpq1w2.tmp",
+                 cache.root / "campaigns" / "feedface" / "heartbeats"
+                 / "tmpk3j2.tmp"]
+        fresh = cache.root / "cd" / "tmpz9y8.tmp"
+        old = time.time() - DEBRIS_AGE_SECONDS - 60.0
+        for path in (*stale, fresh):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{", encoding="utf-8")
+        for path in stale:
+            os.utime(path, (old, old))
+        assert cache.verify()["debris"] == 2
+        assert not any(path.exists() for path in stale)
+        assert fresh.exists()
+        assert cache.verify()["debris"] == 0
+
+    def test_old_state_files_are_not_debris(self, tmp_path):
+        # Age alone condemns nothing: entries, a campaign's queue,
+        # manifest and journal under the default campaign root and the
+        # quarantine's reason files are state, however old.
+        cache = self.fill(tmp_path)
+        cdir = cache.root / "campaigns" / "feedface"
+        cdir.mkdir(parents=True)
+        for name in ("queue.sqlite", "manifest.json", "events.jsonl"):
+            (cdir / name).write_text("{}", encoding="utf-8")
+        cache.quarantine_root.mkdir(parents=True, exist_ok=True)
+        (cache.quarantine_root / "k9.reason.txt").write_text(
+            "bad magic", encoding="utf-8")
+        kept = [p for p in cache.root.rglob("*") if p.is_file()]
+        old = time.time() - DEBRIS_AGE_SECONDS - 60.0
+        for path in kept:
+            os.utime(path, (old, old))
+        report = cache.verify()
+        assert (report["healthy"], report["debris"]) == (3, 0)
+        assert all(path.exists() for path in kept)
 
     def test_quarantined_cells_resimulate_once(self, tmp_path):
         cache = self.fill(tmp_path, n_seeds=1)
@@ -140,7 +179,8 @@ class TestSweepCliCampaignFlags:
         entry.write_text("garbage", encoding="utf-8")
         sweep_cli.main(argv + ["--verify-cache"])
         err = capsys.readouterr().err
-        assert "cache verify: 1 checked, 0 healthy, 1 quarantined" in err
+        assert "cache verify: 1 checked, 0 healthy, 1 quarantined, " \
+            "0 stale temp file(s) removed" in err
 
     def test_verify_cache_requires_a_cache(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -279,16 +319,13 @@ class TestWorkerCliRoundTrip:
         worker_cli.main(["--campaign", str(cdir), "--no-cache",
                          "--worker-id", "w7", "--cell-timeout", "9",
                          "--lease-batch", "3", "--lease-seconds", "45",
-                         "--poll", "0.25", "--no-wait",
-                         "--cell-memory-mb", "2"])
+                         "--no-wait"])
         ((args, kwargs),) = calls
         assert args == (str(cdir / "queue.sqlite"), "w7", None, 9.0, 3,
                         45.0)
         assert kwargs == {
             "journal_path": str(cdir / "events.jsonl"),
-            "campaign_id": "feedface",
-            "cell_memory": 2 * 1024 * 1024,
-            "poll": 0.25, "wait": False}
+            "campaign_id": "feedface", "wait": False}
         err = capsys.readouterr().err
         assert "w7: 1 cell(s) executed, 0 failed attempt(s), 1 lease " \
             "round(s)" in err
@@ -296,7 +333,6 @@ class TestWorkerCliRoundTrip:
 
     @pytest.mark.parametrize("flag", [
         "--lease-batch", "--lease-seconds", "--cell-timeout",
-        "--cell-memory-mb",
     ])
     def test_rejects_out_of_range_flags(self, tmp_path, capsys, flag):
         worker_cli = load_cli("campaign_worker")

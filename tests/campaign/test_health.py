@@ -1,17 +1,18 @@
-"""The fleet health layer: graceful drain, poison cells, resource
-guards and the campaign doctor.
+"""The fleet health layer: graceful drain, poison cells and resource
+guards.
 
 Unit coverage for :mod:`repro.campaign.health` plus the queue/worker
 behaviours it unlocks (poisoned settlement, interrupt unleasing, the
 ENOSPC-degraded cache) and two integration paths: SIGTERM draining a
-real external worker with a byte-identical resume, and
-``campaign_doctor --repair`` restoring a wrecked campaign directory.
-Lease renewal, the queue's one liveness rule, is covered in
-``test_queue.py``.
+real external worker with a byte-identical resume, and a campaign
+wrecked the way ``kill -9`` leaves one, which status diagnoses and a
+``--resume --verify-cache`` repairs.  Lease renewal, the queue's one
+liveness rule, is covered in ``test_queue.py``.
 """
 
 import errno
 import importlib.util
+import json
 import os
 import signal
 import sqlite3
@@ -31,12 +32,16 @@ from repro.campaign.health import (
     check_free_disk,
     disk_floor_bytes,
     is_enospc,
-    set_memory_limit,
 )
 from repro.campaign.queue import CellQueue
 from repro.campaign.worker import drain
 from repro.experiments.cache import ResultCache
-from repro.obs.status import load_journal, read_queue_counts
+from repro.obs.status import (
+    campaign_report,
+    live_status,
+    load_journal,
+    read_queue_counts,
+)
 
 SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 
@@ -218,24 +223,6 @@ class TestResourceGuards:
         assert not is_enospc(OSError(errno.EACCES, "denied"))
         assert not is_enospc(ValueError("full"))
 
-    def test_set_memory_limit_applies_and_reports(self):
-        pytest.importorskip("resource")
-        # Lowering RLIMIT_AS is irreversible for an unprivileged
-        # process, so the limit is exercised in a throwaway child.
-        code = (
-            "import resource\n"
-            "from repro.campaign.health import set_memory_limit\n"
-            "assert set_memory_limit(1 << 42)\n"
-            "assert resource.getrlimit(resource.RLIMIT_AS)[0]"
-            " == 1 << 42\n")
-        env = dict(os.environ)
-        src = str(SCRIPTS.parent / "src")
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
-                                   if env.get("PYTHONPATH") else "")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-
 
 class FakeResult:
     def to_dict(self):
@@ -342,15 +329,25 @@ class TestSigtermDrainResume:
             == (tmp_path / "ref.csv").read_bytes()
 
 
-class TestCampaignDoctor:
+class TestOrphanedLease:
+    """A wrecked campaign needs no repair tool of its own.
+
+    The wreck is what ``kill -9`` leaves behind: a row leased by a
+    worker that is gone, long past its deadline, and a cache temp file
+    its writer never renamed.  Status names the dead owner without
+    touching anything; the next ``--resume --verify-cache`` settles
+    the lease through ``CellQueue.lease`` and sweeps the debris.
+    """
+
+    FLAGS = ["--axis", "ftq_depth=1,2", *FAST_FLAGS]
+
     def wreck(self, tmp_path, capsys):
         sweep_cli = load_cli("run_sweep")
         cache = tmp_path / "cache"
-        sweep_cli.main(["--axis", "ftq_depth=1,2", *FAST_FLAGS,
-                        "--cache-dir", str(cache), "--plan-only"])
+        sweep_cli.main([*self.FLAGS, "--cache-dir", str(cache),
+                        "--plan-only"])
         cid = capsys.readouterr().out.strip()
         cdir = cache / "campaigns" / cid
-
         conn = sqlite3.connect(cdir / "queue.sqlite")
         conn.execute(
             "UPDATE cells SET state='leased', lease_owner='ghost',"
@@ -359,114 +356,47 @@ class TestCampaignDoctor:
             (time.time() - 300.0,))
         conn.commit()
         conn.close()
-        (cache / "ab").mkdir(parents=True, exist_ok=True)
         debris = cache / "ab" / "orphan.tmp"
+        debris.parent.mkdir(parents=True)
         debris.write_text("junk", encoding="utf-8")
         old = time.time() - 5000.0             # past the debris age
         os.utime(debris, (old, old))
-        return cache, cdir, debris
+        return sweep_cli, cid, cdir, debris
 
-    def test_audit_reports_without_touching(self, tmp_path, capsys):
-        doctor_cli = load_cli("campaign_doctor")
-        cache, cdir, debris = self.wreck(tmp_path, capsys)
-        doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
-        assert not doc["ok"] and doc["repaired"] == 0
-        checks = {f["check"] for f in doc["findings"]}
-        assert checks == {"orphan_lease", "stale_tmp"}
-        # Report-only: nothing moved.
-        assert debris.exists()
-        assert read_queue_counts(cdir).get("leased") == 1
-
-    def test_repair_restores_a_clean_audit(self, tmp_path, capsys):
-        doctor_cli = load_cli("campaign_doctor")
-        cache, cdir, debris = self.wreck(tmp_path, capsys)
-        assert doctor_cli.main(["--campaign", str(cdir),
-                                "--cache-dir", str(cache),
-                                "--repair"]) == 0
-        capsys.readouterr()
-        assert not debris.exists()
-        counts = read_queue_counts(cdir)
-        assert counts == {"pending": 2}        # orphan lease requeued
-        doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
-        assert doc["ok"] and doc["findings"] == []
-
-    def test_temp_debris_is_reported_once(self, tmp_path, capsys):
-        # An older campaign's heartbeats/ directory, which nothing
-        # reads any more, lies inside the campaign directory, which
-        # lies inside the cache: the sweep's two roots overlap.
-        doctor_cli = load_cli("campaign_doctor")
-        cache, cdir, debris = self.wreck(tmp_path, capsys)
-        legacy = cdir / "heartbeats" / "tmpk3j2.tmp"
-        legacy.parent.mkdir()
-        legacy.write_text("{", encoding="utf-8")
-        old = time.time() - 5000.0
-        os.utime(legacy, (old, old))
-        doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
-        assert sorted(f["path"] for f in doc["findings"]
-                      if f["check"] == "stale_tmp") \
-            == sorted([str(debris.resolve()), str(legacy.resolve())])
-        doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache),
-                                  repair=True)
-        assert doc["ok"] and len(doc["findings"]) == 3
-        assert not debris.exists() and not legacy.exists()
-
-    def test_repair_quarantines_corrupt_cache_entries(self, tmp_path,
-                                                      capsys):
-        sweep_cli = load_cli("run_sweep")
-        doctor_cli = load_cli("campaign_doctor")
-        cache = tmp_path / "cache"
-        sweep_cli.main(["--axis", "ftq_depth=1", *FAST_FLAGS,
-                        "--cache-dir", str(cache), "--plan-only"])
-        cid = capsys.readouterr().out.strip()
-        cdir = cache / "campaigns" / cid
-        sweep_cli.main(["--axis", "ftq_depth=1", *FAST_FLAGS,
-                        "--cache-dir", str(cache), "--resume", cid])
-        capsys.readouterr()
-        (entry_path,) = cache.glob("??/*.json")
-        entry_path.write_text("garbage", encoding="utf-8")
-
-        doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
-        assert [f["check"] for f in doc["findings"]] \
-            == ["corrupt_cache_entry"]
-        assert entry_path.exists()             # audit-only
-        assert doctor_cli.main(["--campaign", str(cdir),
-                                "--cache-dir", str(cache),
-                                "--repair"]) == 0
-        capsys.readouterr()
-        assert not entry_path.exists()
-        reasons = list(
-            ResultCache(cache).quarantine_root.glob("*.reason.txt"))
-        assert len(reasons) == 1
-
-    def test_missing_campaign_exits_2(self, tmp_path, capsys):
-        doctor_cli = load_cli("campaign_doctor")
-        assert doctor_cli.main(["--campaign",
-                                str(tmp_path / "nowhere")]) == 2
-        assert "no queue at" in capsys.readouterr().err
-
-    def test_audit_leaves_the_queue_file_untouched(self, tmp_path,
-                                                   capsys):
-        doctor_cli = load_cli("campaign_doctor")
-        cache, cdir, _ = self.wreck(tmp_path, capsys)
+    def test_status_names_the_dead_owner_and_only_reads(self, tmp_path,
+                                                        capsys):
+        _, _, cdir, debris = self.wreck(tmp_path, capsys)
         before = (cdir / "queue.sqlite").read_bytes()
-        doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
+        status_cli = load_cli("campaign_status")
+        assert status_cli.main(["--campaign", str(cdir), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["stale_workers"] \
+            == ["ghost"]
+        assert status_cli.main(["--campaign", str(cdir), "--report",
+                                "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"] \
+            == {"leased": 1, "pending": 1}
         assert (cdir / "queue.sqlite").read_bytes() == before
+        assert debris.exists()
 
-    def test_report_names_the_manifest_campaign(self, tmp_path, capsys):
-        doctor_cli = load_cli("campaign_doctor")
-        cache, cdir, _ = self.wreck(tmp_path, capsys)
-        moved = cdir.rename(tmp_path / "moved")
-        doc = doctor_cli.diagnose(str(moved), cache_dir=str(cache))
-        assert doc["campaign"] == cdir.name
-
-    def test_audit_without_a_manifest_still_runs(self, tmp_path, capsys):
-        doctor_cli = load_cli("campaign_doctor")
-        cache, cdir, _ = self.wreck(tmp_path, capsys)
-        (cdir / "manifest.json").unlink()
-        doc = doctor_cli.diagnose(str(cdir), cache_dir=str(cache))
-        assert doc["campaign"] is None
-        assert {f["check"] for f in doc["findings"]} \
-            == {"orphan_lease", "stale_tmp"}
+    def test_resume_settles_the_lease_and_sweeps_the_debris(
+            self, tmp_path, capsys):
+        sweep_cli, cid, cdir, debris = self.wreck(tmp_path, capsys)
+        sweep_cli.main([*self.FLAGS, "--cache-dir",
+                        str(tmp_path / "cache"), "--resume", cid,
+                        "--verify-cache"])
+        err = capsys.readouterr().err
+        assert "0 quarantined, 1 stale temp file(s) removed" in err
+        assert not debris.exists()
+        assert read_queue_counts(cdir) == {"done": 2}
+        expired = [ev for ev in load_journal(cdir)
+                   if ev["ev"] == "lease_expired"]
+        assert [ev["worker"] for ev in expired] == ["ghost"]
+        # Repaired: nothing stale, one expiry attributed, no drift.
+        assert live_status(cdir)["stale_workers"] == []
+        report = campaign_report(cdir)
+        assert report["lease_expirations"] == 1
+        assert report["drift"] == {"done_without_ack": [],
+                                   "acked_not_done": []}
 
 
 INTERRUPTIBLE_CLIS = pytest.mark.parametrize("name, argv", [

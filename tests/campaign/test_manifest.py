@@ -1,8 +1,8 @@
 """Reading a campaign directory's manifest.
 
 ``read_campaign_id`` is the one reader of the manifest's campaign id
-shared by the worker CLI, the status tool and the doctor; each caller
-picks its own fallback for a manifest it cannot read.
+shared by the worker CLI and the status tool; each caller picks its
+own fallback for a manifest it cannot read.
 """
 
 import json

@@ -228,27 +228,28 @@ class TestLeaseRenewal:
             clock.advance(5.0)
             queue.ack(batch[0].key, "w", {"ipc": 1.0})
             clock.advance(9.0)                   # 9 s since the ack
-            assert queue.reclaim() == 0
+            assert queue.lease("other", limit=3) == []
+            assert journal.of("lease_expired") == []
             clock.advance(2.0)                   # 11 s since the ack
-            assert queue.reclaim() == 2
+            again = queue.lease("other", limit=3)
             expired = journal.of("lease_expired")
             assert [(e["key"], e["worker"]) for e in expired] \
                 == [("key1", "w"), ("key2", "w")]
             assert dict(queue._conn.execute(
                 "SELECT key, fatal_attempts FROM cells")) \
                 == {"key0": 0, "key1": 1, "key2": 1}
-            again = queue.lease("other", limit=3)
             assert [(lc.key, lc.attempts, lc.suspect) for lc in again] \
                 == [("key1", 2, True), ("key2", 2, True)]
 
     def test_a_silent_owner_keeps_its_lease_to_the_deadline(self, clock):
         with CellQueue() as queue:
-            fill(queue, 1)
+            fill(queue, 1, max_attempts=2)
             queue.lease("w", lease_seconds=10.0)
             clock.advance(10.0)                  # at, not past, it
-            assert queue.reclaim() == 0
+            assert queue.lease("other") == []
             clock.advance(0.5)
-            assert queue.reclaim() == 1
+            (taken,) = queue.lease("other")
+            assert taken.attempts == 2
 
     def test_renewal_uses_each_rows_own_lease_seconds(self, clock):
         with CellQueue() as queue:
@@ -259,25 +260,25 @@ class TestLeaseRenewal:
             clock.advance(5.0)
             queue.ack(last.key, "w", {"ipc": 1.0})   # key0: 15, key1: 35
             clock.advance(11.0)
-            assert queue.reclaim() == 1
-            assert queue.counts() == {"done": 1, "leased": 1,
-                                      "pending": 1}
+            assert [lc.key for lc in queue.lease("other")] == ["key0"]
             clock.advance(17.0)                  # 33 s: key1 lives on
-            assert queue.reclaim() == 0
+            assert queue.lease("other") == []
             clock.advance(3.0)
-            assert queue.reclaim() == 1
+            assert [lc.key for lc in queue.lease("other")] == ["key1"]
 
-    def test_renewal_leaves_other_owners_alone(self, clock):
-        with CellQueue() as queue:
+    def test_renewal_leaves_other_owners_alone(self, clock, journal):
+        with CellQueue(journal=journal) as queue:
             fill(queue, 3, max_attempts=2)
             queue.lease("a", lease_seconds=10.0)
             queue.lease("b", limit=2, lease_seconds=10.0)
             clock.advance(8.0)
             queue.ack("key1", "b", {"ipc": 1.0})
             clock.advance(3.0)
-            assert queue.reclaim() == 1          # only a's row
-            assert queue.counts() == {"done": 1, "leased": 1,
-                                      "pending": 1}
+            assert [lc.key for lc in queue.lease("other", limit=3)] \
+                == ["key0"]                      # only a's row
+            assert [(e["key"], e["worker"])
+                    for e in journal.of("lease_expired")] \
+                == [("key0", "a")]
 
     def test_a_late_ack_still_renews_the_acker(self, clock):
         # The ack lands after the row was reclaimed and re-leased; it
@@ -292,7 +293,7 @@ class TestLeaseRenewal:
             assert taken.key == "key0"
             queue.ack("key0", "w", {"ipc": 1.0})     # key1: deadline 21
             clock.advance(8.0)
-            assert queue.reclaim() == 0
+            assert queue.lease("third") == []
             assert queue.counts() == {"done": 1, "leased": 1}
 
 

@@ -2,10 +2,11 @@
 
 A hypothesis state machine drives an in-memory :class:`CellQueue` and
 :class:`Model` through the same random sequence of adds, leases, acks,
-nacks, unleases, releases, reclaims and clock steps — each by a row's
-owner or by a foreign one — and after every step requires both to
-agree on every row and on every observation the queue offers.  The
-queue reads the clock through its module's ``time``, which the
+nacks, unleases, releases and clock steps — each by a row's owner or
+by a foreign one — and after every step requires both to agree on
+every row and on every observation the queue offers.  Lease expiry
+has no rule of its own: every ``lease`` settles expired rows first.
+The queue reads the clock through its module's ``time``, which the
 ``clock`` fixture swaps for a fake so lease deadlines are exact.
 """
 
@@ -84,15 +85,13 @@ class Model:
         for row in self.held(owner):
             row.deadline = now + row.lease_seconds
 
-    def reclaim(self, now) -> int:
-        expired = [row for row in self.rows.values()
-                   if row.state == "leased" and row.deadline < now]
-        for row in expired:
-            self.settle(row, EXPIRED, fatal=True)
-        return len(expired)
+    def expire(self, now) -> None:
+        for row in self.rows.values():
+            if row.state == "leased" and row.deadline < now:
+                self.settle(row, EXPIRED, fatal=True)
 
     def lease(self, owner, limit, lease_seconds, now):
-        self.reclaim(now)
+        self.expire(now)
         out = []
         for row in self.rows.values():
             if len(out) == limit:
@@ -207,10 +206,6 @@ class QueueMachine(RuleBasedStateMachine):
     def release(self, owner):
         assert self.queue.release(owner, f"{owner} died") \
             == self.model.release(owner, f"{owner} died")
-
-    @rule()
-    def reclaim(self):
-        assert self.queue.reclaim() == self.model.reclaim(self.clock.now)
 
     @rule(seconds=st.sampled_from((0.5, 1.0, 2.0, 4.0)))
     def advance(self, seconds):

@@ -8,17 +8,15 @@ rewriting it.
 
 import multiprocessing
 import time
+from collections import Counter
 
 from repro.campaign import CellQueue
 from repro.campaign.worker import worker_process_entry
 from repro.experiments import ExperimentSession
 from repro.obs.journal import (
-    ENV_VAR,
     NULL_JOURNAL,
     Journal,
     NullJournal,
-    journal_path,
-    obs_enabled,
     open_journal,
     read_events,
 )
@@ -103,21 +101,7 @@ class TestJournalWriter:
             raise AssertionError("corrupt middle line was swallowed")
 
 
-class TestKillSwitch:
-    def test_obs_enabled_values(self):
-        for value in ("0", "off", "FALSE", " no "):
-            assert not obs_enabled({ENV_VAR: value})
-        for env in ({}, {ENV_VAR: "1"}, {ENV_VAR: ""},
-                    {ENV_VAR: "on"}):
-            assert obs_enabled(env)
-
-    def test_open_journal_disabled_returns_null(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "0")
-        j = open_journal(tmp_path, campaign_id="c", worker_id="w")
-        assert j is NULL_JOURNAL
-        assert not journal_path(tmp_path).exists()
-
+class TestNullJournal:
     def test_open_journal_without_dir_returns_null(self):
         assert open_journal(None) is NULL_JOURNAL
 
@@ -127,19 +111,6 @@ class TestKillSwitch:
             j.emit("anything", key="k")
         j.close()
         assert j.enabled is False
-
-    def test_disabled_session_leaves_no_journal(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "0")
-        session = ExperimentSession(
-            cache_dir=tmp_path / "cache",
-            campaign_dir=str(tmp_path / "campaigns"), **FAST)
-        session.run_cells(grid(session, seeds=(0,),
-                               policies=("ICOUNT.1.8",)))
-        cid = session.last_campaign.campaign_id
-        cdir = tmp_path / "campaigns" / cid
-        assert cdir.is_dir()            # campaign still durable
-        assert not (cdir / "events.jsonl").exists()
 
 
 class TestCrashReconciliation:
@@ -266,3 +237,35 @@ class TestInlineCampaignJournal:
         results = session.run_cells(grid(session, seeds=(0,),
                                          policies=("RR.1.8",)))
         assert results                  # runs fine with no journal
+
+
+class TestJournalVolume:
+    """The journal records per-cell transitions, never the cycle loop,
+    so its volume must not grow with the measured window."""
+
+    def event_counts(self, root, cycles, jobs=1):
+        session = ExperimentSession(
+            cache_dir=root / "cache", campaign_dir=str(root / "campaigns"),
+            cycles=cycles, warmup=100, jobs=jobs)
+        session.run_cells(grid(session, seeds=(0,)))
+        cid = session.last_campaign.campaign_id
+        return Counter(ev["ev"] for ev in read_events(
+            root / "campaigns" / cid / "events.jsonl"))
+
+    def test_event_counts_do_not_grow_with_the_window(self, tmp_path):
+        short = self.event_counts(tmp_path / "short", 200)
+        long = self.event_counts(tmp_path / "long", 2000)
+        assert short == long == {
+            "plan": 1, "worker_start": 1, "lease": 2, "execute": 2,
+            "ack": 2, "worker_exit": 1}
+
+    def test_a_spawned_fleet_journals_per_cell_too(self, tmp_path):
+        # Spawned workers and their supervisor add their own lifecycle
+        # records, a fixed number per worker; per-cell records stay
+        # one per cell.
+        short = self.event_counts(tmp_path / "short", 200, jobs=2)
+        long = self.event_counts(tmp_path / "long", 2000, jobs=2)
+        assert short == long
+        assert (short["lease"], short["execute"], short["ack"]) \
+            == (2, 2, 2)
+        assert short["worker_start"] == 2

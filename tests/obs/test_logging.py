@@ -3,6 +3,7 @@
 import argparse
 import io
 import logging
+import sys
 
 import pytest
 
@@ -35,36 +36,65 @@ class TestGetLogger:
         assert get_logger("repro.perf").name == "repro.perf"
 
 
+def redirect_stderr(monkeypatch) -> io.StringIO:
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stream)
+    return stream
+
+
 class TestSetup:
-    def test_human_format(self):
-        stream = io.StringIO()
-        setup_logging(level="info", stream=stream)
+    def test_human_format(self, monkeypatch):
+        stream = redirect_stderr(monkeypatch)
+        setup_logging(level="info")
         get_logger("campaign.worker").info("leased %d cells", 4)
         line = stream.getvalue().strip()
         assert "info" in line
         assert "[repro.campaign.worker]" in line
         assert line.endswith("leased 4 cells")
 
-    def test_level_filtering(self):
-        stream = io.StringIO()
-        setup_logging(level="error", stream=stream)
+    def test_level_filtering(self, monkeypatch):
+        stream = redirect_stderr(monkeypatch)
+        setup_logging(level="error")
         get_logger("x").warning("quiet")
         get_logger("x").error("loud")
         assert "quiet" not in stream.getvalue()
         assert "loud" in stream.getvalue()
 
-    def test_reconfigure_replaces_handler(self):
-        first, second = io.StringIO(), io.StringIO()
-        setup_logging(level="info", stream=first)
-        setup_logging(level="info", stream=second)
+    def test_reconfigure_replaces_handler(self, monkeypatch):
+        stream = redirect_stderr(monkeypatch)
+        setup_logging(level="info")
+        setup_logging(level="info")
         assert len(logging.getLogger(ROOT_LOGGER).handlers) == 1
         get_logger("x").info("once")
-        assert first.getvalue() == ""
-        assert second.getvalue().count("once") == 1
+        assert stream.getvalue().count("once") == 1
 
     def test_no_propagation_to_python_root(self):
-        logger = setup_logging(level="info", stream=io.StringIO())
+        logger = setup_logging(level="info")
         assert logger.propagate is False
+
+    def test_a_swapped_and_closed_stderr_loses_nothing(self,
+                                                       monkeypatch):
+        # An in-process caller (a test capturing a CLI's output) swaps
+        # sys.stderr around setup, then closes the stream it swapped
+        # in: later diagnostics must reach the stderr of the moment.
+        captured = redirect_stderr(monkeypatch)
+        setup_logging(level="warning")
+        current = redirect_stderr(monkeypatch)
+        captured.close()
+        get_logger("x").warning("still heard")
+        assert "still heard" in current.getvalue()
+        assert "Logging error" not in current.getvalue()
+
+    def test_each_line_reaches_the_stderr_of_its_moment(self,
+                                                        monkeypatch):
+        setup_logging(level="warning")
+        first = redirect_stderr(monkeypatch)
+        get_logger("x").warning("one")
+        second = redirect_stderr(monkeypatch)
+        get_logger("x").warning("two")
+        assert "one" in first.getvalue() and "two" not in first.getvalue()
+        assert "two" in second.getvalue() \
+            and "one" not in second.getvalue()
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown log level"):

@@ -18,6 +18,7 @@ from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME
 from repro.experiments import ExperimentSession
 from repro.obs.journal import Journal
 from repro.obs.status import (
+    SLOWEST_CELLS,
     campaign_report,
     connect_read_only,
     live_status,
@@ -146,6 +147,26 @@ class TestLiveStatus:
         (w1,) = [line for line in out.splitlines() if "w1:" in line]
         assert "last seen" in w1 and "STALE" not in w1
 
+    def test_the_next_lease_settles_what_status_flags(self, tmp_path):
+        # Reading settles nothing: the dead owner stays flagged until
+        # some worker leases, and that lease settles its row first.
+        cdir = synthetic_campaign(tmp_path)
+        with CellQueue(cdir / QUEUE_NAME) as queue:
+            queue.lease("ghost", lease_seconds=5.0)
+        conn = sqlite3.connect(cdir / QUEUE_NAME)
+        conn.execute("UPDATE cells SET lease_deadline = ?"
+                     " WHERE lease_owner = 'ghost'", (time.time() - 1.0,))
+        conn.commit()
+        conn.close()
+        for _ in range(2):
+            assert live_status(cdir)["stale_workers"] == ["ghost"]
+        with Journal(cdir / "events.jsonl", worker_id="w2") as j, \
+                CellQueue(cdir / QUEUE_NAME, journal=j) as queue:
+            (lc,) = queue.lease("w2")
+        assert (lc.key, lc.attempts, lc.suspect) == ("k2", 2, True)
+        assert live_status(cdir)["stale_workers"] == []
+        assert campaign_report(cdir)["lease_expirations"] == 1
+
     def test_missing_queue_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             live_status(tmp_path / "nope")
@@ -218,6 +239,8 @@ class TestCampaignReport:
         assert doc["retries"] == 1
         assert doc["planned"]["cells"] == 3
         assert doc["worker_crashes"] == []
+        assert doc["drift"] == {"done_without_ack": [],
+                                "acked_not_done": []}
 
     def test_slowest_cells_ordered_with_breakdown(self, tmp_path):
         doc = campaign_report(synthetic_campaign(tmp_path))
@@ -242,8 +265,52 @@ class TestCampaignReport:
         assert q["key"] == "k9" and q["reason"] == "bad magic"
 
     def test_top_truncates_slowest(self, tmp_path):
-        doc = campaign_report(synthetic_campaign(tmp_path), top=1)
-        assert len(doc["slowest_cells"]) == 1
+        cdir = synthetic_campaign(tmp_path)
+        with Journal(cdir / "events.jsonl", worker_id="w1") as j:
+            for i in range(SLOWEST_CELLS):
+                j.emit("execute", key=f"x{i}", label=f"extra-{i}",
+                       attempt=1, execute_seconds=0.1 * i,
+                       cache_put_seconds=0.0)
+        slowest = campaign_report(cdir)["slowest_cells"]
+        assert len(slowest) == SLOWEST_CELLS
+        assert [rec["key"] for rec in slowest[:3]] == ["k1", "k0", "x9"]
+
+    def test_drift_lists_both_directions_and_only_reads(self, tmp_path):
+        cdir = synthetic_campaign(tmp_path)
+        # A journal-less writer completes k2; the journal acks k3,
+        # which the queue still holds pending.
+        with CellQueue(cdir / QUEUE_NAME) as queue:
+            queue.add([("k3", {"i": 3}, "cell-3")])
+            (lc,) = queue.lease("foreign", limit=1)
+            queue.ack(lc.key, "foreign", {"ok": True})
+        with Journal(cdir / "events.jsonl", worker_id="w1") as j:
+            j.emit("ack", key="k3", label="cell-3", attempt=1)
+        before = (cdir / QUEUE_NAME).read_bytes()
+        doc = campaign_report(cdir)
+        assert doc["drift"] == {"done_without_ack": ["k2"],
+                                "acked_not_done": ["k3"]}
+        assert (cdir / QUEUE_NAME).read_bytes() == before
+
+    def test_a_journal_without_acks_shows_no_drift(self, tmp_path):
+        cdir = synthetic_campaign(tmp_path)
+        (cdir / "events.jsonl").unlink()
+        with Journal(cdir / "events.jsonl", worker_id="w1") as j:
+            j.emit("plan", cells=3, enqueued=3)
+        assert campaign_report(cdir)["drift"] == {
+            "done_without_ack": [], "acked_not_done": []}
+        assert read_queue_counts(cdir) == {"done": 2, "pending": 1}
+
+    def test_a_campaign_without_a_manifest_still_reports(self,
+                                                         tmp_path):
+        cdir = synthetic_campaign(tmp_path)
+        (cdir / MANIFEST_NAME).unlink()
+        doc = campaign_report(cdir)
+        assert doc["campaign"] is None
+        assert doc["counts"] == {"done": 2, "pending": 1}
+        assert (doc["attempts"], doc["retries"]) == (3, 1)
+        assert doc["drift"] == {"done_without_ack": [],
+                                "acked_not_done": []}
+        assert live_status(cdir)["campaign"] is None
 
     def test_report_is_json_safe(self, tmp_path):
         json.dumps(campaign_report(synthetic_campaign(tmp_path)))
@@ -288,6 +355,20 @@ class TestStatusCli:
         assert len(doc["slowest_cells"]) == 2
         assert doc["retry_culprits"] == []
 
+    def test_report_prints_drift_only_when_there_is_some(self, campaign,
+                                                          tmp_path,
+                                                          capsys):
+        cli = load_cli("campaign_status")
+        assert cli.main(["--campaign", str(campaign), "--report"]) == 0
+        assert "drift" not in capsys.readouterr().out
+        cdir = synthetic_campaign(tmp_path)
+        with Journal(cdir / "events.jsonl", worker_id="w1") as j:
+            j.emit("ack", key="k2", label="cell-2", attempt=1)
+        assert cli.main(["--campaign", str(cdir), "--report"]) == 0
+        out = capsys.readouterr().out
+        assert "drift (queue vs journal" in out
+        assert "k2: acked in the journal, not done in the queue" in out
+
     def test_the_planner_is_not_a_worker(self, campaign):
         assert list(live_status(campaign)["workers"]) == ["inline"]
         assert list(campaign_report(campaign)["workers"]) == ["inline"]
@@ -297,7 +378,13 @@ class TestStatusCli:
         assert cli.main(["--campaign", str(tmp_path / "ghost")]) == 2
         assert "campaign_status" in capsys.readouterr().err
 
-    def test_rejects_bad_top(self, campaign):
+    @pytest.mark.parametrize("argv", [[], ["--report"]],
+                             ids=["status", "report"])
+    def test_corrupt_journal_exits_2(self, tmp_path, capsys, argv):
+        cdir = synthetic_campaign(tmp_path)
+        lines = (cdir / "events.jsonl").read_text().splitlines()
+        lines[2] = "not json"
+        (cdir / "events.jsonl").write_text("\n".join(lines) + "\n")
         cli = load_cli("campaign_status")
-        with pytest.raises(SystemExit):
-            cli.main(["--campaign", str(campaign), "--top", "0"])
+        assert cli.main(["--campaign", str(cdir), *argv]) == 2
+        assert "malformed journal line 3" in capsys.readouterr().err
