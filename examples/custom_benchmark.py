@@ -14,7 +14,6 @@ Usage::
 from repro.core import Simulator
 from repro.program import BenchmarkProfile, generate_program
 from repro.trace import dynamic_stats
-from repro.trace.context import ThreadContext
 
 # A pointer-chasing, hard-to-predict synthetic kernel: short blocks,
 # a large working set and dependent loads — an mcf-like stressor.
@@ -40,14 +39,9 @@ def main() -> None:
     print(f"taken-branch rate      : {stats.taken_rate:5.2f}")
     print(f"load fraction          : {stats.load_frac:5.2f}")
 
-    # Run it alongside a stock high-ILP model.  The Simulator accepts
-    # pre-built contexts only through benchmark names, so we wire the
-    # custom program in by swapping a context before running.
-    sim = Simulator(("eon", "eon"), engine="stream", policy="ICOUNT.1.8")
-    sim.contexts[1] = ThreadContext(program, tid=1)
-    sim.fetch_unit.next_pc[1] = program.entry_addr
-    sim.memory.warm_instruction_side(
-        1, program.entry_addr, program.entry_addr + program.code_bytes)
+    # Run it alongside a stock high-ILP model: the Simulator takes a
+    # generated program wherever it takes a benchmark name.
+    sim = Simulator(("eon", program), engine="stream", policy="ICOUNT.1.8")
     result = sim.run(15_000)
     print()
     print(f"eon + chaser on stream/ICOUNT.1.8: IPC {result.ipc:.2f} "

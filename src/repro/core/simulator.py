@@ -8,6 +8,8 @@ statistics discarded), then measures.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.core.config import DEFAULT_CONFIG, SimConfig
 from repro.core.metrics import SimResult
 from repro.core.workloads import resolve_workload
@@ -16,14 +18,22 @@ from repro.frontend.fetch_unit import FetchUnit
 from repro.frontend.policy import PolicySpec
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.core import CoreParams, SmtCore
+from repro.program.blocks import Program
 from repro.program.generator import program_for
 from repro.trace.context import ThreadContext
 
 
 class Simulator:
-    """A fully-wired SMT machine executing one workload."""
+    """A fully-wired SMT machine executing one workload.
 
-    def __init__(self, benchmarks: tuple[str, ...] | list[str],
+    Each entry of ``benchmarks`` is a SPECint2000 benchmark name,
+    generated at ``config.seed``, or a ready :class:`Program`; the
+    workload is named after the programs.  ``contexts`` is a tuple:
+    the fetch and commit stages capture each thread's structures when
+    the machine is built, so a thread's program is fixed from then on.
+    """
+
+    def __init__(self, benchmarks: Sequence[str | Program],
                  engine: str | EngineKind = EngineKind.GSHARE_BTB,
                  policy: str = "ICOUNT.1.8",
                  config: SimConfig | None = None,
@@ -31,11 +41,15 @@ class Simulator:
         if not benchmarks:
             raise ValueError("a workload needs at least one benchmark")
         self.config = config or DEFAULT_CONFIG
-        self.workload_name = workload_name or "+".join(benchmarks)
         cfg = self.config
+        programs = [entry if isinstance(entry, Program)
+                    else program_for(entry, cfg.seed)
+                    for entry in benchmarks]
+        self.workload_name = workload_name \
+            or "+".join(program.name for program in programs)
 
-        self.contexts = [ThreadContext(program_for(name, cfg.seed), tid)
-                         for tid, name in enumerate(benchmarks)]
+        self.contexts = tuple(ThreadContext(program, tid)
+                              for tid, program in enumerate(programs))
         self.memory = MemoryHierarchy(
             l1i_kb=cfg.l1i_kb, l1i_assoc=cfg.l1i_assoc,
             l1d_kb=cfg.l1d_kb, l1d_assoc=cfg.l1d_assoc,

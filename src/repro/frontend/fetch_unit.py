@@ -24,14 +24,21 @@ scratch buffers, thread ordering sorts in place
 architectural walk of sequential non-branch instructions is inlined
 (the :meth:`~repro.trace.context.ThreadContext.step` fast path) so the
 common instruction costs no method calls at all.  Captured structures
-are identity-stable — mutated in place, never rebound — except
-``self.stats``, which :meth:`reset_stats` replaces and closures
-therefore re-read per call.
+are identity-stable — mutated in place, never rebound — and that
+includes ``self.stats``, which :meth:`reset_stats` zeroes in place.  The
+closures capture no ``self``, so a fetch unit is freed by reference
+counting as soon as its machine is dropped.  The per-thread structures
+are captured from the contexts when the unit is built, so a context
+cannot be swapped afterwards: build the machine around the program
+instead (:class:`repro.core.simulator.Simulator` accepts a
+:class:`~repro.program.blocks.Program` wherever it takes a benchmark
+name).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
 from repro.frontend.engine import FetchEngine
 from repro.frontend.ftq import FetchTargetQueue
@@ -52,13 +59,19 @@ class FetchStats:
                  "decode_redirects")
 
     def __init__(self, max_width: int = 32) -> None:
+        self.delivered_histogram = [0] * (max_width + 1)
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero every counter in place (the fetch stages hold this object)."""
         self.fetch_cycles = 0
         self.fetched_instructions = 0
         self.predictions = 0
         self.bank_conflicts = 0
         self.icache_miss_blocks = 0
         self.wrong_path_fetched = 0
-        self.delivered_histogram = [0] * (max_width + 1)
+        histogram = self.delivered_histogram
+        histogram[:] = [0] * len(histogram)
         self.squash_redirects = 0
         self.decode_redirects = 0
 
@@ -87,7 +100,7 @@ class FetchUnit:
 
     def __init__(self, engine: FetchEngine, spec: PolicySpec,
                  policy: FetchPolicy, memory: MemoryHierarchy,
-                 contexts: list[ThreadContext], icounts: list[int],
+                 contexts: Sequence[ThreadContext], icounts: list[int],
                  fetch_buffer_capacity: int = 32, ftq_depth: int = 4,
                  line_bytes: int = 64) -> None:
         n = len(contexts)
@@ -109,9 +122,8 @@ class FetchUnit:
         self._build_stages(ftq_depth)
 
     def reset_stats(self) -> None:
-        """Fresh fetch counters; FTQ/buffer/PC state is untouched."""
-        self.stats = FetchStats(
-            max_width=len(self.stats.delivered_histogram) - 1)
+        """Zero the fetch counters; FTQ/buffer/PC state is untouched."""
+        self.stats.reset()
 
     # ------------------------------------------------------------------
     # the compiled stages
@@ -157,6 +169,7 @@ class FetchUnit:
         decode_resolvable = _DECODE_RESOLVABLE
         dyninst_new = DynInst.__new__
         dyninst = DynInst
+        stats = self.stats
 
         def predict_stage(cycle: int) -> None:
             """Generate one fetch request per selected thread."""
@@ -180,7 +193,7 @@ class FetchUnit:
                 request = engine_predict(tid, next_pc[tid], width)
                 ftq_queues[tid].append(request)     # space checked above
                 next_pc[tid] = request.next_pc
-            self.stats.predictions += take
+            stats.predictions += take
 
         def fetch_stage(cycle: int) -> None:
             """Drive I-cache accesses for the policy-selected threads."""
@@ -200,7 +213,6 @@ class FetchUnit:
             slots = threads_per_cycle
             banks_in_use = banks_scratch
             del banks_in_use[:]
-            stats = self.stats
             attempted = False
             delivered_total = 0
             for tid in candidates:

@@ -39,10 +39,14 @@ Hot-path design (this loop dominates every experiment's wall-clock):
   variables.  The steady state then runs on local/closure loads with
   zero per-cycle rebinding, no intermediate allocations (scratch
   buffers are reused) and the resource-model methods inlined.  The
-  identity-stability contract: captured lists/deques/dicts are only
-  ever mutated in place (``lst[:] = ...``, ``clear``), never rebound;
-  ``self.stats`` is the one object replaced at runtime
-  (:meth:`reset_stats`), so closures re-read it per call.
+  identity-stability contract: captured lists/deques/dicts and the
+  statistics objects are only ever mutated in place (``lst[:] = ...``,
+  ``clear``, :meth:`CoreStats.reset`), never rebound.  The closures are
+  stored on the core, so they never hold it strongly: ``run_fast``
+  reaches it through a weak reference, dereferenced once per call.  A
+  finished machine is therefore freed by reference counting, with no
+  cycle left for the garbage collector
+  (``tests/pipeline/test_no_cyclic_garbage.py``).
 * **Stage skips** — on memory-bound workloads most cycles leave the
   ROB head waiting on a miss and the rename latch stuck, so
   ``run_fast`` skips stage work whose outcome cannot have changed:
@@ -93,7 +97,9 @@ All of it is behaviour-preserving by contract: the golden-parity suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from repro.frontend.fetch_unit import FetchUnit
@@ -149,6 +155,15 @@ class CoreStats:
     iq_occupancy_sum: int = 0
     wrong_path_committed: int = 0
 
+    def reset(self) -> None:
+        """Zero every counter in place (the cycle loop holds this object)."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                value[:] = [0] * len(value)
+            else:
+                setattr(self, f.name, 0)
+
     @property
     def ipc(self) -> float:
         """Commit throughput — the paper's overall performance metric."""
@@ -174,7 +189,7 @@ class SmtCore:
     """
 
     def __init__(self, fetch_unit: FetchUnit, memory: MemoryHierarchy,
-                 contexts: list[ThreadContext],
+                 contexts: Sequence[ThreadContext],
                  params: CoreParams | None = None) -> None:
         self.params = params or CoreParams()
         self.fetch_unit = fetch_unit
@@ -209,9 +224,8 @@ class SmtCore:
         self._build_cycle_loop()
 
     def reset_stats(self) -> None:
-        """Fresh back-end counters; pipeline state is untouched."""
-        self.stats = CoreStats(
-            committed_by_thread=[0] * len(self.contexts))
+        """Zero the back-end counters; pipeline state is untouched."""
+        self.stats.reset()
 
     # ------------------------------------------------------------------
     # driver
@@ -231,11 +245,15 @@ class SmtCore:
         """Specialise the per-cycle loop for this core instance.
 
         Every structure captured below is identity-stable for the
-        core's lifetime (mutated in place, never rebound); the only
-        runtime-replaced object, ``self.stats``, is re-read per call.
-        The resulting ``tick`` closure is the sole implementation of
-        the back-end stages.
+        core's lifetime (mutated in place, never rebound), ``stats``
+        included.  No closure holds the core itself: ``run_fast`` reads
+        ``cycle`` and its other scalar state through a weak reference,
+        once per call, so the closures stored on the core form no
+        reference cycle with it.  The resulting ``tick`` closure is the
+        sole implementation of the back-end stages.
         """
+        core_ref = weakref.ref(self)
+        core_stats = self.stats
         params = self.params
         n_threads = len(self.contexts)
         commit_width = params.commit_width
@@ -298,8 +316,11 @@ class SmtCore:
             processing is reverse pipeline order, as documented in the
             module docstring.
             """
-            cycle = self.cycle
-            stats = self.stats
+            core = core_ref()
+            if core is None:
+                raise ReferenceError("this cycle loop's SmtCore was released")
+            cycle = core.cycle
+            stats = core_stats          # a fast local for the loop
             by_thread = stats.committed_by_thread
             iq_total = len(q0) + len(q1) + len(q2)
             stat_cycles = stats.cycles
@@ -307,7 +328,7 @@ class SmtCore:
             stat_issued = stats.issued
             stat_rob_occ = stats.rob_occupancy_sum
             stat_iq_occ = stats.iq_occupancy_sum
-            last_commit = self._last_commit_cycle
+            last_commit = core._last_commit_cycle
             target = cycle + max_cycles
             # Stage-skip state (see the module docstring).  It lives only
             # in this call, so a ``tick()`` never inherits a skip.
@@ -514,7 +535,7 @@ class SmtCore:
                         kept = kept_scratch
                         dispatched = 0
                         rob_size = rob.size
-                        age = self._age
+                        age = core._age
                         latch_iter = iter(latch)
                         for di in latch_iter:
                             if dispatched >= decode_width:
@@ -583,7 +604,7 @@ class SmtCore:
                             stats.dispatch_stalls += stalls
                         if dispatched:
                             rob.size = rob_size
-                            self._age = age
+                            core._age = age
                             rescan = True
                             if kept:
                                 latch[:] = kept
@@ -636,7 +657,7 @@ class SmtCore:
                                     # Misfetched direct jump/call: the target
                                     # is known at decode — redirect now, drop
                                     # the wrong path.
-                                    self._redirect_at_decode(di)
+                                    core._redirect_at_decode(di)
                                     break
 
                     # ---------------- front end + accounting ----------------
@@ -650,8 +671,8 @@ class SmtCore:
                             f"no commit for {watchdog} cycles (cycle {cycle})")
                     cycle += 1
             finally:
-                self.cycle = cycle
-                self._last_commit_cycle = last_commit
+                core.cycle = cycle
+                core._last_commit_cycle = last_commit
                 stats.cycles = stat_cycles
                 stats.committed = stat_committed
                 stats.issued = stat_issued

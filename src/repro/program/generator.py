@@ -345,6 +345,9 @@ def generate_program(profile: BenchmarkProfile, seed: int = 0) -> Program:
         if 0.96 <= rel <= 1.04:
             break
         scale = min(2.5, max(0.4, scale / rel))
+        # Free the rejected trial before building the next one, so
+        # calibration never holds two programs at once.
+        del program
         program = _generate_once(profile, seed, scale)
     return program
 

@@ -1,8 +1,13 @@
 """Tests for the simulator facade and result bundling."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import SimConfig, Simulator, simulate
+from repro.program import SPECINT2000, generate_program
+from repro.trace import walk
+from repro.trace.context import ThreadContext
 
 
 class TestSimulateEntryPoint:
@@ -119,3 +124,32 @@ class TestConfigPlumbing:
         cfg = SimConfig(rob_entries=64)
         sim = Simulator(("gzip",), config=cfg)
         assert sim.core.rob.capacity == 64
+
+
+class TestProgramEntries:
+    @pytest.fixture(scope="class")
+    def custom(self):
+        """A program no benchmark name generates: mcf's profile, cut
+        down and renamed (the name salts every draw)."""
+        profile = replace(SPECINT2000["mcf"], name="chaser",
+                          n_functions=8, blocks_per_function=30)
+        return generate_program(profile, seed=1)
+
+    def test_a_program_runs_where_a_name_would(self, custom,
+                                               observe_commits):
+        """Thread 1 commits along the custom program's own walk."""
+        with observe_commits() as committed:
+            sim = Simulator(("eon", custom), engine="stream")
+        assert sim.workload_name == "eon+chaser"
+        assert sim.contexts[1].program is custom
+        sim.run(3000, warmup=0)
+        pcs = [di.pc for di in committed if di.tid == 1]
+        assert 0 < len(pcs) == sim.core.stats.committed_by_thread[1]
+        assert pcs == [s.addr for s, _, _ in walk(custom, len(pcs))]
+
+    def test_contexts_cannot_be_swapped_after_the_build(self, custom):
+        """The fetch stage captured thread 1's structures at the build,
+        so a swapped context would be ignored; the swap raises instead."""
+        sim = Simulator(("eon", "eon"))
+        with pytest.raises(TypeError):
+            sim.contexts[1] = ThreadContext(custom, tid=1)

@@ -19,22 +19,30 @@ def finished_sim():
 
 
 class TestCommitCorrectness:
-    def test_commits_exactly_the_architectural_path(self):
+    def test_commits_exactly_the_architectural_path(self, observe_commits):
         """The committed instruction stream must equal a pure walk."""
-        sim = build(("gzip",))
-        committed = []
-        engine_commit = sim.engine.commit
-        def spy(di):
-            committed.append(di)
-            engine_commit(di)
-        sim.engine.commit = spy
+        with observe_commits() as committed:
+            sim = build(("gzip",))
         sim.run(4000, warmup=0)
+        assert 0 < len(committed) == sim.core.stats.committed
         expected = [s.addr for s, _, _ in
                     walk(sim.contexts[0].program, len(committed))]
         assert [di.pc for di in committed] == expected
 
-    def test_commit_is_per_thread_in_order(self, finished_sim):
-        pass  # order asserted through the walk test; kept for intent
+    def test_commit_is_per_thread_in_order(self, observe_commits):
+        """Two threads commit interleaved, each its own architectural
+        path in fetch order."""
+        with observe_commits() as committed:
+            sim = build(("gzip", "eon"), policy="ICOUNT.2.8")
+        sim.run(4000, warmup=0)
+        stats = sim.core.stats
+        assert len(committed) == stats.committed
+        for tid, ctx in enumerate(sim.contexts):
+            mine = [di for di in committed if di.tid == tid]
+            assert 0 < len(mine) == stats.committed_by_thread[tid]
+            assert all(a.seq < b.seq for a, b in zip(mine, mine[1:]))
+            expected = [s.addr for s, _, _ in walk(ctx.program, len(mine))]
+            assert [di.pc for di in mine] == expected
 
     def test_no_wrong_path_commits(self, finished_sim):
         assert finished_sim.core.stats.wrong_path_committed == 0

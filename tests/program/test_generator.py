@@ -3,11 +3,13 @@
 import enum
 import hashlib
 import random
+import weakref
 
 import pytest
 
 from repro.isa.instruction import BranchKind, InstrClass
-from repro.program import SPECINT2000, generate_program, program_for
+from repro.program import SPECINT2000, generate_program, generator, \
+    program_for
 from repro.program.generator import CODE_BASE, _BlockPlan, \
     _generate_once, _make_terminator
 from repro.trace import dynamic_stats, walk
@@ -244,6 +246,26 @@ class TestCalibrationPins:
         assert (stats.branches, stats.taken_branches,
                 round(stats.load_frac * stats.instructions),
                 round(stats.store_frac * stats.instructions)) == counts
+
+
+class TestCalibrationMemory:
+    def test_one_trial_is_alive_at_a_time(self, monkeypatch):
+        """Calibration frees each rejected trial before it builds the
+        next, so it never holds two programs at once."""
+        trials = []
+
+        def tracked(*args):
+            alive = [n for n, trial in enumerate(trials)
+                     if trial() is not None]
+            assert not alive, f"earlier trials {alive} are still alive"
+            program = _generate_once(*args)
+            trials.append(weakref.ref(program))
+            return program
+
+        monkeypatch.setattr(generator, "_generate_once", tracked)
+        program = generate_program(SPECINT2000["gap"], seed=0)
+        assert len(trials) == 5     # gap at seed 0 takes five trials
+        assert program_digest(program) == PROGRAM_DIGESTS["gap"][0]
 
 
 class TestTerminatorDraws:

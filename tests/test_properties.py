@@ -22,22 +22,22 @@ slow = settings(max_examples=6, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
-@slow
+# `observe_commits` keeps no state between its blocks, so sharing the
+# fixture across examples is safe.
+@settings(slow, suppress_health_check=[HealthCheck.too_slow,
+                                       HealthCheck.function_scoped_fixture])
 @given(engine=st.sampled_from(ENGINES), policy=st.sampled_from(POLICIES),
        pair=st.sampled_from(PAIRS))
-def test_committed_stream_is_the_architectural_path(engine, policy, pair):
+def test_committed_stream_is_the_architectural_path(observe_commits, engine,
+                                                    policy, pair):
     """No configuration may commit anything off the correct path."""
-    sim = Simulator(pair, engine=engine, policy=policy)
-    committed = {tid: [] for tid in range(len(pair))}
-    inner = sim.engine.commit
-    def spy(di):
-        committed[di.tid].append(di.pc)
-        inner(di)
-    sim.engine.commit = spy
+    with observe_commits() as committed:
+        sim = Simulator(pair, engine=engine, policy=policy)
     sim.run(1200, warmup=0)
-    for tid, pcs in committed.items():
-        expected = [s.addr for s, _, _ in
-                    walk(sim.contexts[tid].program, len(pcs))]
+    assert 0 < len(committed) == sim.core.stats.committed
+    for tid, ctx in enumerate(sim.contexts):
+        pcs = [di.pc for di in committed if di.tid == tid]
+        expected = [s.addr for s, _, _ in walk(ctx.program, len(pcs))]
         assert pcs == expected
 
 
