@@ -3,7 +3,8 @@
 
 Usage::
 
-    python scripts/run_sweep.py --sweep ... --plan-only   # prints <id>
+    python scripts/run_sweep.py --axis ftq_depth=1,2,4,8 \
+        --plan-only                                # prints <id>
     python scripts/campaign_worker.py \
         --campaign .repro-cache/campaigns/<id> &   # as many as you like
     python scripts/campaign_worker.py \
@@ -11,16 +12,16 @@ Usage::
 
 Any number of workers — sibling processes or separate invocations on a
 shared filesystem — may point at the same campaign directory: the
-SQLite queue's lease/ack protocol partitions the cells among them, and
-every completed result lands in the shared content-addressed cache
-*before* its queue row is acked.  When the queue is drained, re-running
+SQLite queue's lease/ack protocol hands each of them one cell at a
+time, and every completed result lands in the shared content-addressed
+cache *before* its queue row is acked.  When the queue is drained, re-running
 the planning CLI with ``--resume <id>`` assembles the report from the
 cache with zero simulations.
 
-Workers are crash-safe by construction: a worker that dies mid-lease
-forfeits only its in-flight cells, which return to the queue when
-their lease deadline expires (or immediately, if a supervisor releases
-them).  Restarting a worker — or starting a different one — resumes
+Workers are crash-safe by construction: a worker that dies mid-cell
+forfeits only its in-flight cell, which returns to the queue when its
+lease deadline expires (or immediately, if a supervisor releases
+it).  Restarting a worker — or starting a different one — resumes
 exactly where the campaign left off.
 
 A worker refuses to start when the filesystem holding the campaign or
@@ -66,14 +67,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--worker-id", default=None,
                         help="lease owner name (default: "
                              "worker-<hostname>-<pid>)")
-    parser.add_argument("--lease-batch", type=int, default=8,
-                        help="cells to claim per lease round "
-                             "(default: 8)")
     parser.add_argument("--lease-seconds", type=float,
                         default=DEFAULT_LEASE_SECONDS,
-                        help="lease deadline; a worker that acks or "
-                             "nacks nothing for this long forfeits its "
-                             "cells (default: "
+                        help="lease deadline; a worker that has not "
+                             "settled its cell this long after leasing "
+                             "it forfeits the cell (default: "
                              f"{DEFAULT_LEASE_SECONDS:g})")
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
@@ -81,14 +79,11 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "attempt in an isolated child process "
                              "(default: unlimited, in-process)")
     parser.add_argument("--no-wait", action="store_true",
-                        help="exit at the first empty lease round "
+                        help="exit at the first empty lease "
                              "instead of waiting for other workers' "
                              "leases to resolve")
     add_logging_args(parser)
     args = parser.parse_args(argv)
-    if args.lease_batch < 1:
-        parser.error(f"--lease-batch must be >= 1, got "
-                     f"{args.lease_batch}")
     if args.lease_seconds <= 0:
         parser.error(f"--lease-seconds must be > 0, got "
                      f"{args.lease_seconds}")
@@ -122,15 +117,15 @@ def main(argv=None) -> None:
     t0 = time.time()
     stats, counts = worker_process_entry(
         queue_file, worker_id, None if args.no_cache else args.cache_dir,
-        args.cell_timeout, args.lease_batch, args.lease_seconds,
+        args.cell_timeout, args.lease_seconds,
         journal_path=str(journal_path(args.campaign)), campaign_id=cid,
         wait=not args.no_wait)
     # User-facing CLI footer (the tested output contract), not a
     # diagnostic — always printed, whatever the log level.
     drained = " (drained on signal)" if stats.drained else ""
     print(f"{worker_id}: {stats.executed} cell(s) executed, "
-          f"{stats.failed} failed attempt(s), {stats.leases} lease "
-          f"round(s) in {time.time() - t0:.1f} s{drained}; queue now "
+          f"{stats.failed} failed attempt(s) in "
+          f"{time.time() - t0:.1f} s{drained}; queue now "
           + " ".join(f"{state}={n}"
                      for state, n in sorted(counts.items())),
           file=sys.stderr)

@@ -13,10 +13,10 @@ Six scenarios, each on a small 4-cell grid with ``jobs=2``:
    read must quarantine it (with a reason file) and re-simulate the
    cell exactly once, after which a warm run performs zero simulations.
 4. **sigterm_drain** — SIGTERM lands on an external worker mid-cell;
-   the worker finishes the in-flight cell, returns the rest of its
-   lease to ``pending``, journals ``worker_drain`` and exits 0 — and
-   ``--resume`` then regenerates a report *byte-identical* to a
-   fault-free campaign of the same grid.
+   the worker finishes the in-flight cell, leases nothing more (every
+   other cell stays ``pending``), journals ``worker_drain`` and exits
+   0 — and ``--resume`` then regenerates a report *byte-identical* to
+   a fault-free campaign of the same grid.
 5. **poison** — one cell crashes the worker on *every* attempt; its
    retry budget settles it as ``poisoned`` (journaled), the other
    cells complete, and only the first attempt costs a fleet worker
@@ -251,8 +251,8 @@ def scenario_sigterm_drain(workdir: Path) -> None:
             "--cache-dir", workdir / "drain-cache", "--plan-only")
     cdir = workdir / "drain-cache" / "campaigns" / cid
 
-    # One slow cell keeps the worker mid-drain long enough for the
-    # signal to land while the rest of the lease is still unstarted.
+    # One slow cell keeps the worker mid-cell long enough for the
+    # signal to land before it leases another.
     with inject_faults(FaultSpec(kind="hang", match="*", times=1,
                                  seconds=6.0),
                        spool=str(workdir / "spool-drain")):
@@ -279,19 +279,15 @@ def scenario_sigterm_drain(workdir: Path) -> None:
         f"no drain notice in worker footer:\n{stderr}"
 
     counts = read_queue_counts(cdir)
-    assert counts.get("leased", 0) == 0, \
-        f"drain left cells leased: {counts}"
-    assert counts.get("pending", 0) >= 1, \
-        f"nothing returned to pending: {counts}"
-    assert counts.get("done", 0) + counts["pending"] == 4, \
-        f"cells unaccounted for after drain: {counts}"
+    assert counts == {"done": 1, "pending": 3}, \
+        f"drain did not stop after its in-flight cell: {counts}"
     events = load_journal(cdir)
     drains = [ev for ev in events if ev["ev"] == "worker_drain"]
     assert drains, "no worker_drain event journaled"
     assert drains[0].get("signal") == signal.SIGTERM, \
         f"drain not attributed to SIGTERM: {drains[0]}"
-    assert drains[0].get("unleased", 0) >= 1, \
-        f"drain unleased nothing: {drains[0]}"
+    assert drains[0].get("executed") == 1, \
+        f"drain did not execute exactly its in-flight cell: {drains[0]}"
 
     run_cli("run_sweep.py", *SWEEP_FLAGS,
             "--cache-dir", workdir / "drain-cache", "--resume", cid,
@@ -355,7 +351,7 @@ def scenario_orphan(workdir: Path) -> None:
     conn = sqlite3.connect(cdir / "queue.sqlite")
     conn.execute(
         "UPDATE cells SET state='leased', lease_owner='ghost',"
-        " lease_deadline=?, lease_seconds=30.0"
+        " lease_deadline=?"
         " WHERE key = (SELECT MIN(key) FROM cells)",
         (time.time() - 300.0,))
     conn.commit()

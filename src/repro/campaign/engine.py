@@ -18,8 +18,8 @@ code:
   an in-memory queue suffices.
 * **spawned** (``spawn=True``): N worker *processes* share the queue
   file.  The parent supervises: a worker that dies is reaped and its
-  leased cells released back to the queue immediately (no waiting out
-  lease deadlines), where surviving workers pick them up.  If *every*
+  leased cell released back to the queue immediately (no waiting out
+  its lease deadline), where a surviving worker picks it up.  If *every*
   worker dies with work remaining, the parent drains the leftovers
   itself — in isolated child processes, so whatever killed the fleet
   cannot take the planner down too.
@@ -156,7 +156,6 @@ class Campaign:
     def execute(self, *, workers: int = 1, spawn: bool = False,
                 cache=None, cache_dir: str | None = None,
                 cell_timeout: float | None = None,
-                lease_batch: int = 8,
                 lease_seconds: float = DEFAULT_LEASE_SECONDS) \
             -> DrainStats:
         """Drain this campaign's queue to resolution.
@@ -169,8 +168,8 @@ class Campaign:
 
         If a SIGTERM/SIGINT arrives during supervised execution, the
         signal is forwarded to the fleet, every worker finishes its
-        in-flight cell and returns the rest of its lease, and this
-        method raises :class:`KeyboardInterrupt` with a resume hint —
+        in-flight cell and leases nothing more, and this method
+        raises :class:`KeyboardInterrupt` with a resume hint —
         completed cells are durable, so ``--resume`` picks up exactly
         where the drain stopped.
         """
@@ -182,7 +181,6 @@ class Campaign:
         if not spawn:
             return drain(self.queue, worker_id="inline", cache=cache,
                          cell_timeout=cell_timeout,
-                         lease_batch=lease_batch,
                          lease_seconds=lease_seconds,
                          journal=self.journal)
         if self.queue_file is None:
@@ -190,7 +188,6 @@ class Campaign:
                              "(campaign planned with need_file=False)")
         signum = self._supervise(workers, cache_dir=cache_dir,
                                  cell_timeout=cell_timeout,
-                                 lease_batch=lease_batch,
                                  lease_seconds=lease_seconds)
         if signum is not None:
             # Graceful drain: do NOT run the recovery drain — the
@@ -210,16 +207,15 @@ class Campaign:
             # kill the planner.
             stats = drain(self.queue, worker_id="recovery",
                           cache=cache, cell_timeout=cell_timeout,
-                          lease_batch=1, lease_seconds=lease_seconds,
-                          isolate=True, journal=self.journal)
+                          lease_seconds=lease_seconds, isolate=True,
+                          journal=self.journal)
         return stats
 
     def _supervise(self, count: int, *, cache_dir: str | None,
-                   cell_timeout: float | None, lease_batch: int,
-                   lease_seconds: float,
+                   cell_timeout: float | None, lease_seconds: float,
                    drain_grace: float = DEFAULT_DRAIN_GRACE_SECONDS) \
             -> int | None:
-        """Run worker processes; reap the dead, release their leases.
+        """Run worker processes; reap the dead, release their cells.
 
         Workers exit on their own once every row is resolved (they
         wait out each other's leases, so a released cell is always
@@ -246,7 +242,7 @@ class Campaign:
             proc = ctx.Process(
                 target=worker_process_entry, name=wid,
                 args=(self.queue_file, wid, cache_dir, cell_timeout,
-                      lease_batch, lease_seconds, jpath, self.id))
+                      lease_seconds, jpath, self.id))
             proc.start()
             procs[wid] = proc
             self.journal.emit("worker_spawn", worker=wid, pid=proc.pid)
@@ -257,7 +253,7 @@ class Campaign:
             if proc.exitcode != 0:
                 log.warning(
                     "worker %s died (exit code %s); releasing "
-                    "its leases", wid, proc.exitcode)
+                    "its cell", wid, proc.exitcode)
                 # The worker never got to journal its own exit;
                 # record the crash on its behalf so the report
                 # can attribute the released cells.

@@ -27,19 +27,19 @@ with budget left is pending again at once.  The budget lives in
 durable state, so retries survive the death of the process that
 scheduled them.
 
+A lease is one cell: a worker leases a row, runs it, settles it and
+only then leases again, so no leased row ever waits behind another.
 Crash safety rests on one liveness rule: a row's *lease deadline*.
-``lease`` sets it to ``now + lease_seconds``, and every ``ack`` or
-``nack`` by an owner moves the deadline of every other row that owner
-holds to ``now`` plus that row's own lease duration, so a worker that
-keeps reporting keeps its batch.  A worker that stops reporting (it
-died, or is wedged in one cell) has its rows reclaimed by the next
-``lease`` call, from any worker, once their deadline passes.  A
-supervisor that *knows* a worker died returns its cells at once with
-``release(owner)``.  Both paths charge the lost attempt against the
-row's budget.  A cell executed twice because a lease expired while its
-(slow, not dead) owner was still running is harmless: simulation is a
-pure function of (seed, config), and ``ack`` is idempotent — the
-second completion writes the identical result.
+``lease`` sets it to ``now + lease_seconds`` and nothing moves it.  A
+worker that does not settle its cell by then (it died, or is wedged
+in the cell) has the row reclaimed by the next ``lease`` call, from
+any worker.  A supervisor that *knows* a worker died returns its cell
+at once with ``release(owner)``.  Both paths charge the lost attempt
+against the row's budget.  A cell executed twice because a lease
+expired while its (slow, not dead) owner was still running is
+harmless: simulation is a pure function of (seed, config), and
+``ack`` is idempotent — the second completion writes the identical
+result.
 
 Crash attribution turns retry accounting into containment: attempts
 ended by a worker death (lease expiry, supervisor release) are counted
@@ -90,7 +90,6 @@ CREATE TABLE IF NOT EXISTS cells (
     enqueued       REAL NOT NULL DEFAULT 0.0,
     lease_owner    TEXT,
     lease_deadline REAL,
-    lease_seconds  REAL NOT NULL DEFAULT 0.0,
     first_leased   REAL,
     elapsed        REAL,
     error          TEXT,
@@ -100,12 +99,12 @@ CREATE INDEX IF NOT EXISTS cells_state ON cells (state);
 """
 
 DEFAULT_LEASE_SECONDS = 120.0
-"""How long a lease lives after it is granted or its owner last acks
-or nacks.  An owner silent this long is presumed dead and its rows are
-reclaimed by the next ``lease``.  Generous on purpose: a false
-"dead" verdict only costs a harmless double execution (acks are
-idempotent), but it also charges the cell a worker-fatal attempt, so
-the default stays well above any sane per-cell latency."""
+"""How long a lease lives after it is granted.  An owner that has not
+settled its cell by then is presumed dead and the row is reclaimed by
+the next ``lease``.  Generous on purpose: a false "dead" verdict only
+costs a harmless double execution (acks are idempotent), but it also
+charges the cell a worker-fatal attempt, so the default stays well
+above any sane per-cell latency."""
 
 FATAL_CAUSES = ("lease_expired", "release")
 """Settle causes that mean the owning worker died mid-attempt (as
@@ -165,9 +164,7 @@ class CellQueue:
                 "ALTER TABLE cells ADD COLUMN enqueued "
                 "REAL NOT NULL DEFAULT 0.0",
                 "ALTER TABLE cells ADD COLUMN fatal_attempts "
-                "INTEGER NOT NULL DEFAULT 0",
-                "ALTER TABLE cells ADD COLUMN lease_seconds "
-                "REAL NOT NULL DEFAULT 0.0"):
+                "INTEGER NOT NULL DEFAULT 0"):
             try:
                 self._conn.execute(migration)
             except sqlite3.OperationalError:
@@ -235,43 +232,41 @@ class CellQueue:
     # worker side
     # ------------------------------------------------------------------
 
-    def lease(self, owner: str, limit: int = 1,
+    def lease(self, owner: str,
               lease_seconds: float = DEFAULT_LEASE_SECONDS) \
-            -> list[LeasedCell]:
-        """Claim up to ``limit`` runnable cells for ``owner``.
+            -> LeasedCell | None:
+        """Claim the oldest runnable cell for ``owner``, or ``None``.
 
         Expired leases are reclaimed first (their lost attempt charged
-        against the budget), then the oldest pending rows are leased.
-        Each lease increments ``attempts`` — the attempt is charged
+        against the budget), then the oldest pending row is leased.
+        The lease increments ``attempts`` — the attempt is charged
         when the work is *handed out*, so a worker that dies without
         reporting cannot spend the budget forever.
         """
         now = time.time()
-        leased: list[LeasedCell] = []
-        events: list[tuple[str, dict]] = []
+        leased = None
         with self._txn():
-            events += self._reclaim_expired(now)
-            rows = self._conn.execute(
+            events = self._reclaim_expired(now)
+            row = self._conn.execute(
                 "SELECT key, descriptor, label, attempts,"
                 " fatal_attempts, enqueued"
                 " FROM cells"
                 " WHERE state = 'pending'"
-                " ORDER BY seq LIMIT ?", (limit,)).fetchall()
-            for row in rows:
+                " ORDER BY seq LIMIT 1").fetchone()
+            if row is not None:
                 attempts = row["attempts"] + 1
                 self._conn.execute(
                     "UPDATE cells SET state = 'leased', attempts = ?,"
                     " lease_owner = ?, lease_deadline = ?,"
-                    " lease_seconds = ?,"
                     " first_leased = COALESCE(first_leased, ?)"
                     " WHERE key = ?",
-                    (attempts, owner, now + lease_seconds,
-                     lease_seconds, now, row["key"]))
-                leased.append(LeasedCell(
+                    (attempts, owner, now + lease_seconds, now,
+                     row["key"]))
+                leased = LeasedCell(
                     key=row["key"],
                     descriptor=json.loads(row["descriptor"]),
                     label=row["label"], attempts=attempts,
-                    suspect=row["fatal_attempts"] > 0))
+                    suspect=row["fatal_attempts"] > 0)
                 events.append(("lease", {
                     "key": row["key"], "label": row["label"],
                     "worker": owner, "attempt": attempts,
@@ -286,11 +281,9 @@ class CellQueue:
         A late ack from an expired lease (the cell was re-leased, maybe
         even completed, by someone else) is accepted only if the row is
         not already done — and since results are deterministic, whoever
-        wins writes the same bytes.  Either way the ack proves
-        ``owner`` alive, so its other leases are renewed.
+        wins writes the same bytes.
         """
         events: list[tuple[str, dict]] = []
-        now = time.time()
         with self._txn():
             cur = self._conn.execute(
                 "UPDATE cells SET state = 'done', result = ?,"
@@ -298,8 +291,7 @@ class CellQueue:
                 " lease_deadline = NULL,"
                 " elapsed = ? - first_leased"
                 " WHERE key = ? AND state != 'done'",
-                (json.dumps(result, sort_keys=True), now, key))
-            self._renew(owner, now)
+                (json.dumps(result, sort_keys=True), time.time(), key))
             if cur.rowcount:
                 row = self._conn.execute(
                     "SELECT label, attempts, elapsed FROM cells"
@@ -319,23 +311,20 @@ class CellQueue:
         caller *observed* — an isolated child that crashed
         (:class:`~repro.resilience.CellCrash`) is a contained fleet
         kill and must count toward poisoning exactly like an
-        uncontained one.  The nack proves ``owner`` alive, so its
-        other leases are renewed.
+        uncontained one.
         """
-        now = time.time()
         with self._txn():
             events = self._settle(key, error, owner=owner,
                                   cause="nack", fatal=fatal)
-            self._renew(owner, now)
         self._emit(events)
 
     def unlease(self, key: str, owner: str) -> bool:
-        """Return a leased cell *unexecuted*, refunding the attempt.
+        """Return a leased cell *unfinished*, refunding the attempt.
 
-        Used when a worker leased a batch but stopped before reaching
-        this cell (a drain signal arrived, the operator hit Ctrl-C):
-        the cell did not run, so its budget must not be charged.
-        Returns whether a lease was actually refunded (``False`` for
+        Used when a hard interrupt (a second signal, Ctrl-C) stops a
+        worker mid-cell: the attempt never completed, and the cell is
+        not at fault, so its budget must not be charged.  Returns
+        whether a lease was actually refunded (``False`` for
         foreign/settled rows).
         """
         with self._txn():
@@ -368,13 +357,6 @@ class CellQueue:
                 released += 1
         self._emit(events)
         return released
-
-    def _renew(self, owner: str, now: float) -> None:
-        """Move every lease ``owner`` holds to ``now`` plus the row's
-        own lease duration (the caller has just heard from it)."""
-        self._conn.execute(
-            "UPDATE cells SET lease_deadline = ? + lease_seconds"
-            " WHERE state = 'leased' AND lease_owner = ?", (now, owner))
 
     def _reclaim_expired(self, now: float) -> list[tuple[str, dict]]:
         """Requeue/fail rows whose lease deadline has passed.

@@ -13,15 +13,15 @@ All of them run the exact same per-cell code, so where a cell executes
 cannot change its result.  The last two also share one bootstrap,
 :func:`worker_process_entry`.
 
-Failure semantics per leased batch: cells are executed *one at a
-time*, each through :func:`~repro.campaign.cells.execute_cell`, and
-acked individually — durable completion, nothing to lose on a crash
-but the in-flight cell.  When a cell's execution raises, that cell is
-nacked (charging its retry budget) and the loop moves on to the next
-leased cell, so one poisoned cell costs its batch-mates nothing.  A
-worker that dies outright takes its whole lease with it — the
-supervisor's ``release`` or the lease deadline returns those cells to
-the queue, with exactly the in-flight attempt charged.
+A lease is one cell.  The loop leases the oldest runnable cell, runs
+it through :func:`~repro.campaign.cells.execute_cell`, settles it and
+only then leases again — durable completion, nothing to lose on a
+crash but the in-flight cell.  When a cell's execution raises, that
+cell is nacked (charging its retry budget) and the loop leases the
+next one, so one poisoned cell costs the others nothing.  A worker
+that dies outright takes only its in-flight cell with it: the
+supervisor's ``release`` or the lease deadline returns it to the
+queue, with that attempt charged.
 
 Isolation only chooses where ``execute_cell`` runs.  With a
 ``cell_timeout`` (or ``isolate=True``), every attempt runs in an
@@ -32,23 +32,22 @@ cells — a previous attempt killed its worker (``LeasedCell.suspect``)
 — are always run isolated, whatever the mode: after the first fleet
 kill, a poison cell's further crashes are contained to disposable
 children (surfacing as :class:`~repro.resilience.isolate.CellCrash`,
-nacked with crash attribution) while the worker and its batch-mates
-live on.
+nacked with crash attribution) while the worker lives on.
 
-Liveness needs nothing from the loop beyond its acks and nacks: each
-one renews every other lease the worker holds (see
-:mod:`repro.campaign.queue`), so a worker that keeps delivering keeps
-its batch and a dead one loses it when its lease deadlines pass (the
-next ``lease`` call, by any worker, settles those rows first).
-A :class:`~repro.campaign.health.DrainControl` makes the loop
-signal-aware: on the first SIGTERM/SIGINT the in-flight cell is
-finished and delivered, every unstarted leased cell is returned to
-the queue with its attempt refunded, a ``worker_drain`` event is
-journaled, and the loop returns normally (the process exits 0) —
-resuming later is byte-identical.  A hard interrupt (second signal,
-or KeyboardInterrupt without a control) takes the same unlease path
-before re-raising, journaled as ``worker_interrupt``, so even Ctrl-C
-never strands batch-mates until a lease deadline.
+Liveness needs nothing from the loop: the deadline ``lease`` sets
+covers the one cell the worker runs, and a dead worker's cell is
+settled by the next ``lease`` call, by any worker, once that deadline
+passes (see :mod:`repro.campaign.queue`).  A
+:class:`~repro.campaign.health.DrainControl` makes the loop
+signal-aware: the loop checks it before each lease, so on the first
+SIGTERM/SIGINT the in-flight cell is finished and delivered, nothing
+more is leased, a ``worker_drain`` event is journaled, and the loop
+returns normally (the process exits 0) — resuming later is
+byte-identical.  A hard interrupt (second signal, or
+KeyboardInterrupt without a control) returns the in-flight cell to
+the queue with its attempt refunded before re-raising, journaled as
+``worker_interrupt``, so even Ctrl-C never strands a cell until its
+lease deadline.
 
 Results flow to two places on ack: the shared content-addressed
 :class:`~repro.experiments.cache.ResultCache` (when the worker has
@@ -73,8 +72,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from repro.campaign.cells import Cell, cell_from_descriptor, \
-    execute_cell
+from repro.campaign.cells import cell_from_descriptor, execute_cell
 from repro.campaign.health import NULL_CONTROL, DrainControl
 from repro.campaign.queue import DEFAULT_LEASE_SECONDS, CellQueue, \
     LeasedCell
@@ -96,17 +94,13 @@ class DrainStats:
 
     executed: int = 0
     failed: int = 0
-    leases: int = 0
-    unleased: int = 0
-    """Leased cells returned unexecuted (attempt refunded) because a
-    drain or interrupt stopped the worker before it reached them."""
     drained: bool = False
     """Whether the loop stopped on a graceful drain request rather
     than an empty queue."""
 
 
 def drain(queue: CellQueue, *, worker_id: str, cache=None,
-          cell_timeout: float | None = None, lease_batch: int = 8,
+          cell_timeout: float | None = None,
           lease_seconds: float = DEFAULT_LEASE_SECONDS,
           wait: bool = True, isolate: bool = False, journal=None,
           control=None) -> DrainStats:
@@ -122,12 +116,11 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
             implies a stored artifact.
         cell_timeout: Per-cell wall-clock budget; routes attempts
             through isolated child processes.
-        lease_batch: Cells to claim per lease round.
         lease_seconds: Lease deadline handed to the queue.
         wait: ``True`` drains until every row is resolved, waiting out
-            other workers' leases (one lease round every
+            other workers' leases (one lease attempt every
             :data:`DEFAULT_POLL_SECONDS`); ``False`` exits at the first
-            empty lease round (the CLI's ``--no-wait``).
+            empty lease (the CLI's ``--no-wait``).
         isolate: Force isolated child processes even without a
             timeout — the recovery path, where whatever killed the
             previous workers must not kill this one.
@@ -136,8 +129,8 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
             ack / retry transitions are narrated too.
         control: Optional :class:`DrainControl`; when its
             ``requested`` flag is set (signal handler, supervisor,
-            test) the loop finishes the in-flight cell, unleases the
-            rest and returns with ``stats.drained`` set.
+            test) the loop finishes the in-flight cell, leases nothing
+            more and returns with ``stats.drained`` set.
     """
     journal = journal if journal is not None else NULL_JOURNAL
     if queue.journal is NULL_JOURNAL and journal is not NULL_JOURNAL:
@@ -145,145 +138,92 @@ def drain(queue: CellQueue, *, worker_id: str, cache=None,
     control = control if control is not None else NULL_CONTROL
     stats = DrainStats()
     journal.emit("worker_start", worker=worker_id, pid=os.getpid(),
-                 cell_timeout=cell_timeout, lease_batch=lease_batch)
+                 cell_timeout=cell_timeout)
     log.debug("worker %s draining %s", worker_id, queue.path)
     while not control.requested:
-        batch = queue.lease(worker_id, limit=lease_batch,
-                            lease_seconds=lease_seconds)
-        if not batch:
+        leased = queue.lease(worker_id, lease_seconds=lease_seconds)
+        if leased is None:
             if not wait or queue.unresolved() == 0:
                 break
             time.sleep(DEFAULT_POLL_SECONDS)
             continue
-        stats.leases += 1
-        _execute_lease(queue, batch, worker_id=worker_id, cache=cache,
-                       cell_timeout=cell_timeout, isolate=isolate,
-                       stats=stats, journal=journal, control=control)
+        _run_cell(queue, leased, worker_id=worker_id, cache=cache,
+                  cell_timeout=cell_timeout, isolate=isolate,
+                  stats=stats, journal=journal)
     if control.requested:
         stats.drained = True
         journal.emit("worker_drain", worker=worker_id,
                      pid=os.getpid(), signal=control.signum,
-                     executed=stats.executed,
-                     unleased=stats.unleased)
+                     executed=stats.executed)
         log.info("worker %s drained on signal %s: in-flight cell "
-                 "finished, %d leased cell(s) returned to the queue",
-                 worker_id, control.signum, stats.unleased)
+                 "finished, nothing more leased", worker_id,
+                 control.signum)
     journal.emit("worker_exit", worker=worker_id, pid=os.getpid(),
                  executed=stats.executed, failed=stats.failed,
-                 leases=stats.leases, drained=stats.drained)
-    log.info("worker %s done: %d executed, %d failed attempt(s), "
-             "%d lease round(s)", worker_id, stats.executed,
-             stats.failed, stats.leases)
+                 drained=stats.drained)
+    log.info("worker %s done: %d executed, %d failed attempt(s)",
+             worker_id, stats.executed, stats.failed)
     return stats
 
 
-def _execute_lease(queue: CellQueue, batch: list[LeasedCell], *,
-                   worker_id: str, cache, cell_timeout: float | None,
-                   isolate: bool, stats: DrainStats,
-                   journal=NULL_JOURNAL, control=NULL_CONTROL) -> None:
-    """Execute one leased batch, acking/nacking cell by cell.
+def _run_cell(queue: CellQueue, leased: LeasedCell, *, worker_id: str,
+              cache, cell_timeout: float | None, isolate: bool,
+              stats: DrainStats, journal) -> None:
+    """Execute one leased cell and settle it exactly once.
 
-    Every cell ends this call settled exactly once: delivered (ack),
-    nacked, or unleased.  A drain request stops the loop *between*
-    cells; a hard interrupt (KeyboardInterrupt, SystemExit) is caught,
-    the unstarted remainder is unleased and journaled as
-    ``worker_interrupt``, and the interrupt re-raised — either way no
-    cell is left stranded on a lease deadline.
+    A cell that raises is nacked.  A completed cell is persisted, then
+    acked: cache first, ack second, so a ``done`` row never refers to
+    a result that was lost with the worker, and the ``execute`` event
+    (latency breakdown) precedes the ack for the same reason.  A hard
+    interrupt (KeyboardInterrupt, SystemExit) unleases the cell,
+    refunding its attempt, journals ``worker_interrupt`` and
+    re-raises, so the cell is not stranded on its lease deadline.
     """
-    handled: set[str] = set()
-
-    def unlease_rest(counted: bool = True) -> int:
-        refunded = 0
-        for lc in batch:
-            if lc.key not in handled and queue.unlease(lc.key,
-                                                       worker_id):
-                refunded += 1
-        handled.update(lc.key for lc in batch)
-        if counted:
-            stats.unleased += refunded
-        return refunded
-
     try:
-        _run_lease(queue, batch, handled, worker_id=worker_id,
-                   cache=cache, cell_timeout=cell_timeout,
-                   isolate=isolate, stats=stats, journal=journal,
-                   control=control)
+        cell = cell_from_descriptor(leased.descriptor)
+        t0 = time.perf_counter()
+        try:
+            if isolate or cell_timeout is not None or leased.suspect:
+                result = run_cell_isolated(cell, timeout=cell_timeout)
+            else:
+                result = execute_cell(cell)
+        except Exception as exc:
+            if isinstance(exc, CellTimeout):
+                journal.emit("timeout", key=leased.key,
+                             label=leased.label, worker=worker_id,
+                             attempt=leased.attempts,
+                             budget_seconds=cell_timeout)
+            log.warning("cell %s attempt %d failed: %r",
+                        leased.label, leased.attempts, exc)
+            # A crashed child is a *contained* worker death: charge
+            # it as fatal so crash-looping cells settle as poisoned.
+            queue.nack(leased.key, worker_id, repr(exc),
+                       fatal=isinstance(exc, CellCrash))
+            stats.failed += 1
+            return
+        t1 = time.perf_counter()
+        if cache is not None:
+            cache.put(leased.key, result, leased.descriptor)
+        journal.emit("execute", key=leased.key, label=leased.label,
+                     worker=worker_id, attempt=leased.attempts,
+                     execute_seconds=round(t1 - t0, 6),
+                     cache_put_seconds=round(time.perf_counter() - t1,
+                                             6))
+        queue.ack(leased.key, worker_id, result.to_dict())
+        stats.executed += 1
     except BaseException as exc:       # noqa: BLE001 — unlease, re-raise
-        refunded = unlease_rest()
+        refunded = int(queue.unlease(leased.key, worker_id))
         journal.emit("worker_interrupt", worker=worker_id,
                      pid=os.getpid(), error=repr(exc),
                      unleased=refunded)
         log.warning("worker %s interrupted (%r): %d leased cell(s) "
                     "returned to the queue", worker_id, exc, refunded)
         raise
-    # Graceful-drain path: whatever the loop below did not reach is
-    # returned to the queue with its attempt refunded.
-    unlease_rest()
-
-
-def _run_lease(queue: CellQueue, batch: list[LeasedCell],
-               handled: set[str], *, worker_id: str, cache,
-               cell_timeout: float | None, isolate: bool,
-               stats: DrainStats, journal, control) -> None:
-    """Run one lease's cells in order, marking each settled key in
-    ``handled``; a cell that raises is nacked and the loop moves on."""
-    for lc in batch:
-        if control.requested:
-            return
-        cell = cell_from_descriptor(lc.descriptor)
-        t0 = time.perf_counter()
-        try:
-            if isolate or cell_timeout is not None or lc.suspect:
-                result = run_cell_isolated(cell, timeout=cell_timeout)
-            else:
-                result = execute_cell(cell)
-        except Exception as exc:
-            if isinstance(exc, CellTimeout):
-                journal.emit("timeout", key=lc.key, label=lc.label,
-                             worker=worker_id, attempt=lc.attempts,
-                             budget_seconds=cell_timeout)
-            log.warning("cell %s attempt %d failed: %r",
-                        lc.label, lc.attempts, exc)
-            # A crashed child is a *contained* worker death: charge
-            # it as fatal so crash-looping cells settle as poisoned.
-            queue.nack(lc.key, worker_id, repr(exc),
-                       fatal=isinstance(exc, CellCrash))
-            stats.failed += 1
-        else:
-            _deliver(queue, lc, cell, result, worker_id=worker_id,
-                     cache=cache, stats=stats, journal=journal,
-                     execute_seconds=time.perf_counter() - t0)
-        handled.add(lc.key)
-
-
-def _deliver(queue: CellQueue, leased: LeasedCell, cell: Cell, result,
-             *, worker_id: str, cache, stats: DrainStats,
-             journal=NULL_JOURNAL,
-             execute_seconds: float | None = None) -> None:
-    """Persist one completed cell, then ack its queue row.
-
-    Order matters: cache first, ack second, so a ``done`` row never
-    refers to a result that was lost with the worker.  The ``execute``
-    event (latency breakdown) precedes the ack for the same reason —
-    by the time the row is ``done``, its whole timeline is durable.
-    """
-    t0 = time.perf_counter()
-    if cache is not None:
-        cache.put(leased.key, result, leased.descriptor)
-    cache_put_seconds = time.perf_counter() - t0
-    if execute_seconds is not None:
-        journal.emit("execute", key=leased.key, label=leased.label,
-                     worker=worker_id, attempt=leased.attempts,
-                     execute_seconds=round(execute_seconds, 6),
-                     cache_put_seconds=round(cache_put_seconds, 6))
-    queue.ack(leased.key, worker_id, result.to_dict())
-    stats.executed += 1
 
 
 def worker_process_entry(queue_path: str, worker_id: str,
                          cache_dir: str | None,
                          cell_timeout: float | None,
-                         lease_batch: int,
                          lease_seconds: float,
                          journal_path: str | None = None,
                          campaign_id: str | None = None,
@@ -300,7 +240,7 @@ def worker_process_entry(queue_path: str, worker_id: str,
     of workers write one ``events.jsonl``).
 
     The process is signal-aware by default: SIGTERM/SIGINT request a
-    graceful drain (finish the in-flight cell, unlease the rest,
+    graceful drain (finish the in-flight cell, lease nothing more,
     journal ``worker_drain``, return — i.e. exit 0).
 
     Returns the drain's stats and the queue's row counts by state;
@@ -321,7 +261,7 @@ def worker_process_entry(queue_path: str, worker_id: str,
     queue = CellQueue(queue_path, journal=journal)
     try:
         stats = drain(queue, worker_id=worker_id, cache=cache,
-                      cell_timeout=cell_timeout, lease_batch=lease_batch,
+                      cell_timeout=cell_timeout,
                       lease_seconds=lease_seconds, wait=wait,
                       journal=journal, control=control)
         return stats, queue.counts()

@@ -61,14 +61,6 @@ from repro.resilience.policy import CellExecutionError, CellFailure
 DEFAULT_CYCLES = 20_000
 """Measured window for figure regeneration (per grid cell)."""
 
-MAX_LEASE_BATCH = 8
-"""Upper bound on cells per worker lease.  Nothing is amortised across
-a lease; the size only trades lease transactions against the work a
-dying worker forfeits.  Leases of 8 and of 1 were indistinguishable
-on the 84-cell claims grid at 3000 + 1000 cycles and jobs=2 (2-core
-KVM guest, Python 3.11; 4 interleaved runs each): medians 12.2 s and
-12.4 s, ranges 11.3-12.8 s and 11.7-13.4 s."""
-
 
 @dataclass
 class CampaignPlan:
@@ -326,9 +318,7 @@ class ExperimentSession:
                 workers=workers, spawn=spawn, cache=self.disk,
                 cache_dir=str(self.disk.root)
                 if self.disk is not None else None,
-                cell_timeout=self.cell_timeout,
-                lease_batch=max(1, min(MAX_LEASE_BATCH,
-                                       len(plan.misses) // workers)))
+                cell_timeout=self.cell_timeout)
             self.simulated += campaign.attempts() - before
             outcomes = campaign.outcomes(plan.misses)
         finally:

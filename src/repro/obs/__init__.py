@@ -34,7 +34,6 @@ to an ephemeral (journal-less) run's, because observability only ever
 
 from repro.obs.journal import (
     EVENTS_NAME,
-    JOURNAL_SCHEMA_VERSION,
     Journal,
     NULL_JOURNAL,
     NullJournal,
@@ -50,7 +49,6 @@ from repro.obs.logging_setup import (
 
 __all__ = [
     "EVENTS_NAME",
-    "JOURNAL_SCHEMA_VERSION",
     "Journal",
     "NULL_JOURNAL",
     "NullJournal",

@@ -34,7 +34,8 @@ Design constraints, in order:
 Event vocabulary (the ``ev`` field)::
 
     plan           campaign planned: cells, enqueued, retry_attempts
-    lease          cell handed to a worker (attempt charged, queue_wait)
+    lease          cell handed to a worker (attempt charged, queue_wait
+                   until it starts running)
     execute        cell ran: execute_seconds, cache_put_seconds
     ack            cell completed durably (elapsed since first lease)
     nack           worker reported a failed attempt (error)
@@ -43,10 +44,10 @@ Event vocabulary (the ``ev`` field)::
     timeout        attempt exceeded the per-cell wall-clock budget
     lease_expired  lease deadline passed (worker presumed dead)
     release        supervisor returned a dead worker's leased cell
-    unlease        leased-but-never-run cell refunded to the queue
+    unlease        interrupted in-flight cell refunded to the queue
     quarantine     corrupt cache entry quarantined (reason inline)
-    worker_start   a drain loop began (pid)
-    worker_exit    a drain loop ended (executed/failed/leases) or a
+    worker_start   a drain loop began (pid, cell_timeout)
+    worker_exit    a drain loop ended (executed/failed/drained) or a
                    supervisor observed a worker die (exitcode)
     worker_spawn   supervisor launched a worker process
 
@@ -57,11 +58,11 @@ Fleet-health events::
                           this cell kills workers and will not be
                           resumed into a fleet again
     worker_drain          SIGTERM/SIGINT drain: in-flight cell
-                          finished, rest of the lease returned
-                          (signal, executed, unleased)
-    worker_interrupt      hard interrupt mid-batch: unstarted
-                          batch-mates unleased before re-raising
-                          (error, unleased)
+                          finished, nothing more leased
+                          (signal, executed)
+    worker_interrupt      hard interrupt mid-cell: the in-flight
+                          cell unleased before re-raising
+                          (error, unleased: 0 or 1)
     campaign_interrupted  supervisor stopped a campaign on a signal
                           (unresolved count; resume picks it up)
     cache_degraded        result cache hit a full disk; puts are
@@ -80,8 +81,6 @@ from pathlib import Path
 EVENTS_NAME = "events.jsonl"
 """Journal filename inside a campaign directory."""
 
-JOURNAL_SCHEMA_VERSION = 1
-"""Bump when the record shape changes incompatibly."""
 
 class NullJournal:
     """No-op journal: the ephemeral campaign's stand-in.

@@ -38,7 +38,8 @@ Hot-path design (this loop dominates every experiment's wall-clock):
   latches, register pools, bound memory/engine methods) as free
   variables.  The steady state then runs on local/closure loads with
   zero per-cycle rebinding, no intermediate allocations (scratch
-  buffers are reused) and the resource-model methods inlined.  The
+  buffers are reused) and the resource models' bookkeeping done
+  inline on their fields.  The
   identity-stability contract: captured lists/deques/dicts and the
   statistics objects are only ever mutated in place (``lst[:] = ...``,
   ``clear``, :meth:`CoreStats.reset`), never rebound.  The closures are
@@ -361,7 +362,7 @@ class SmtCore:
                                 if not head.completed:
                                     break
                                 lst.popleft()
-                                # Inlined PhysicalRegisters.release.
+                                # Return the destination register.
                                 if head.static.dest >= 0:
                                     if head.op == op_fp:
                                         regs.free_fp += 1
@@ -415,7 +416,7 @@ class SmtCore:
                                     pending = w.pending - 1
                                     w.pending = pending
                                     if pending == 0 and not w.squashed:
-                                        # Inlined InstructionQueues.wake.
+                                        # Join the ready list in age order.
                                         ready = ready_lists[queue_table[w.op]]
                                         age = w.age
                                         if ready and ready[-1].age > age:
@@ -438,7 +439,7 @@ class SmtCore:
                         del done[:]
 
                     # ---------------- issue stage ----------------
-                    # Inlined FunctionalUnits.new_cycle.
+                    # Every functional unit is free again.
                     fu_free[0], fu_free[1], fu_free[2] = fu_counts
                     budget = issue_width
                     issued_total = 0
@@ -452,16 +453,17 @@ class SmtCore:
                         queue = queues[q]
                         del issued_scratch[:]
                         # Ready lists are age-ordered by construction
-                        # (monotonic dispatch stamps; wake() inserts by age;
-                        # squash removal preserves relative order): this is
-                        # oldest-first issue over exactly the ready entries.
+                        # (monotonic dispatch stamps; writeback inserts by
+                        # age; squash removal preserves relative order):
+                        # this is oldest-first issue over exactly the ready
+                        # entries.
                         for pos, di in enumerate(ready):
                             if budget <= 0 or nfree <= 0:
                                 break           # width or unit budget spent
                             nfree -= 1          # claimed even if the access
-                            op = di.op          # replays, matching the old
-                            latency = latency_table[op]     # try_take-then-
-                            if op == op_load:               # replay order
+                            op = di.op          # replays
+                            latency = latency_table[op]
+                            if op == op_load:
                                 dcache = dread(di.tid, di.mem_addr, cycle)
                                 if dcache is None:
                                     continue    # load without an MSHR: replay
@@ -511,9 +513,7 @@ class SmtCore:
                     # whose queue/registers are exhausted blocks only itself
                     # (per-thread skid); the shared-capacity clog still
                     # operates through the IQ entries, registers and ROB
-                    # slots the stalled thread occupies.  The resource-model
-                    # methods (queue_of/has_space/insert/available/allocate/
-                    # push) are inlined.
+                    # slots the stalled thread occupies.
                     #
                     # A scan that dispatches nothing depends only on the
                     # latch, rob.size, the three IQ lengths and the two
@@ -714,7 +714,7 @@ class SmtCore:
                         stale_ready |= 1 << q
                 dest = entry.static.dest
                 if dest >= 0:
-                    # Inlined PhysicalRegisters.release.
+                    # Return the destination register.
                     if op == op_fp:
                         regs.free_fp += 1
                     else:

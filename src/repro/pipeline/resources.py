@@ -31,11 +31,6 @@ QUEUE_TABLE: tuple[int, ...] = tuple(
 """``_QUEUE_OF`` flattened for the hot path: index by ``int(opclass)``."""
 
 
-def queue_of(opclass: InstrClass) -> int:
-    """Map an instruction class to its instruction queue."""
-    return QUEUE_TABLE[opclass]
-
-
 class InstructionQueues:
     """Three shared issue queues (Table 3: 32 entries each).
 
@@ -49,10 +44,10 @@ class InstructionQueues:
     Alongside each queue sits a **ready list**: the age-ordered subset
     of entries whose producers have all completed
     (``DynInst.pending == 0``).  The issue stage iterates ready lists
-    only, so waiting instructions cost nothing per cycle; membership is
-    maintained at dispatch (:meth:`insert`), at writeback
-    (:meth:`wake`, called when a dependent's ``pending`` hits zero) and
-    at squash (:meth:`remove_squashed`).
+    only, so waiting instructions cost nothing per cycle.  The fused
+    cycle loop (:mod:`repro.pipeline.core`) maintains both at dispatch,
+    issue and writeback; a decode-time redirect uses
+    :meth:`remove_squashed`.
     """
 
     __slots__ = ("capacity", "queues", "ready")
@@ -64,44 +59,6 @@ class InstructionQueues:
                            dict[DynInst, None]] = ({}, {}, {})
         self.ready: tuple[list[DynInst], list[DynInst], list[DynInst]] = \
             ([], [], [])
-
-    def has_space(self, opclass: InstrClass) -> bool:
-        """True if the queue for ``opclass`` can accept an entry."""
-        q = QUEUE_TABLE[opclass]
-        return len(self.queues[q]) < self.capacity[q]
-
-    def insert(self, age: int, di: DynInst) -> None:
-        """Dispatch ``di`` into its queue (``di.pending`` already set)."""
-        q = QUEUE_TABLE[di.op]
-        if len(self.queues[q]) >= self.capacity[q]:
-            raise OverflowError(f"instruction queue {q} is full")
-        di.age = age
-        self.queues[q][di] = None
-        if di.pending == 0:
-            # Ages are globally monotonic, so append keeps age order.
-            self.ready[q].append(di)
-
-    def wake(self, di: DynInst) -> None:
-        """Move ``di`` to its ready list (its last producer completed)."""
-        ready = self.ready[QUEUE_TABLE[di.op]]
-        age = di.age
-        if ready and ready[-1].age > age:
-            # A younger dispatch-ready entry got there first; keep the
-            # list age-ordered (ages are unique, ties impossible).
-            i = len(ready) - 1
-            while i >= 0 and ready[i].age > age:
-                i -= 1
-            ready.insert(i + 1, di)
-        else:
-            ready.append(di)
-
-    def mark_issued(self, di: DynInst) -> None:
-        """Remove an issued instruction's entry from its queue.
-
-        The issue stage already removed it from the ready list (it
-        iterates that list directly).
-        """
-        del self.queues[QUEUE_TABLE[di.op]][di]
 
     def remove_squashed(self, tid: int, seq_limit: int) -> int:
         """Drop entries of ``tid`` younger than ``seq_limit``.
@@ -127,13 +84,6 @@ class InstructionQueues:
                 ready[:] = [di for di in ready if not di.squashed]
         return removed
 
-    def occupancy(self, tid: int | None = None) -> int:
-        """Entries in all queues (optionally for one thread)."""
-        if tid is None:
-            return len(self.queues[0]) + len(self.queues[1]) \
-                + len(self.queues[2])
-        return sum(1 for q in self.queues for di in q if di.tid == tid)
-
 
 class PhysicalRegisters:
     """Shared physical register pools (Table 3: 384 int + 384 fp).
@@ -156,34 +106,6 @@ class PhysicalRegisters:
         self.free_int = int_regs - reserved
         self.free_fp = fp_regs - reserved
 
-    _FP = int(InstrClass.FP_ALU)
-
-    def available(self, di: DynInst) -> bool:
-        """True if ``di``'s destination (if any) can be renamed."""
-        if di.static.dest < 0:
-            return True
-        if di.op == self._FP:
-            return self.free_fp > 0
-        return self.free_int > 0
-
-    def allocate(self, di: DynInst) -> None:
-        """Take a register for ``di``'s destination."""
-        if di.static.dest < 0:
-            return
-        if di.op == self._FP:
-            self.free_fp -= 1
-        else:
-            self.free_int -= 1
-
-    def release(self, di: DynInst) -> None:
-        """Return ``di``'s destination register (commit or squash)."""
-        if di.static.dest < 0:
-            return
-        if di.op == self._FP:
-            self.free_fp += 1
-        else:
-            self.free_int += 1
-
 
 class ReorderBuffer:
     """Shared-capacity ROB with per-thread in-order commit lists.
@@ -200,47 +122,6 @@ class ReorderBuffer:
             [deque() for _ in range(n_threads)]
         self.size = 0
 
-    @property
-    def full(self) -> bool:
-        """True when no instruction can dispatch."""
-        return self.size >= self.capacity
-
-    def push(self, di: DynInst) -> None:
-        """Append ``di`` to its thread's program-order list."""
-        if self.size >= self.capacity:
-            raise OverflowError("ROB is full")
-        self.lists[di.tid].append(di)
-        self.size += 1
-
-    def head(self, tid: int) -> DynInst | None:
-        """Oldest un-committed instruction of ``tid``."""
-        lst = self.lists[tid]
-        return lst[0] if lst else None
-
-    def pop_head(self, tid: int) -> DynInst:
-        """Commit the head of ``tid``."""
-        di = self.lists[tid].popleft()
-        self.size -= 1
-        return di
-
-    def squash_tail(self, tid: int, seq_limit: int) -> list[DynInst]:
-        """Remove (and return, oldest first) entries younger than the limit."""
-        lst = self.lists[tid]
-        squashed: list[DynInst] = []
-        while lst and lst[-1].seq > seq_limit:
-            di = lst.pop()
-            di.squashed = True
-            squashed.append(di)
-        self.size -= len(squashed)
-        squashed.reverse()
-        return squashed
-
-    def occupancy(self, tid: int | None = None) -> int:
-        """Entries in the ROB (optionally for one thread)."""
-        if tid is None:
-            return self.size
-        return len(self.lists[tid])
-
 
 class FunctionalUnits:
     """Per-cycle functional-unit availability (Table 3: 6 int, 4 ld/st, 3 fp)."""
@@ -251,15 +132,3 @@ class FunctionalUnits:
                  fp_units: int = 3) -> None:
         self.counts = (int_units, ldst_units, fp_units)
         self._free = [0, 0, 0]
-
-    def new_cycle(self) -> None:
-        """Reset availability at the start of every issue stage."""
-        self._free[0], self._free[1], self._free[2] = self.counts
-
-    def try_take(self, opclass: InstrClass) -> bool:
-        """Claim a unit for this cycle; False if none left."""
-        q = QUEUE_TABLE[opclass]
-        if self._free[q] <= 0:
-            return False
-        self._free[q] -= 1
-        return True

@@ -311,28 +311,37 @@ class TestWorkerCliRoundTrip:
 
         def bootstrap(*args, **kwargs):
             calls.append((args, kwargs))
-            return DrainStats(executed=1, leases=1), {"done": 3}
+            return DrainStats(executed=1), {"done": 3}
 
         monkeypatch.setattr(worker_cli, "worker_process_entry",
                             bootstrap)
         monkeypatch.setenv("REPRO_DISK_FLOOR_MB", "0")
         worker_cli.main(["--campaign", str(cdir), "--no-cache",
                          "--worker-id", "w7", "--cell-timeout", "9",
-                         "--lease-batch", "3", "--lease-seconds", "45",
-                         "--no-wait"])
+                         "--lease-seconds", "45", "--no-wait"])
         ((args, kwargs),) = calls
-        assert args == (str(cdir / "queue.sqlite"), "w7", None, 9.0, 3,
+        assert args == (str(cdir / "queue.sqlite"), "w7", None, 9.0,
                         45.0)
         assert kwargs == {
             "journal_path": str(cdir / "events.jsonl"),
             "campaign_id": "feedface", "wait": False}
         err = capsys.readouterr().err
-        assert "w7: 1 cell(s) executed, 0 failed attempt(s), 1 lease " \
-            "round(s)" in err
+        assert "w7: 1 cell(s) executed, 0 failed attempt(s) in " in err
         assert err.rstrip().endswith("queue now done=3")
 
+    def test_lease_batch_is_not_a_flag(self, tmp_path, capsys):
+        # A lease is always one cell; a script that still passes the
+        # retired flag is told so instead of silently ignored.
+        worker_cli = load_cli("campaign_worker")
+        with pytest.raises(SystemExit) as exc:
+            worker_cli.parse_args(["--campaign", str(tmp_path),
+                                   "--lease-batch", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lease-batch 2" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [
-        "--lease-batch", "--lease-seconds", "--cell-timeout",
+        "--lease-seconds", "--cell-timeout",
     ])
     def test_rejects_out_of_range_flags(self, tmp_path, capsys, flag):
         worker_cli = load_cli("campaign_worker")

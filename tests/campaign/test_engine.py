@@ -169,6 +169,36 @@ class TestWorkerParity:
         assert len({e["worker"] for e in exits}) == 2
         assert sum(e["executed"] for e in exits) == 4
 
+    def test_each_worker_settles_its_cell_before_leasing_again(
+            self, tmp_path):
+        # A lease is one cell: in the journal, every lease of a worker
+        # is settled (here by an ack, or the nack of the injected
+        # failure) before that worker's next lease.
+        fleet = ExperimentSession(cache_dir=tmp_path / "cache", jobs=2,
+                                  campaign_dir=str(tmp_path / "campaigns"),
+                                  retries=1, **FAST)
+        with inject_faults(FaultSpec(kind="raise", match="seed0",
+                                     times=1),
+                           spool=tmp_path / "spool"):
+            fleet.run_cells(grid(fleet))
+        cid = fleet.last_campaign.campaign_id
+        events = read_events(tmp_path / "campaigns" / cid / "events.jsonl")
+        settles = ("ack", "nack", "unlease", "release", "lease_expired")
+        held: dict[str, str] = {}
+        leases = 0
+        for ev in events:
+            worker = ev["worker"]
+            if ev["ev"] == "lease":
+                assert worker not in held, \
+                    f"{worker} leased {ev['key']} holding {held[worker]}"
+                held[worker] = ev["key"]
+                leases += 1
+            elif ev["ev"] in settles and held.get(worker) == ev["key"]:
+                del held[worker]
+        assert held == {}
+        assert leases == 5                      # 4 cells, 1 retry
+        assert [e["ev"] for e in events].count("nack") == 1
+
     def test_spawned_workers_settle_a_dead_owners_lease(self, tmp_path):
         # The supervisor runs no sweep of its own: a spawned worker's
         # lease settles the expired row of an owner that is gone (its
@@ -180,7 +210,7 @@ class TestWorkerParity:
         fleet.plan_campaign(plan)
         cdir = tmp_path / "campaigns" / plan.campaign_id
         with CellQueue(cdir / QUEUE_NAME) as queue:
-            (orphan,) = queue.lease("ghost", lease_seconds=0.01)
+            orphan = queue.lease("ghost", lease_seconds=0.01)
         time.sleep(0.05)
         results = fleet.execute(plan)
         assert len(results) == 4
@@ -209,10 +239,8 @@ class TestWorkerParity:
         try:
             with CellQueue(campaign.queue_file) as a, \
                     CellQueue(campaign.queue_file) as b:
-                stats_a = drain(a, worker_id="a", lease_batch=1,
-                                wait=False)
-                stats_b = drain(b, worker_id="b", lease_batch=4,
-                                wait=False)
+                stats_a = drain(a, worker_id="a", wait=False)
+                stats_b = drain(b, worker_id="b", wait=False)
             assert stats_a.executed + stats_b.executed == 4
             assert campaign.queue.unresolved() == 0
             outcomes = campaign.outcomes(planned)
@@ -260,7 +288,7 @@ class TestWorkerBootstrap:
     def entry(self, cdir, cache_dir=None, **kwargs):
         kwargs.setdefault("install_signals", False)
         return worker_process_entry(str(cdir / QUEUE_NAME), "w",
-                                    cache_dir, None, 8, 30.0, **kwargs)
+                                    cache_dir, None, 30.0, **kwargs)
 
     def test_returns_drain_stats_and_queue_counts(self, tmp_path):
         cid, cdir = self.plan(tmp_path)
@@ -268,7 +296,7 @@ class TestWorkerBootstrap:
             cdir, str(tmp_path / "cache"),
             journal_path=str(cdir / "events.jsonl"), campaign_id=cid,
             wait=False)
-        assert (stats.executed, stats.failed, stats.leases) == (2, 0, 1)
+        assert (stats.executed, stats.failed) == (2, 0)
         assert not stats.drained
         assert counts == {"done": 2}
         assert len(ResultCache(tmp_path / "cache")) == 2
@@ -281,23 +309,22 @@ class TestWorkerBootstrap:
     def test_no_wait_leaves_a_foreign_lease_alone(self, tmp_path):
         _, cdir = self.plan(tmp_path)
         with CellQueue(cdir / QUEUE_NAME) as queue:
-            assert len(queue.lease("other", limit=1,
-                                   lease_seconds=30.0)) == 1
+            assert queue.lease("other", lease_seconds=30.0) is not None
         stats, counts = self.entry(cdir, wait=False)
         assert stats.executed == 1
         assert counts == {"done": 1, "leased": 1}
 
     def test_wait_polls_until_a_foreign_lease_is_reclaimed(self,
                                                            tmp_path):
-        # The other owner never beats, so its short lease expires on
-        # the deadline; a waiting worker polls until it can take the
-        # cell over (the retry budget pays for the lost attempt).
+        # The other owner never settles its cell, so its short lease
+        # expires on the deadline; a waiting worker polls until it can
+        # take the cell over (the retry budget pays for the lost
+        # attempt).
         _, cdir = self.plan(tmp_path, retries=1)
         with CellQueue(cdir / QUEUE_NAME) as queue:
-            assert len(queue.lease("other", limit=1,
-                                   lease_seconds=0.5)) == 1
+            assert queue.lease("other", lease_seconds=0.5) is not None
         stats, counts = self.entry(cdir)
-        assert (stats.executed, stats.leases) == (2, 2)
+        assert stats.executed == 2
         assert counts == {"done": 2}
 
     def test_journal_off_writes_no_worker_events(self, tmp_path):
@@ -335,10 +362,9 @@ class TestWorkerBootstrap:
 class TestLeaseFailure:
     @pytest.mark.parametrize("isolate", [False, True],
                              ids=["inline", "isolated"])
-    def test_one_failure_costs_one_cell_in_one_lease_round(
-            self, tmp_path, isolate):
-        # The failing cell is leased first: its batch-mates still run
-        # in the same lease round, on their own budgets.
+    def test_one_failure_costs_one_cell(self, tmp_path, isolate):
+        # The failing cell is leased first: the others still run in
+        # the same drain, on their own budgets.
         session = ExperimentSession(**FAST)
         cells = grid(session, seeds=(0, 1, 2), policies=("ICOUNT.1.8",))
         with CellQueue() as queue:
@@ -348,9 +374,8 @@ class TestLeaseFailure:
             with inject_faults(FaultSpec(kind="raise", match="seed0",
                                          times=1),
                                spool=tmp_path / "spool"):
-                stats = drain(queue, worker_id="w", lease_batch=3,
-                              wait=False, isolate=isolate)
-            assert stats.leases == 1
+                stats = drain(queue, worker_id="w", wait=False,
+                              isolate=isolate)
             assert (stats.executed, stats.failed) == (2, 1)
             assert queue.counts() == {"done": 2, "failed": 1}
 

@@ -6,8 +6,8 @@ behaviours it unlocks (poisoned settlement, interrupt unleasing, the
 ENOSPC-degraded cache) and two integration paths: SIGTERM draining a
 real external worker with a byte-identical resume, and a campaign
 wrecked the way ``kill -9`` leaves one, which status diagnoses and a
-``--resume --verify-cache`` repairs.  Lease renewal, the queue's one
-liveness rule, is covered in ``test_queue.py``.
+``--resume --verify-cache`` repairs.  The lease deadline, the queue's
+one liveness rule, is covered in ``test_queue.py``.
 """
 
 import errno
@@ -95,10 +95,10 @@ class TestPoisonedSettlement:
     def test_all_fatal_attempts_settle_as_poisoned(self, journal):
         with CellQueue(journal=journal) as queue:
             fill(queue, 1, max_attempts=2)
-            (first,) = queue.lease("w")
+            first = queue.lease("w")
             assert not first.suspect
             queue.nack(first.key, "w", "worker crashed", fatal=True)
-            (second,) = queue.lease("w")
+            second = queue.lease("w")
             assert second.suspect
             queue.nack(second.key, "w", "crashed again", fatal=True)
             assert queue.counts() == {"poisoned": 1}
@@ -112,9 +112,9 @@ class TestPoisonedSettlement:
     def test_mixed_attempts_settle_as_plain_failed(self):
         with CellQueue() as queue:
             fill(queue, 1, max_attempts=2)
-            (first,) = queue.lease("w")
+            first = queue.lease("w")
             queue.nack(first.key, "w", "ordinary error")
-            (second,) = queue.lease("w")
+            second = queue.lease("w")
             queue.nack(second.key, "w", "worker crashed", fatal=True)
             assert queue.counts() == {"failed": 1}
             assert queue.failures()["key0"].error == "worker crashed"
@@ -122,7 +122,7 @@ class TestPoisonedSettlement:
     def test_poisoned_rows_are_not_revived_by_add(self):
         with CellQueue() as queue:
             fill(queue, 1, max_attempts=1)
-            (leased,) = queue.lease("w")
+            leased = queue.lease("w")
             queue.nack(leased.key, "w", "crash", fatal=True)
             assert queue.counts() == {"poisoned": 1}
             assert fill(queue, 1, max_attempts=5) == 0
@@ -148,7 +148,7 @@ class TestTransactionRetry:
             holder.start()
             locked.wait(5.0)
             # The bounded retry loop must outlast the lock holder.
-            (leased,) = queue.lease("w")
+            leased = queue.lease("w")
             holder.join()
             assert leased.key == "key0"
 
@@ -168,27 +168,103 @@ class TestWorkerDrainAndInterrupt:
         (exit_event,) = journal.of("worker_exit")
         assert exit_event["drained"]
 
-    def test_keyboard_interrupt_unleases_batch_mates(self, monkeypatch,
-                                                     journal):
+    def test_keyboard_interrupt_refunds_the_in_flight_cell(
+            self, monkeypatch, journal):
         monkeypatch.setattr(worker_mod, "cell_from_descriptor",
                             lambda descriptor: descriptor)
+        running = []
 
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt("mid-batch ^C")
+        def interrupted(cell):
+            running.append(cell)
+            raise KeyboardInterrupt("mid-cell ^C")
 
-        monkeypatch.setattr(worker_mod, "_run_lease", interrupted)
+        monkeypatch.setattr(worker_mod, "execute_cell", interrupted)
         with CellQueue() as queue:
             fill(queue, 3, max_attempts=2)
             with pytest.raises(KeyboardInterrupt):
                 drain(queue, worker_id="w", wait=False,
                       journal=journal)
-            # Immediately back to pending with the attempt refunded —
-            # nobody waits out a lease deadline for a Ctrl-C.
+            # Only the first cell was leased, and it is back to pending
+            # at once with its attempt refunded — nobody waits out a
+            # lease deadline for a Ctrl-C.
+            assert running == [{"cell": 0}]
             assert queue.counts() == {"pending": 3}
             assert queue.total_attempts() == 0
+        assert [e["key"] for e in journal.of("lease")] == ["key0"]
+        assert [e["key"] for e in journal.of("unlease")] == ["key0"]
         (event,) = journal.of("worker_interrupt")
-        assert event["unleased"] == 3
+        assert event["unleased"] == 1
         assert "KeyboardInterrupt" in event["error"]
+
+    def test_an_interrupt_after_the_ack_refunds_nothing(self, monkeypatch,
+                                                        journal):
+        monkeypatch.setattr(worker_mod, "cell_from_descriptor",
+                            lambda descriptor: descriptor)
+        monkeypatch.setattr(worker_mod, "execute_cell",
+                            lambda cell: FakeResult())
+        with CellQueue() as queue:
+            fill(queue, 2)
+            ack = queue.ack
+
+            def ack_then_interrupt(*args):
+                ack(*args)
+                raise KeyboardInterrupt("^C after the ack")
+
+            monkeypatch.setattr(queue, "ack", ack_then_interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                drain(queue, worker_id="w", wait=False,
+                      journal=journal)
+            # The settled cell keeps its result; the other was never
+            # leased.
+            assert queue.counts() == {"done": 1, "pending": 1}
+            assert queue.total_attempts() == 1
+        assert journal.of("unlease") == []
+        (event,) = journal.of("worker_interrupt")
+        assert event["unleased"] == 0
+
+    def drain_requested_mid_cell(self, monkeypatch, journal, cells=3):
+        """Drain ``cells`` stand-in cells; the first one's execution
+        requests a graceful drain."""
+        control = DrainControl()
+        monkeypatch.setattr(worker_mod, "cell_from_descriptor",
+                            lambda descriptor: descriptor)
+
+        def execute(cell):
+            control.request(signal.SIGTERM)
+            return FakeResult()
+
+        monkeypatch.setattr(worker_mod, "execute_cell", execute)
+        with CellQueue() as queue:
+            fill(queue, cells)
+            stats = drain(queue, worker_id="w", wait=False,
+                          journal=journal, control=control)
+            return stats, queue.counts(), queue.total_attempts()
+
+    def test_a_drain_request_mid_cell_leases_nothing_more(
+            self, monkeypatch, journal):
+        stats, counts, attempts = self.drain_requested_mid_cell(
+            monkeypatch, journal)
+        assert (stats.executed, stats.drained) == (1, True)
+        assert counts == {"done": 1, "pending": 2}
+        assert attempts == 1
+        assert [e["key"] for e in journal.of("lease")] == ["key0"]
+        assert journal.of("unlease") == []
+        (event,) = journal.of("worker_drain")
+        assert event["executed"] == 1
+
+    RECORD_FIELDS = {
+        "worker_start": {"worker", "pid", "cell_timeout"},
+        "worker_drain": {"worker", "pid", "signal", "executed"},
+        "worker_exit": {"worker", "pid", "executed", "failed", "drained"},
+    }
+
+    @pytest.mark.parametrize("ev", sorted(RECORD_FIELDS))
+    def test_worker_record_fields(self, monkeypatch, journal, ev):
+        # No version number marks a journal record's shape, so the
+        # shapes the journal's vocabulary documents are pinned here.
+        self.drain_requested_mid_cell(monkeypatch, journal)
+        (record,) = journal.of(ev)
+        assert set(record) == self.RECORD_FIELDS[ev]
 
 
 class TestResourceGuards:
@@ -283,7 +359,7 @@ class TestSigtermDrainResume:
         capsys.readouterr()
         cdir = tmp_path / "drain-cache" / "campaigns" / cid
 
-        # A slow first cell keeps the worker mid-drain while SIGTERM
+        # A slow first cell keeps the worker mid-cell while SIGTERM
         # lands; the faults ride the inherited environment.
         from repro.resilience import FaultSpec, inject_faults
         with inject_faults(FaultSpec(kind="hang", match="*", times=1,
@@ -310,14 +386,14 @@ class TestSigtermDrainResume:
 
         assert proc.returncode == 0, stderr
         assert "(drained on signal)" in stderr
-        counts = read_queue_counts(cdir)
-        assert counts.get("leased", 0) == 0
-        assert counts.get("pending", 0) >= 1
+        # The drained worker finished its in-flight cell and leased
+        # nothing more: one row done, the other never leased.
+        assert read_queue_counts(cdir) == {"done": 1, "pending": 1}
         events = load_journal(cdir)
         (drain_ev,) = [ev for ev in events
                        if ev["ev"] == "worker_drain"]
         assert drain_ev["signal"] == signal.SIGTERM
-        assert drain_ev["unleased"] >= 1
+        assert drain_ev["executed"] == 1
         # Liveness lives in the queue rows, not in files beside them.
         assert not (cdir / "heartbeats").exists()
 
@@ -351,7 +427,7 @@ class TestOrphanedLease:
         conn = sqlite3.connect(cdir / "queue.sqlite")
         conn.execute(
             "UPDATE cells SET state='leased', lease_owner='ghost',"
-            " lease_deadline=?, lease_seconds=30.0"
+            " lease_deadline=?"
             " WHERE key = (SELECT MIN(key) FROM cells)",
             (time.time() - 300.0,))
         conn.commit()

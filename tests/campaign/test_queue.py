@@ -1,5 +1,5 @@
 """The durable cell queue: lease/ack/nack state machine, budgets,
-crash reclamation, lease renewal and persistence.
+crash reclamation, lease deadlines and persistence.
 
 Pure queue-protocol tests — no simulations run here; descriptors are
 tiny stand-in dicts.  The integration suites (``test_engine.py``,
@@ -35,7 +35,7 @@ class TestAdd:
         with CellQueue() as queue:
             fill(queue, 1, max_attempts=1)
             fill(queue, 1, max_attempts=3)      # resumed run's budget
-            (leased,) = queue.lease("w")
+            leased = queue.lease("w")
             queue.nack(leased.key, "w", "boom")
             # Under the original budget this row would now be failed.
             assert queue.counts() == {"pending": 1}
@@ -43,18 +43,18 @@ class TestAdd:
     def test_add_revives_failed_rows_with_fresh_budget(self):
         with CellQueue() as queue:
             fill(queue, 1)
-            (leased,) = queue.lease("w")
+            leased = queue.lease("w")
             queue.nack(leased.key, "w", "boom")
             assert queue.counts() == {"failed": 1}
             fill(queue, 1)
             assert queue.counts() == {"pending": 1}
-            (revived,) = queue.lease("w")
+            revived = queue.lease("w")
             assert revived.attempts == 1        # budget reset, not resumed
 
     def test_done_rows_are_never_touched(self):
         with CellQueue() as queue:
             fill(queue, 1)
-            (leased,) = queue.lease("w")
+            leased = queue.lease("w")
             queue.ack(leased.key, "w", {"ipc": 1.0})
             fill(queue, 1, max_attempts=5)
             assert queue.counts() == {"done": 1}
@@ -65,22 +65,30 @@ class TestLeaseAckNack:
     def test_lease_claims_oldest_first_and_charges_attempt(self):
         with CellQueue() as queue:
             fill(queue, 3)
-            batch = queue.lease("w", limit=2)
-            assert [lc.key for lc in batch] == ["key0", "key1"]
-            assert all(lc.attempts == 1 for lc in batch)
+            first = queue.lease("w")
+            assert (first.key, first.attempts) == ("key0", 1)
+            assert queue.counts() == {"leased": 1, "pending": 2}
+            second = queue.lease("w")
+            assert (second.key, second.attempts) == ("key1", 1)
             assert queue.counts() == {"leased": 2, "pending": 1}
             assert queue.total_attempts() == 2
 
     def test_leased_rows_are_not_leased_twice(self):
         with CellQueue() as queue:
             fill(queue, 2)
-            queue.lease("a", limit=2)
-            assert queue.lease("b", limit=2) == []
+            queue.lease("a")
+            queue.lease("a")
+            assert queue.lease("b") is None
+
+    def test_an_empty_queue_leases_nothing(self):
+        with CellQueue() as queue:
+            assert queue.lease("w") is None
+            assert queue.total_attempts() == 0
 
     def test_ack_resolves_and_stores_the_result(self):
         with CellQueue() as queue:
             fill(queue, 1)
-            (leased,) = queue.lease("w")
+            leased = queue.lease("w")
             queue.ack(leased.key, "w", {"ipc": 2.5})
             assert queue.counts() == {"done": 1}
             assert queue.unresolved() == 0
@@ -89,7 +97,7 @@ class TestLeaseAckNack:
     def test_ack_is_idempotent(self):
         with CellQueue() as queue:
             fill(queue, 1)
-            (leased,) = queue.lease("w")
+            leased = queue.lease("w")
             queue.ack(leased.key, "w", {"ipc": 2.5})
             queue.ack(leased.key, "other", {"ipc": 2.5})
             assert queue.counts() == {"done": 1}
@@ -97,17 +105,17 @@ class TestLeaseAckNack:
     def test_nack_requeues_while_budget_remains(self):
         with CellQueue() as queue:
             fill(queue, 1, max_attempts=2)
-            (leased,) = queue.lease("w")
+            leased = queue.lease("w")
             queue.nack(leased.key, "w", "boom")
             assert queue.counts() == {"pending": 1}
-            (again,) = queue.lease("w")
+            again = queue.lease("w")
             assert again.attempts == 2
 
     def test_nack_fails_the_row_once_budget_is_spent(self):
         with CellQueue() as queue:
             fill(queue, 1, max_attempts=2)
             for _ in range(2):
-                (leased,) = queue.lease("w")
+                leased = queue.lease("w")
                 queue.nack(leased.key, "w", "boom")
             assert queue.counts() == {"failed": 1}
             failure = queue.failures()["key0"]
@@ -125,7 +133,7 @@ class TestLeaseAckNack:
     def test_retry_record_names_the_cell_and_attempt(self, journal):
         with CellQueue(journal=journal) as queue:
             fill(queue, 1, max_attempts=2)
-            (leased,) = queue.lease("w")
+            leased = queue.lease("w")
             queue.nack(leased.key, "w", "boom")
         assert journal.of("retry") == [
             {"key": "key0", "label": "label0", "worker": "w",
@@ -136,11 +144,12 @@ class TestUnlease:
     def test_unlease_refunds_the_attempt(self):
         with CellQueue() as queue:
             fill(queue, 2, max_attempts=1)
-            batch = queue.lease("w", limit=2)
-            queue.nack(batch[0].key, "w", "boom")    # the culprit pays
-            queue.unlease(batch[1].key, "w")         # the innocent doesn't
+            culprit = queue.lease("w")
+            innocent = queue.lease("w")
+            queue.nack(culprit.key, "w", "boom")     # the culprit pays
+            queue.unlease(innocent.key, "w")         # the innocent doesn't
             assert queue.counts() == {"failed": 1, "pending": 1}
-            (retried,) = queue.lease("w")
+            retried = queue.lease("w")
             assert retried.key == "key1"
             assert retried.attempts == 1             # refunded, recharged
 
@@ -158,7 +167,7 @@ class TestCrashReclamation:
             fill(queue, 1, max_attempts=2)
             queue.lease("dead", lease_seconds=0.05)
             time.sleep(0.1)
-            (reclaimed,) = queue.lease("alive")
+            reclaimed = queue.lease("alive")
             assert reclaimed.attempts == 2           # dead worker's + ours
 
     def test_expired_lease_exhausting_budget_is_poisoned(self):
@@ -168,7 +177,7 @@ class TestCrashReclamation:
             fill(queue, 1, max_attempts=1)
             queue.lease("dead", lease_seconds=0.05)
             time.sleep(0.1)
-            assert queue.lease("alive") == []
+            assert queue.lease("alive") is None
             assert queue.counts() == {"poisoned": 1}
             assert "lease expired" in queue.failures()["key0"].error
             assert "poisoned" in queue.failures()["key0"].error
@@ -177,8 +186,9 @@ class TestCrashReclamation:
     def test_release_returns_a_dead_workers_cells_immediately(self):
         with CellQueue() as queue:
             fill(queue, 3, max_attempts=2)
-            queue.lease("dead", limit=2)
-            queue.lease("alive", limit=1)
+            queue.lease("dead")
+            queue.lease("dead")
+            queue.lease("alive")
             assert queue.release("dead", "worker crashed") == 2
             counts = queue.counts()
             assert counts == {"pending": 2, "leased": 1}
@@ -189,112 +199,44 @@ class TestCrashReclamation:
         # duplicate completion is harmless.
         with CellQueue() as queue:
             fill(queue, 1, max_attempts=3)
-            (first,) = queue.lease("slow", lease_seconds=0.05)
+            first = queue.lease("slow", lease_seconds=0.05)
             time.sleep(0.1)
             queue.lease("fast")
             queue.ack(first.key, "slow", {"ipc": 1.0})
             assert queue.counts() == {"done": 1}
 
 
-class TestLeaseRenewal:
-    """An ack or nack renews every other lease its owner holds, so a
-    lease expires only once its owner has stopped reporting."""
-
-    def test_ack_keeps_the_owners_other_rows_alive(self, clock):
-        with CellQueue() as queue:
-            fill(queue, 3, max_attempts=2)
-            batch = queue.lease("w", limit=3, lease_seconds=10.0)
-            clock.advance(8.0)
-            queue.ack(batch[0].key, "w", {"ipc": 1.0})
-            clock.advance(8.0)                   # past the first deadline
-            assert queue.lease("other") == []
-            assert queue.counts() == {"done": 1, "leased": 2}
-
-    def test_nack_keeps_the_owners_other_rows_alive(self, clock):
-        with CellQueue() as queue:
-            fill(queue, 3, max_attempts=1)
-            batch = queue.lease("w", limit=3, lease_seconds=10.0)
-            clock.advance(8.0)
-            queue.nack(batch[0].key, "w", "boom")
-            clock.advance(8.0)                   # past the first deadline
-            assert queue.lease("other") == []
-            assert queue.counts() == {"failed": 1, "leased": 2}
-
-    def test_an_owner_that_stops_acking_loses_its_rows(self, clock,
-                                                       journal):
-        with CellQueue(journal=journal) as queue:
-            fill(queue, 3, max_attempts=2)
-            batch = queue.lease("w", limit=3, lease_seconds=10.0)
-            clock.advance(5.0)
-            queue.ack(batch[0].key, "w", {"ipc": 1.0})
-            clock.advance(9.0)                   # 9 s since the ack
-            assert queue.lease("other", limit=3) == []
-            assert journal.of("lease_expired") == []
-            clock.advance(2.0)                   # 11 s since the ack
-            again = queue.lease("other", limit=3)
-            expired = journal.of("lease_expired")
-            assert [(e["key"], e["worker"]) for e in expired] \
-                == [("key1", "w"), ("key2", "w")]
-            assert dict(queue._conn.execute(
-                "SELECT key, fatal_attempts FROM cells")) \
-                == {"key0": 0, "key1": 1, "key2": 1}
-            assert [(lc.key, lc.attempts, lc.suspect) for lc in again] \
-                == [("key1", 2, True), ("key2", 2, True)]
+class TestLeaseDeadline:
+    """The deadline ``lease`` sets is the one liveness rule: nothing
+    moves it, and a lease expires only once it has passed."""
 
     def test_a_silent_owner_keeps_its_lease_to_the_deadline(self, clock):
         with CellQueue() as queue:
             fill(queue, 1, max_attempts=2)
             queue.lease("w", lease_seconds=10.0)
             clock.advance(10.0)                  # at, not past, it
-            assert queue.lease("other") == []
+            assert queue.lease("other") is None
             clock.advance(0.5)
-            (taken,) = queue.lease("other")
+            taken = queue.lease("other")
             assert taken.attempts == 2
 
-    def test_renewal_uses_each_rows_own_lease_seconds(self, clock):
-        with CellQueue() as queue:
-            fill(queue, 3, max_attempts=2)
-            queue.lease("w", lease_seconds=10.0)
-            queue.lease("w", lease_seconds=30.0)
-            (last,) = queue.lease("w", lease_seconds=10.0)
-            clock.advance(5.0)
-            queue.ack(last.key, "w", {"ipc": 1.0})   # key0: 15, key1: 35
-            clock.advance(11.0)
-            assert [lc.key for lc in queue.lease("other")] == ["key0"]
-            clock.advance(17.0)                  # 33 s: key1 lives on
-            assert queue.lease("other") == []
-            clock.advance(3.0)
-            assert [lc.key for lc in queue.lease("other")] == ["key1"]
-
-    def test_renewal_leaves_other_owners_alone(self, clock, journal):
+    @pytest.mark.parametrize("settle", ["ack", "nack"])
+    def test_settling_a_cell_moves_no_other_deadline(self, clock,
+                                                     journal, settle):
         with CellQueue(journal=journal) as queue:
-            fill(queue, 3, max_attempts=2)
-            queue.lease("a", lease_seconds=10.0)
-            queue.lease("b", limit=2, lease_seconds=10.0)
+            fill(queue, 2, max_attempts=2)
+            first = queue.lease("w", lease_seconds=10.0)
+            queue.lease("w", lease_seconds=10.0)
             clock.advance(8.0)
-            queue.ack("key1", "b", {"ipc": 1.0})
-            clock.advance(3.0)
-            assert [lc.key for lc in queue.lease("other", limit=3)] \
-                == ["key0"]                      # only a's row
+            if settle == "ack":
+                queue.ack(first.key, "w", {"ipc": 1.0})
+            else:
+                queue.nack(first.key, "w", "boom")
+            clock.advance(2.5)                   # past key1's deadline
+            queue.lease("other")
             assert [(e["key"], e["worker"])
                     for e in journal.of("lease_expired")] \
-                == [("key0", "a")]
-
-    def test_a_late_ack_still_renews_the_acker(self, clock):
-        # The ack lands after the row was reclaimed and re-leased; it
-        # still proves its sender alive.
-        with CellQueue() as queue:
-            fill(queue, 2, max_attempts=2)
-            queue.lease("w", lease_seconds=10.0)
-            clock.advance(5.0)
-            queue.lease("w", lease_seconds=10.0)     # key1: deadline 15
-            clock.advance(6.0)
-            (taken,) = queue.lease("other", lease_seconds=10.0)
-            assert taken.key == "key0"
-            queue.ack("key0", "w", {"ipc": 1.0})     # key1: deadline 21
-            clock.advance(8.0)
-            assert queue.lease("third") == []
-            assert queue.counts() == {"done": 1, "leased": 1}
+                == [("key1", "w")]
 
 
 class TestPersistence:
@@ -302,7 +244,7 @@ class TestPersistence:
         path = tmp_path / "queue.sqlite"
         with CellQueue(path) as queue:
             fill(queue, 2)
-            (leased,) = queue.lease("w", limit=1)
+            leased = queue.lease("w")
             queue.ack(leased.key, "w", {"ipc": 1.5})
         with CellQueue(path) as queue:
             assert queue.counts() == {"done": 1, "pending": 1}
@@ -313,11 +255,10 @@ class TestPersistence:
         path = tmp_path / "queue.sqlite"
         with CellQueue(path) as a, CellQueue(path) as b:
             fill(a, 4)
-            got_a = a.lease("a", limit=2)
-            got_b = b.lease("b", limit=4)
-            keys = {lc.key for lc in got_a} | {lc.key for lc in got_b}
-            assert len(got_a) == 2 and len(got_b) == 2
-            assert len(keys) == 4                    # no double-lease
+            got = [a.lease("a"), b.lease("b"), a.lease("a"), b.lease("b")]
+            assert a.lease("a") is None and b.lease("b") is None
+            assert [lc.key for lc in got] \
+                == ["key0", "key1", "key2", "key3"]  # no double-lease
 
 
 LEGACY_COLUMNS = """
@@ -339,14 +280,15 @@ LEGACY_COLUMNS = """
 
 LEGACY_SCHEMAS = {
     # Every column queue files carried before the retry backoff went:
-    # ``backoff`` and ``not_before`` included, indexed on both.
+    # ``backoff`` and ``not_before`` included, indexed on both, and
+    # the per-row ``lease_seconds`` that lease renewal read.
     "with-backoff": "CREATE TABLE cells (" + LEGACY_COLUMNS + """,
     fatal_attempts INTEGER NOT NULL DEFAULT 0,
     enqueued       REAL NOT NULL DEFAULT 0.0,
     lease_seconds  REAL NOT NULL DEFAULT 0.0);
 CREATE INDEX cells_state ON cells (state, not_before);""",
     # Older still: before the in-place migrations added crash
-    # attribution, queue-wait stamps and per-row lease durations.
+    # attribution and queue-wait stamps.
     "pre-migration": "CREATE TABLE cells (" + LEGACY_COLUMNS + """);
 CREATE INDEX cells_state ON cells (state, not_before);""",
 }
@@ -362,12 +304,12 @@ class TestLegacyQueueFiles:
                          " VALUES ('old', '{}', 'old-label')")
         with CellQueue(path) as queue:
             assert fill(queue, 2, max_attempts=2) == 2
-            batch = queue.lease("w", limit=3)
-            assert [lc.key for lc in batch] == ["old", "key0", "key1"]
+            leased = [queue.lease("w") for _ in range(3)]
+            assert [lc.key for lc in leased] == ["old", "key0", "key1"]
             queue.nack("key0", "w", "boom")
             queue.ack("old", "w", {"ipc": 0.5})
             queue.ack("key1", "w", {"ipc": 1.5})
-            (again,) = queue.lease("w")
+            again = queue.lease("w")
             assert (again.key, again.attempts) == ("key0", 2)
             queue.ack("key0", "w", {"ipc": 1.0})
         with CellQueue(path) as queue:      # migrations are idempotent
@@ -376,3 +318,26 @@ class TestLegacyQueueFiles:
                                        "key0": {"ipc": 1.0},
                                        "key1": {"ipc": 1.5}}
             assert queue.total_attempts() == 4
+
+    def test_the_retired_lease_seconds_column_is_left_alone(self,
+                                                             tmp_path):
+        # Files that carry it keep it, and nothing writes it; new
+        # files do not get it.
+        old = tmp_path / "old.sqlite"
+        with closing(sqlite3.connect(old)) as conn, conn:
+            conn.executescript(LEGACY_SCHEMAS["with-backoff"])
+        with CellQueue(old) as queue:
+            fill(queue, 1)
+            leased = queue.lease("w", lease_seconds=30.0)
+            queue.ack(leased.key, "w", {"ipc": 1.0})
+        with closing(sqlite3.connect(old)) as conn:
+            assert conn.execute(
+                "SELECT lease_seconds FROM cells").fetchall() == [(0.0,)]
+        new = tmp_path / "new.sqlite"
+        with CellQueue(new):
+            pass
+        with closing(sqlite3.connect(new)) as conn:
+            columns = {row[1] for row in conn.execute(
+                "PRAGMA table_info(cells)")}
+        assert "lease_deadline" in columns
+        assert "lease_seconds" not in columns

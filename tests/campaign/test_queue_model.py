@@ -4,8 +4,10 @@ A hypothesis state machine drives an in-memory :class:`CellQueue` and
 :class:`Model` through the same random sequence of adds, leases, acks,
 nacks, unleases, releases and clock steps — each by a row's owner or
 by a foreign one — and after every step requires both to agree on
-every row and on every observation the queue offers.  Lease expiry
-has no rule of its own: every ``lease`` settles expired rows first.
+every row and on every observation the queue offers.  A lease hands
+out at most one row, and nothing but the lease itself sets a row's
+deadline.  Lease expiry has no rule of its own: every ``lease``
+settles expired rows first.
 The queue reads the clock through its module's ``time``, which the
 ``clock`` fixture swaps for a fake so lease deadlines are exact.
 """
@@ -37,7 +39,6 @@ class Row:
     fatal: int = 0
     owner: str | None = None
     deadline: float | None = None
-    lease_seconds: float = 0.0
     error: str | None = None
 
 
@@ -81,41 +82,31 @@ class Model:
         return [row for row in self.rows.values()
                 if self.holds(row, owner)]
 
-    def renew(self, owner, now) -> None:
-        for row in self.held(owner):
-            row.deadline = now + row.lease_seconds
-
     def expire(self, now) -> None:
         for row in self.rows.values():
             if row.state == "leased" and row.deadline < now:
                 self.settle(row, EXPIRED, fatal=True)
 
-    def lease(self, owner, limit, lease_seconds, now):
+    def lease(self, owner, lease_seconds, now):
         self.expire(now)
-        out = []
         for row in self.rows.values():
-            if len(out) == limit:
-                break
             if row.state == "pending":
                 row.state, row.owner = "leased", owner
                 row.attempts += 1
                 row.deadline = now + lease_seconds
-                row.lease_seconds = lease_seconds
-                out.append((row.key, row.attempts, row.fatal > 0))
-        return out
+                return (row.key, row.attempts, row.fatal > 0)
+        return None
 
-    def ack(self, key, owner, now) -> None:
+    def ack(self, key) -> None:
         row = self.rows.get(key)
         if row is not None and row.state != "done":
             row.state, row.owner, row.deadline = "done", None, None
             row.error = None
-        self.renew(owner, now)
 
-    def nack(self, key, owner, error, fatal, now) -> None:
+    def nack(self, key, owner, error, fatal) -> None:
         row = self.rows.get(key)
         if self.holds(row, owner):
             self.settle(row, error, fatal)
-        self.renew(owner, now)
 
     def unlease(self, key, owner) -> bool:
         row = self.rows.get(key)
@@ -173,28 +164,28 @@ class QueueMachine(RuleBasedStateMachine):
         assert self.queue.add(entries, max_attempts=max_attempts) \
             == self.model.add(chosen, max_attempts)
 
-    @rule(owner=owners, limit=st.integers(1, 3),
+    @rule(owner=owners,
           lease_seconds=st.sampled_from((1.0, 2.5, 5.0)))
-    def lease(self, owner, limit, lease_seconds):
-        got = self.queue.lease(owner, limit=limit,
-                               lease_seconds=lease_seconds)
-        assert [(lc.key, lc.attempts, lc.suspect) for lc in got] \
-            == self.model.lease(owner, limit, lease_seconds,
-                                self.clock.now)
+    def lease(self, owner, lease_seconds):
+        got = self.queue.lease(owner, lease_seconds=lease_seconds)
+        want = self.model.lease(owner, lease_seconds, self.clock.now)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.key, got.attempts, got.suspect) == want
 
     @rule(key=keys, owner=owners, own=st.booleans())
     def ack(self, key, owner, own):
         owner = self.actor(key, owner, own)
         self.queue.ack(key, owner, {"cell": key})
-        self.model.ack(key, owner, self.clock.now)
+        self.model.ack(key)
 
     @rule(key=keys, owner=owners, own=st.booleans(),
           fatal=st.booleans())
     def nack(self, key, owner, own, fatal):
         owner = self.actor(key, owner, own)
         self.queue.nack(key, owner, f"boom-{owner}", fatal=fatal)
-        self.model.nack(key, owner, f"boom-{owner}", fatal,
-                        self.clock.now)
+        self.model.nack(key, owner, f"boom-{owner}", fatal)
 
     @rule(key=keys, owner=owners, own=st.booleans())
     def unlease(self, key, owner, own):

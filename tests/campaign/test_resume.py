@@ -61,7 +61,7 @@ class TestWorkerDeathAndResume:
             proc = ctx.Process(
                 target=worker_process_entry,
                 args=(queue_file, "doomed", str(cache_dir),
-                      None, 2, 1.0))      # lease_batch=2, 1 s lease
+                      None, 1.0))         # 1 s lease
             proc.start()
             proc.join(120)
             assert proc.exitcode == 86    # died mid-drain, as injected

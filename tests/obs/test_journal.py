@@ -137,7 +137,7 @@ class TestCrashReconciliation:
             proc = ctx.Process(
                 target=worker_process_entry,
                 args=(queue_file, "doomed", str(tmp_path / "cache"),
-                      None, 2, 1.0, jpath, plan.campaign_id))
+                      None, 1.0, jpath, plan.campaign_id))
             proc.start()
             proc.join(120)
             assert proc.exitcode == 86
@@ -155,11 +155,11 @@ class TestCrashReconciliation:
             # A fresh resuming worker appends to the same journal —
             # never truncates the dead worker's story.
             before = read_events(jpath)
-            time.sleep(1.1)             # let the 1 s leases expire
+            time.sleep(1.1)             # let the 1 s lease expire
             proc2 = ctx.Process(
                 target=worker_process_entry,
                 args=(queue_file, "fresh", str(tmp_path / "cache"),
-                      None, 2, 1.0, jpath, plan.campaign_id))
+                      None, 1.0, jpath, plan.campaign_id))
             proc2.start()
             proc2.join(120)
             assert proc2.exitcode == 0

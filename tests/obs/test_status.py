@@ -48,7 +48,7 @@ def synthetic_campaign(tmp_path: Path) -> Path:
         queue.add([(f"k{i}", {"i": i}, f"cell-{i}") for i in range(3)],
                   max_attempts=2)
         for key in ("k0", "k1"):
-            (lc,) = queue.lease("w1", limit=1)
+            lc = queue.lease("w1")
             assert lc.key == key
             queue.ack(key, "w1", {"ok": True})
     with Journal(cdir / "events.jsonl", campaign_id="deadbeef",
@@ -162,7 +162,7 @@ class TestLiveStatus:
             assert live_status(cdir)["stale_workers"] == ["ghost"]
         with Journal(cdir / "events.jsonl", worker_id="w2") as j, \
                 CellQueue(cdir / QUEUE_NAME, journal=j) as queue:
-            (lc,) = queue.lease("w2")
+            lc = queue.lease("w2")
         assert (lc.key, lc.attempts, lc.suspect) == ("k2", 2, True)
         assert live_status(cdir)["stale_workers"] == []
         assert campaign_report(cdir)["lease_expirations"] == 1
@@ -281,7 +281,7 @@ class TestCampaignReport:
         # which the queue still holds pending.
         with CellQueue(cdir / QUEUE_NAME) as queue:
             queue.add([("k3", {"i": 3}, "cell-3")])
-            (lc,) = queue.lease("foreign", limit=1)
+            lc = queue.lease("foreign")
             queue.ack(lc.key, "foreign", {"ok": True})
         with Journal(cdir / "events.jsonl", worker_id="w1") as j:
             j.emit("ack", key="k3", label="cell-3", attempt=1)

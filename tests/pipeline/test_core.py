@@ -64,7 +64,8 @@ class TestInvariants:
             in_latches = sum(1 for di in core.decode_latch
                              if di.tid == tid) \
                 + sum(1 for di in core.rename_latch if di.tid == tid)
-            in_iq = core.iqs.occupancy(tid)
+            in_iq = sum(1 for queue in core.iqs.queues for di in queue
+                        if di.tid == tid)
             assert fu.icounts[tid] == in_buffer + in_latches + in_iq, \
                 f"thread {tid} ICOUNT out of sync"
 

@@ -16,7 +16,9 @@ checks after each cycle that:
   for the integer and the floating-point file;
 * ``icounts[t]`` counts thread t's entries in the fetch buffer, both
   latches and the IQs;
-* ``rob.size`` is the total length of the per-thread ROB lists.
+* ``rob.size`` is the total length of the per-thread ROB lists;
+* no queue, the shared ROB or a register pool holds more than its
+  capacity.
 """
 
 import pytest
@@ -25,9 +27,11 @@ from repro.backend import get_backend
 from repro.core.workloads import resolve_workload
 from repro.isa.instruction import InstrClass
 
-WORKLOADS = ("2_ILP", "4_ILP", "4_MEM")
+# 4_MEM fills the ROB and the IQs to capacity; 8_MIX, with 8 x 32
+# registers of each pool reserved, runs the rename pools dry.
+WORKLOADS = ("2_ILP", "4_ILP", "4_MEM", "8_MIX")
 ENGINES = ("gshare+BTB", "gskew+FTB", "stream")
-POLICIES = ("ICOUNT.1.8", "ICOUNT.2.8")
+POLICIES = ("ICOUNT.1.8", "ICOUNT.2.8", "ICOUNT.2.16")
 WARMUP = 1000
 CYCLES = 600
 ARCH_REGS = 32          # reserved per thread and pool
@@ -38,7 +42,10 @@ def check(sim) -> None:
     core = sim.core
     n = len(sim.contexts)
     rob_entries = [di for lst in core.rob.lists for di in lst]
-    assert core.rob.size == len(rob_entries)
+    assert core.rob.size == len(rob_entries) <= core.rob.capacity
+    assert all(len(queue) <= capacity for queue, capacity
+               in zip(core.iqs.queues, core.iqs.capacity))
+    assert core.regs.free_int >= 0 and core.regs.free_fp >= 0
 
     queued = [di for queue in core.iqs.queues for di in queue]
     assert len(queued) == len(set(queued))

@@ -1,14 +1,19 @@
-"""Tests for the shared execution resources."""
+"""Tests for the shared execution resources.
+
+The fused cycle loop (``repro.pipeline.core``) does the dispatch,
+issue, writeback and commit bookkeeping on these structures' fields;
+``test_recovery_invariants.py`` checks them after every cycle.  What
+is left here is what the structures themselves own: the queue map,
+the register reservation and the decode-redirect squash.
+"""
 
 import pytest
 
 from repro.isa.instruction import DynInst, InstrClass, StaticInstruction
 from repro.pipeline.resources import (
-    FunctionalUnits,
+    QUEUE_TABLE,
     InstructionQueues,
     PhysicalRegisters,
-    ReorderBuffer,
-    queue_of,
 )
 
 
@@ -17,91 +22,51 @@ def make_di(tid=0, seq=0, opclass=InstrClass.INT_ALU, dest=1):
                                                opclass, dest=dest))
 
 
+def dispatch(iqs, *instrs):
+    """Place each instruction in its queue and, being ready, on its
+    queue's ready list, as the cycle loop's dispatch stage does."""
+    for age, di in enumerate(instrs):
+        q = QUEUE_TABLE[di.op]
+        di.age = age
+        iqs.queues[q][di] = None
+        iqs.ready[q].append(di)
+
+
 class TestQueueOf:
     def test_mapping(self):
-        assert queue_of(InstrClass.INT_ALU) == 0
-        assert queue_of(InstrClass.INT_MUL) == 0
-        assert queue_of(InstrClass.BRANCH) == 0
-        assert queue_of(InstrClass.LOAD) == 1
-        assert queue_of(InstrClass.STORE) == 1
-        assert queue_of(InstrClass.FP_ALU) == 2
+        assert QUEUE_TABLE[InstrClass.INT_ALU] == 0
+        assert QUEUE_TABLE[InstrClass.INT_MUL] == 0
+        assert QUEUE_TABLE[InstrClass.BRANCH] == 0
+        assert QUEUE_TABLE[InstrClass.LOAD] == 1
+        assert QUEUE_TABLE[InstrClass.STORE] == 1
+        assert QUEUE_TABLE[InstrClass.FP_ALU] == 2
 
 
 class TestInstructionQueues:
-    def test_capacity_enforced(self):
-        iqs = InstructionQueues(2, 2, 2)
-        iqs.insert(0, make_di(seq=0))
-        iqs.insert(1, make_di(seq=1))
-        assert not iqs.has_space(InstrClass.INT_ALU)
-        assert iqs.has_space(InstrClass.LOAD)
-        with pytest.raises(OverflowError):
-            iqs.insert(2, make_di(seq=2))
-
     def test_remove_squashed_filters_by_thread_and_seq(self):
         iqs = InstructionQueues()
         keep_old = make_di(tid=0, seq=5)
-        kill = make_di(tid=0, seq=9)
+        kill = make_di(tid=0, seq=9, opclass=InstrClass.LOAD)
         other = make_di(tid=1, seq=50)
-        for age, di in enumerate((keep_old, kill, other)):
-            iqs.insert(age, di)
+        dispatch(iqs, keep_old, kill, other)
         removed = iqs.remove_squashed(tid=0, seq_limit=5)
         assert removed == 1
         assert kill.squashed
         assert not keep_old.squashed
-        assert iqs.occupancy() == 2
-        assert iqs.occupancy(tid=1) == 1
-
-    def test_occupancy_by_thread(self):
-        iqs = InstructionQueues()
-        iqs.insert(0, make_di(tid=0, seq=0, opclass=InstrClass.LOAD))
-        iqs.insert(1, make_di(tid=1, seq=0))
-        assert iqs.occupancy(0) == 1
-        assert iqs.occupancy() == 2
+        assert list(iqs.queues[0]) == [keep_old, other]
+        assert not iqs.queues[1]
 
 
 class TestReadyListProtocol:
-    """The wake/issue protocol of the ready lists.
-
-    The fused cycle loop inlines these operations; the methods here
-    are the reference implementation, and this test keeps them honest.
-    """
-
-    def test_dispatch_ready_entries_join_ready_list(self):
-        iqs = InstructionQueues()
-        di = make_di(seq=0)             # pending defaults to 0
-        iqs.insert(0, di)
-        assert iqs.ready[0] == [di]
-
-    def test_wake_inserts_older_before_younger(self):
-        iqs = InstructionQueues()
-        waiting = make_di(seq=0)
-        waiting.pending = 1
-        ready_at_dispatch = make_di(seq=1)
-        iqs.insert(10, waiting)
-        iqs.insert(11, ready_at_dispatch)
-        assert iqs.ready[0] == [ready_at_dispatch]
-        waiting.pending = 0
-        iqs.wake(waiting)
-        # Age order: the older instruction issues first.
-        assert iqs.ready[0] == [waiting, ready_at_dispatch]
-
-    def test_mark_issued_removes_queue_entry(self):
-        iqs = InstructionQueues()
-        a, b = make_di(seq=0), make_di(seq=1)
-        iqs.insert(0, a)
-        iqs.insert(1, b)
-        iqs.mark_issued(a)
-        assert iqs.occupancy() == 1
-        assert a not in iqs.queues[0]
-        assert b in iqs.queues[0]
+    """A squash keeps each ready list the ready subset of its queue."""
 
     def test_remove_squashed_clears_ready_list(self):
         iqs = InstructionQueues()
         di = make_di(tid=0, seq=5)
-        iqs.insert(0, di)
+        dispatch(iqs, di)
         assert iqs.remove_squashed(tid=0, seq_limit=0) == 1
         assert iqs.ready[0] == []
-        assert iqs.occupancy() == 0
+        assert not iqs.queues[0]
 
 
 class TestPhysicalRegisters:
@@ -113,91 +78,3 @@ class TestPhysicalRegisters:
     def test_too_many_threads_rejected(self):
         with pytest.raises(ValueError):
             PhysicalRegisters(n_threads=12, int_regs=384, fp_regs=384)
-
-    def test_allocate_release_cycle(self):
-        regs = PhysicalRegisters(1, 40, 40)
-        di = make_di()
-        before = regs.free_int
-        regs.allocate(di)
-        assert regs.free_int == before - 1
-        regs.release(di)
-        assert regs.free_int == before
-
-    def test_fp_pool_separate(self):
-        regs = PhysicalRegisters(1, 40, 40)
-        fp = make_di(opclass=InstrClass.FP_ALU)
-        regs.allocate(fp)
-        assert regs.free_fp == 7
-        assert regs.free_int == 8
-
-    def test_no_dest_needs_no_register(self):
-        regs = PhysicalRegisters(1, 40, 40)
-        store = make_di(opclass=InstrClass.STORE, dest=-1)
-        assert regs.available(store)
-        regs.allocate(store)
-        assert regs.free_int == 8
-
-    def test_exhaustion(self):
-        regs = PhysicalRegisters(1, 34, 40)
-        for k in range(2):
-            regs.allocate(make_di(seq=k))
-        assert not regs.available(make_di(seq=9))
-
-
-class TestReorderBuffer:
-    def test_push_and_commit_in_order(self):
-        rob = ReorderBuffer(2, capacity=8)
-        a, b = make_di(tid=0, seq=0), make_di(tid=0, seq=1)
-        rob.push(a)
-        rob.push(b)
-        assert rob.head(0) is a
-        assert rob.pop_head(0) is a
-        assert rob.head(0) is b
-
-    def test_capacity_shared_between_threads(self):
-        rob = ReorderBuffer(2, capacity=2)
-        rob.push(make_di(tid=0, seq=0))
-        rob.push(make_di(tid=1, seq=0))
-        assert rob.full
-        with pytest.raises(OverflowError):
-            rob.push(make_di(tid=0, seq=1))
-
-    def test_squash_tail(self):
-        rob = ReorderBuffer(1, capacity=8)
-        instrs = [make_di(seq=k) for k in range(5)]
-        for di in instrs:
-            rob.push(di)
-        squashed = rob.squash_tail(0, seq_limit=2)
-        assert [di.seq for di in squashed] == [3, 4]
-        assert all(di.squashed for di in squashed)
-        assert rob.size == 3
-        assert rob.occupancy(0) == 3
-
-    def test_squash_tail_other_thread_untouched(self):
-        rob = ReorderBuffer(2, capacity=8)
-        rob.push(make_di(tid=0, seq=0))
-        rob.push(make_di(tid=1, seq=7))
-        assert rob.squash_tail(0, seq_limit=-1)
-        assert rob.occupancy(1) == 1
-
-    def test_empty_head(self):
-        rob = ReorderBuffer(1)
-        assert rob.head(0) is None
-
-
-class TestFunctionalUnits:
-    def test_per_cycle_budget(self):
-        fus = FunctionalUnits(int_units=2, ldst_units=1, fp_units=1)
-        fus.new_cycle()
-        assert fus.try_take(InstrClass.INT_ALU)
-        assert fus.try_take(InstrClass.BRANCH)
-        assert not fus.try_take(InstrClass.INT_MUL)   # int pool drained
-        assert fus.try_take(InstrClass.LOAD)
-        assert not fus.try_take(InstrClass.STORE)
-
-    def test_new_cycle_resets(self):
-        fus = FunctionalUnits(int_units=1, ldst_units=1, fp_units=1)
-        fus.new_cycle()
-        fus.try_take(InstrClass.INT_ALU)
-        fus.new_cycle()
-        assert fus.try_take(InstrClass.INT_ALU)
