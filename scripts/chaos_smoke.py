@@ -3,7 +3,7 @@
 
 Six scenarios, each on a small 4-cell grid with ``jobs=2``:
 
-1. **crash** — one worker dies mid-stripe (``os._exit``) on its first
+1. **crash** — one worker dies mid-cell (``os._exit``) on its first
    attempt; the retry machinery must recover every cell and the final
    results must be *byte-identical* to a fault-free cold run.
 2. **hang** — one cell sleeps far past ``--cell-timeout``; the hung
@@ -127,7 +127,7 @@ def as_dicts(results: dict) -> list[dict]:
 
 
 def scenario_crash(workdir: Path) -> None:
-    """Worker crash mid-stripe: retried, byte-identical results."""
+    """Worker crash mid-cell: retried, byte-identical results."""
     clean, _ = run_grid(workdir / "clean-cache")
     with inject_faults(FaultSpec(kind="crash", match="seed0", times=1),
                        spool=str(workdir / "spool-crash")):

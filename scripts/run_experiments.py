@@ -330,7 +330,7 @@ def run(args) -> None:
 
     t0 = time.time()
     # One up-front batch: every cell the selected sections will read,
-    # deduplicated and fanned out across the worker pool.  The
+    # deduplicated and drained by the campaign's workers.  The
     # document is built from its result map alone.
     cells = section_cells(session, sections, fig_ids)
     batch = [cell for section in cells.values() for cell in section]

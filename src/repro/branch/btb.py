@@ -40,7 +40,7 @@ class BTB:
 
     __slots__ = ("_table", "_keys")
 
-    def __init__(self, entries: int = 2048, assoc: int = 4) -> None:
+    def __init__(self, entries: int, assoc: int) -> None:
         self._table = SetAssocTable(entries, assoc)
         self._keys: set[int] = set()
 

@@ -46,7 +46,7 @@ class FTB:
 
     __slots__ = ("_table",)
 
-    def __init__(self, entries: int = 2048, assoc: int = 4) -> None:
+    def __init__(self, entries: int, assoc: int) -> None:
         self._table = SetAssocTable(entries, assoc)
 
     @staticmethod

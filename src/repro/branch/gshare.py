@@ -1,10 +1,9 @@
 """gshare direction predictor (McFarling, 1993).
 
-Table 3 of the paper: 64K-entry PHT, 16 bits of global history; the
-constructor defaults to both.  The simulator uses 6 history bits
-(``SimConfig.gshare_history``, DESIGN.md §3).  The index XORs the branch
-address with the (per-thread) global history; the table itself is
-shared between threads.
+Table 3 of the paper: 64K-entry PHT, 16 bits of global history.  The
+simulator uses 6 history bits (``SimConfig.gshare_history``, DESIGN.md
+§3).  The index XORs the branch address with the (per-thread) global
+history; the table itself is shared between threads.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ class GShare:
     __slots__ = ("entries", "history_bits", "_index_mask", "_table",
                  "lookups", "updates", "correct")
 
-    def __init__(self, entries: int = 64 * 1024,
-                 history_bits: int = 16) -> None:
+    def __init__(self, entries: int, history_bits: int) -> None:
         if not is_power_of_two(entries):
             raise ValueError(f"entries must be a power of two, got {entries}")
         self.entries = entries

@@ -1,12 +1,12 @@
 """gskew / e-gskew direction predictor (Michaud, Seznec & Uhlig, 1997).
 
-Table 3 of the paper: three 32K-entry banks, 15 bits of history; the
-constructor defaults to both.  The simulator uses 5 history bits
-(``SimConfig.gskew_history``, DESIGN.md §3).  Each bank is indexed by a
-different skewing function of (address, history), and a majority vote
-of the three counters yields the prediction; the skewed indices
-decorrelate conflict aliasing so that a branch that aliases
-destructively in one bank is usually out-voted by the other two.
+Table 3 of the paper: three 32K-entry banks, 15 bits of history.  The
+simulator uses 5 history bits (``SimConfig.gskew_history``, DESIGN.md
+§3).  Each bank is indexed by a different skewing function of
+(address, history), and a majority vote of the three counters yields
+the prediction; the skewed indices decorrelate conflict aliasing so
+that a branch that aliases destructively in one bank is usually
+out-voted by the other two.
 
 Update follows the *partial update* policy of the e-gskew paper: on a
 correct prediction only the agreeing banks are strengthened; on a
@@ -29,8 +29,7 @@ class GSkew:
     __slots__ = ("bank_entries", "history_bits", "_mask", "_banks",
                  "lookups", "updates", "correct")
 
-    def __init__(self, bank_entries: int = 32 * 1024,
-                 history_bits: int = 15) -> None:
+    def __init__(self, bank_entries: int, history_bits: int) -> None:
         if not is_power_of_two(bank_entries):
             raise ValueError(
                 f"bank entries must be a power of two, got {bank_entries}")

@@ -16,7 +16,7 @@ class ReturnAddressStack:
 
     __slots__ = ("size", "_stack", "_top")
 
-    def __init__(self, size: int = 64) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError(f"RAS needs at least one entry, got {size}")
         self.size = size

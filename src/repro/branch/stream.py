@@ -109,8 +109,8 @@ class StreamPredictor:
     __slots__ = ("_first", "_second", "_second_index_bits", "lookups",
                  "first_hits", "second_hits")
 
-    def __init__(self, first_entries: int = 1024,
-                 second_entries: int = 4096, assoc: int = 4) -> None:
+    def __init__(self, first_entries: int, second_entries: int,
+                 assoc: int) -> None:
         self._first = SetAssocTable(first_entries, assoc)
         self._second = SetAssocTable(second_entries, assoc)
         self._second_index_bits = (second_entries // assoc).bit_length() - 1

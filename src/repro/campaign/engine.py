@@ -155,9 +155,7 @@ class Campaign:
 
     def execute(self, *, workers: int = 1, spawn: bool = False,
                 cache=None, cache_dir: str | None = None,
-                cell_timeout: float | None = None,
-                lease_seconds: float = DEFAULT_LEASE_SECONDS) \
-            -> DrainStats:
+                cell_timeout: float | None = None) -> DrainStats:
         """Drain this campaign's queue to resolution.
 
         Inline mode executes in this process (``cache`` — an open
@@ -180,15 +178,12 @@ class Campaign:
             check_free_disk(target)
         if not spawn:
             return drain(self.queue, worker_id="inline", cache=cache,
-                         cell_timeout=cell_timeout,
-                         lease_seconds=lease_seconds,
-                         journal=self.journal)
+                         cell_timeout=cell_timeout, journal=self.journal)
         if self.queue_file is None:
             raise ValueError("spawned workers need a queue file "
                              "(campaign planned with need_file=False)")
         signum = self._supervise(workers, cache_dir=cache_dir,
-                                 cell_timeout=cell_timeout,
-                                 lease_seconds=lease_seconds)
+                                 cell_timeout=cell_timeout)
         if signum is not None:
             # Graceful drain: do NOT run the recovery drain — the
             # operator asked the campaign to stop, not to finish.
@@ -207,14 +202,11 @@ class Campaign:
             # kill the planner.
             stats = drain(self.queue, worker_id="recovery",
                           cache=cache, cell_timeout=cell_timeout,
-                          lease_seconds=lease_seconds, isolate=True,
-                          journal=self.journal)
+                          isolate=True, journal=self.journal)
         return stats
 
     def _supervise(self, count: int, *, cache_dir: str | None,
-                   cell_timeout: float | None, lease_seconds: float,
-                   drain_grace: float = DEFAULT_DRAIN_GRACE_SECONDS) \
-            -> int | None:
+                   cell_timeout: float | None) -> int | None:
         """Run worker processes; reap the dead, release their cells.
 
         Workers exit on their own once every row is resolved (they
@@ -225,10 +217,11 @@ class Campaign:
 
         The supervisor is signal-aware: on SIGTERM/SIGINT it forwards
         SIGTERM to every live worker (triggering their graceful
-        drains), waits up to ``drain_grace`` seconds for them to
-        finish their in-flight cells, kills any holdout, and returns
-        the signal number — the caller decides what an interrupted
-        campaign means.  Returns ``None`` on an undisturbed run.
+        drains), waits up to :data:`DEFAULT_DRAIN_GRACE_SECONDS` for
+        them to finish their in-flight cells, kills any holdout, and
+        returns the signal number — the caller decides what an
+        interrupted campaign means.  Returns ``None`` on an undisturbed
+        run.
         Deadline-expired leases (say, of a dead external worker that
         shared the queue file) need no sweep of their own: each
         worker's next ``lease`` settles them first.
@@ -242,7 +235,7 @@ class Campaign:
             proc = ctx.Process(
                 target=worker_process_entry, name=wid,
                 args=(self.queue_file, wid, cache_dir, cell_timeout,
-                      lease_seconds, jpath, self.id))
+                      DEFAULT_LEASE_SECONDS, jpath, self.id))
             proc.start()
             procs[wid] = proc
             self.journal.emit("worker_spawn", worker=wid, pid=proc.pid)
@@ -272,10 +265,12 @@ class Campaign:
             while procs:
                 if control.requested and not forwarded:
                     forwarded = True
-                    grace_deadline = time.monotonic() + drain_grace
+                    grace_deadline = time.monotonic() \
+                        + DEFAULT_DRAIN_GRACE_SECONDS
                     log.info("forwarding SIGTERM to %d worker(s); "
                              "waiting up to %.0f s for graceful "
-                             "drains", len(procs), drain_grace)
+                             "drains", len(procs),
+                             DEFAULT_DRAIN_GRACE_SECONDS)
                     for proc in procs.values():
                         if proc.is_alive() and proc.pid is not None:
                             try:

@@ -8,9 +8,8 @@ simulator (golden parity is untouched):
 
 * :class:`DrainControl` — cooperative signal-triggered shutdown.
   Worker entry points install SIGTERM/SIGINT handlers that *request* a
-  drain; the drain loop finishes the in-flight cell, returns the
-  unstarted remainder of its lease to the queue (attempts refunded),
-  journals a ``worker_drain`` event and exits 0.  A second signal
+  drain; the drain loop finishes the in-flight cell, leases nothing
+  more, journals a ``worker_drain`` event and exits 0.  A second signal
   escalates to an ordinary :class:`KeyboardInterrupt` for operators
   who really mean *now*.
 

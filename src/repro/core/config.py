@@ -1,10 +1,14 @@
 """Simulation configuration (the paper's Table 3, plus run control).
 
-Every sizing knob of the simulated machine lives here so experiments and
-ablations can vary one number without touching wiring code.  Defaults
-reproduce Table 3 exactly; deviations (documented in DESIGN.md) are the
-parameters the paper does not specify: TLB miss penalty, D-MSHR count
-and the warm-up protocol.
+Every sizing knob of the simulated machine lives here, and only here:
+:class:`~repro.core.simulator.Simulator` hands the config to each
+component it builds, which reads its own fields from it, so experiments
+and ablations can vary one number without touching wiring code.
+Defaults follow Table 3 except where DESIGN.md says otherwise: shorter
+predictor histories (§3) and the D-MSHR count, which the paper does not
+give (§4).  The TLB miss penalty and page size, which it does not give
+either, are constants of :mod:`repro.memory.tlb` (§5), and the warm-up
+protocol is the simulator's (§6).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from repro.frontend.engine import EngineKind, make_engine
 from repro.frontend.fetch_unit import FetchUnit
 from repro.frontend.policy import PolicySpec
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.core import CoreParams, SmtCore
+from repro.pipeline.core import SmtCore
 from repro.program.blocks import Program
 from repro.program.generator import program_for
 from repro.trace.context import ThreadContext
@@ -26,11 +26,14 @@ from repro.trace.context import ThreadContext
 class Simulator:
     """A fully-wired SMT machine executing one workload.
 
-    Each entry of ``benchmarks`` is a SPECint2000 benchmark name,
-    generated at ``config.seed``, or a ready :class:`Program`; the
-    workload is named after the programs.  ``contexts`` is a tuple:
-    the fetch and commit stages capture each thread's structures when
-    the machine is built, so a thread's program is fixed from then on.
+    ``config`` is the machine's one description: the simulator hands it
+    to every component it builds, and each component reads its own
+    sizes from it.  Each entry of ``benchmarks`` is a SPECint2000
+    benchmark name, generated at ``config.seed``, or a ready
+    :class:`Program`; the workload is named after the programs.
+    ``contexts`` is a tuple: the fetch and commit stages capture each
+    thread's structures when the machine is built, so a thread's
+    program is fixed from then on.
     """
 
     def __init__(self, benchmarks: Sequence[str | Program],
@@ -50,15 +53,7 @@ class Simulator:
 
         self.contexts = tuple(ThreadContext(program, tid)
                               for tid, program in enumerate(programs))
-        self.memory = MemoryHierarchy(
-            l1i_kb=cfg.l1i_kb, l1i_assoc=cfg.l1i_assoc,
-            l1d_kb=cfg.l1d_kb, l1d_assoc=cfg.l1d_assoc,
-            l2_kb=cfg.l2_kb, l2_assoc=cfg.l2_assoc,
-            line_bytes=cfg.line_bytes, banks=cfg.cache_banks,
-            l1_latency=cfg.l1_latency, l2_latency=cfg.l2_latency,
-            memory_latency=cfg.memory_latency,
-            itlb_entries=cfg.itlb_entries, dtlb_entries=cfg.dtlb_entries,
-            dmshr_entries=cfg.dmshr_entries)
+        self.memory = MemoryHierarchy(cfg)
         for ctx in self.contexts:
             program = ctx.program
             self.memory.warm_instruction_side(
@@ -79,21 +74,9 @@ class Simulator:
         self.spec = PolicySpec.parse(policy) \
             .for_threads(len(self.contexts))
         self.engine = make_engine(engine, len(self.contexts), cfg)
-        self.fetch_unit = FetchUnit(
-            self.engine, self.spec, self.spec.make(len(self.contexts)),
-            self.memory, self.contexts,
-            icounts=[0] * len(self.contexts),
-            fetch_buffer_capacity=cfg.fetch_buffer,
-            ftq_depth=cfg.ftq_depth, line_bytes=cfg.line_bytes)
-        params = CoreParams(
-            decode_width=cfg.decode_width, issue_width=cfg.issue_width,
-            commit_width=cfg.commit_width, rob_entries=cfg.rob_entries,
-            iq_int=cfg.iq_int, iq_ldst=cfg.iq_ldst, iq_fp=cfg.iq_fp,
-            int_regs=cfg.int_regs, fp_regs=cfg.fp_regs,
-            int_units=cfg.int_units, ldst_units=cfg.ldst_units,
-            fp_units=cfg.fp_units, watchdog_cycles=cfg.watchdog_cycles)
-        self.core = SmtCore(self.fetch_unit, self.memory, self.contexts,
-                            params)
+        self.fetch_unit = FetchUnit(self.engine, self.spec, self.memory,
+                                    self.contexts, cfg)
+        self.core = SmtCore(self.fetch_unit, cfg)
 
     def run(self, cycles: int, warmup: int | None = None) -> SimResult:
         """Warm up, reset statistics, then measure ``cycles`` cycles."""

@@ -22,7 +22,6 @@ merge path whose hardware cost the paper argues against.
 
 from repro.frontend.engine import EngineKind, FetchEngine, make_engine
 from repro.frontend.fetch_unit import FetchStats, FetchUnit
-from repro.frontend.ftq import FetchTargetQueue
 from repro.frontend.gshare_btb import GShareBtbEngine
 from repro.frontend.gskew_ftb import GSkewFtbEngine
 from repro.frontend.policy import FetchPolicy, ICount, PolicySpec, RoundRobin
@@ -35,7 +34,6 @@ __all__ = [
     "FetchPolicy",
     "FetchRequest",
     "FetchStats",
-    "FetchTargetQueue",
     "FetchUnit",
     "GShareBtbEngine",
     "GSkewFtbEngine",

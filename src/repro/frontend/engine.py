@@ -17,8 +17,12 @@ the fetch unit:
 from __future__ import annotations
 
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from repro.isa.instruction import DynInst
+
+if TYPE_CHECKING:
+    from repro.core.config import SimConfig
 
 
 class EngineKind(str, Enum):
@@ -73,14 +77,14 @@ class FetchEngine:
 
 
 def make_engine(kind: EngineKind | str, n_threads: int,
-                config=None) -> FetchEngine:
+                config: SimConfig) -> FetchEngine:
     """Instantiate a fetch engine by kind.
 
     Args:
         kind: An :class:`EngineKind` or its string value.
         n_threads: Hardware thread count (per-thread state replication).
-        config: Optional :class:`repro.core.config.SimConfig`-like object
-            providing predictor sizing; defaults to Table 3 sizes.
+        config: The machine's :class:`~repro.core.config.SimConfig`;
+            the engine reads its predictor sizes from it.
     """
     # Imported here to avoid circular imports at package load.
     from repro.frontend.gshare_btb import GShareBtbEngine

@@ -39,13 +39,17 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.frontend.engine import FetchEngine
-from repro.frontend.ftq import FetchTargetQueue
-from repro.frontend.policy import FetchPolicy, PolicySpec
+from repro.frontend.policy import PolicySpec
+from repro.frontend.request import FetchRequest
 from repro.isa.instruction import INSTR_BYTES, BranchKind, DynInst
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.trace.context import ThreadContext
+
+if TYPE_CHECKING:
+    from repro.core.config import SimConfig
 
 _DECODE_RESOLVABLE = (BranchKind.JUMP, BranchKind.CALL)
 
@@ -93,33 +97,44 @@ class FetchStats:
 class FetchUnit:
     """Two-stage decoupled front-end shared by all hardware threads.
 
+    The unit makes its own fetch policy (``spec.make``) and the ICOUNT
+    list the core shares, and reads the FTQ depth, fetch-buffer size
+    and line size from ``config``.  Each thread's Fetch Target Queue
+    (Table 3: 4 entries per thread) is a plain deque of fetch requests.
+    The prediction stage appends while it holds fewer than
+    ``config.ftq_depth``, so it runs ahead of a thread blocked on an
+    I-cache miss; the fetch stage drains the head, a multi-line request
+    over several cycles; a squash clears it.
+
     ``predict_stage`` and ``fetch_stage`` are closures built by
     :meth:`_build_stages` (materialisation is inlined into the fetch
     stage); see the module docstring for the specialisation contract.
     """
 
     def __init__(self, engine: FetchEngine, spec: PolicySpec,
-                 policy: FetchPolicy, memory: MemoryHierarchy,
-                 contexts: Sequence[ThreadContext], icounts: list[int],
-                 fetch_buffer_capacity: int = 32, ftq_depth: int = 4,
-                 line_bytes: int = 64) -> None:
+                 memory: MemoryHierarchy,
+                 contexts: Sequence[ThreadContext],
+                 config: SimConfig) -> None:
+        if config.ftq_depth < 1:
+            raise ValueError(
+                f"FTQ depth must be >= 1, got {config.ftq_depth}")
         n = len(contexts)
         self.engine = engine
         self.spec = spec
-        self.policy = policy
+        self.policy = spec.make(n)
         self.memory = memory
         self.contexts = contexts
-        self.icounts = icounts
-        self.ftqs = [FetchTargetQueue(ftq_depth) for _ in range(n)]
+        self.icounts = [0] * n
+        self.ftqs: list[deque[FetchRequest]] = [deque() for _ in range(n)]
         self.next_pc = [ctx.program.entry_addr for ctx in contexts]
         self.blocked_until = [0] * n
         self.seq = [0] * n
         self.fetch_buffer: deque[DynInst] = deque()
-        self.fetch_buffer_capacity = fetch_buffer_capacity
-        self.line_instrs = line_bytes // INSTR_BYTES
-        self.stats = FetchStats(max_width=max(self.spec.width,
+        self.fetch_buffer_capacity = config.fetch_buffer
+        self.line_instrs = config.line_bytes // INSTR_BYTES
+        self.stats = FetchStats(max_width=max(spec.width,
                                               self.line_instrs))
-        self._build_stages(ftq_depth)
+        self._build_stages(config.ftq_depth)
 
     def reset_stats(self) -> None:
         """Zero the fetch counters; FTQ/buffer/PC state is untouched."""
@@ -133,7 +148,7 @@ class FetchUnit:
         """Specialise the per-cycle stages for this fetch unit."""
         n_threads = len(self.contexts)
         contexts = self.contexts
-        ftq_queues = [ftq._queue for ftq in self.ftqs]
+        ftq_queues = self.ftqs
         next_pc = self.next_pc
         blocked_until = self.blocked_until
         seq_list = self.seq

@@ -9,6 +9,8 @@ predicted not-taken); they are inserted when they resolve.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.branch.btb import BTB, BTBEntry
 from repro.branch.gshare import GShare
 from repro.branch.history import GlobalHistory
@@ -17,29 +19,27 @@ from repro.frontend.engine import FetchEngine
 from repro.frontend.request import FetchRequest
 from repro.isa.instruction import INSTR_BYTES, BranchKind, DynInst
 
+if TYPE_CHECKING:
+    from repro.core.config import SimConfig
+
 
 class GShareBtbEngine(FetchEngine):
     """gshare (64K) + BTB (2K, 4-way) + per-thread RAS.
 
     Table 3 gives gshare 16 bits of global history; the default here is
-    ``SimConfig.gshare_history = 6`` (DESIGN.md §3), and a ``config``
-    without the field gets 6 too.
+    ``SimConfig.gshare_history = 6`` (DESIGN.md §3).
     """
 
     name = "gshare+BTB"
     commit_training = False     # commit() below is a no-op
 
-    def __init__(self, n_threads: int, config=None) -> None:
-        gshare_entries = getattr(config, "gshare_entries", 64 * 1024)
-        gshare_history = getattr(config, "gshare_history", 6)
-        btb_entries = getattr(config, "btb_entries", 2048)
-        btb_assoc = getattr(config, "btb_assoc", 4)
-        ras_entries = getattr(config, "ras_entries", 64)
+    def __init__(self, n_threads: int, config: SimConfig) -> None:
         self.n_threads = n_threads
-        self.gshare = GShare(gshare_entries, gshare_history)
-        self.btb = BTB(btb_entries, btb_assoc)
-        self.ghr = [GlobalHistory(gshare_history) for _ in range(n_threads)]
-        self.ras = [ReturnAddressStack(ras_entries)
+        self.gshare = GShare(config.gshare_entries, config.gshare_history)
+        self.btb = BTB(config.btb_entries, config.btb_assoc)
+        self.ghr = [GlobalHistory(config.gshare_history)
+                    for _ in range(n_threads)]
+        self.ras = [ReturnAddressStack(config.ras_entries)
                     for _ in range(n_threads)]
         self._build_paths()
 

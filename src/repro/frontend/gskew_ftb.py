@@ -9,6 +9,8 @@ entry when the block's terminating (taken) branch resolves.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.branch.ftb import FTB, MAX_FTB_BLOCK, FTBEntry
 from repro.branch.gskew import _HIST_MULT, _PC_MULT, GSkew
 from repro.branch.history import GlobalHistory
@@ -17,29 +19,27 @@ from repro.frontend.engine import FetchEngine
 from repro.frontend.request import FetchRequest
 from repro.isa.instruction import INSTR_BYTES, BranchKind, DynInst
 
+if TYPE_CHECKING:
+    from repro.core.config import SimConfig
+
 
 class GSkewFtbEngine(FetchEngine):
     """gskew (3x32K) + FTB (2K, 4-way) + per-thread RAS.
 
     Table 3 gives gskew 15 bits of global history; the default here is
-    ``SimConfig.gskew_history = 5`` (DESIGN.md §3), and a ``config``
-    without the field gets 5 too.
+    ``SimConfig.gskew_history = 5`` (DESIGN.md §3).
     """
 
     name = "gskew+FTB"
     commit_training = False     # commit() below is a no-op
 
-    def __init__(self, n_threads: int, config=None) -> None:
-        gskew_entries = getattr(config, "gskew_bank_entries", 32 * 1024)
-        gskew_history = getattr(config, "gskew_history", 5)
-        ftb_entries = getattr(config, "ftb_entries", 2048)
-        ftb_assoc = getattr(config, "ftb_assoc", 4)
-        ras_entries = getattr(config, "ras_entries", 64)
+    def __init__(self, n_threads: int, config: SimConfig) -> None:
         self.n_threads = n_threads
-        self.gskew = GSkew(gskew_entries, gskew_history)
-        self.ftb = FTB(ftb_entries, ftb_assoc)
-        self.ghr = [GlobalHistory(gskew_history) for _ in range(n_threads)]
-        self.ras = [ReturnAddressStack(ras_entries)
+        self.gskew = GSkew(config.gskew_bank_entries, config.gskew_history)
+        self.ftb = FTB(config.ftb_entries, config.ftb_assoc)
+        self.ghr = [GlobalHistory(config.gskew_history)
+                    for _ in range(n_threads)]
+        self.ras = [ReturnAddressStack(config.ras_entries)
                     for _ in range(n_threads)]
         self._build_paths()
 

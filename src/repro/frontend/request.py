@@ -12,8 +12,6 @@ the FTQ head incrementally (``consumed`` tracks progress).
 
 from __future__ import annotations
 
-from repro.isa.instruction import INSTR_BYTES
-
 
 class FetchRequest:
     """One prediction-stage output.
@@ -56,16 +54,6 @@ class FetchRequest:
         self.ras_ckpt = ras_ckpt
         self.dolc_ckpt = dolc_ckpt
         self.consumed = 0
-
-    @property
-    def remaining(self) -> int:
-        """Instructions not yet materialised."""
-        return self.length - self.consumed
-
-    @property
-    def current_pc(self) -> int:
-        """Address of the next instruction to materialise."""
-        return self.start_pc + self.consumed * INSTR_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FetchRequest(t{self.tid} {self.start_pc:#x}+{self.length} "

@@ -16,12 +16,17 @@ checkpointed per request and repaired on squashes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.stream import MAX_STREAM_LENGTH, DolcHistory, \
     StreamEntry, StreamPredictor
 from repro.frontend.engine import FetchEngine
 from repro.frontend.request import FetchRequest
 from repro.isa.instruction import INSTR_BYTES, BranchKind, DynInst
+
+if TYPE_CHECKING:
+    from repro.core.config import SimConfig
 
 
 class _StreamBuilder:
@@ -63,15 +68,13 @@ class StreamFetchEngine(FetchEngine):
 
     name = "stream"
 
-    def __init__(self, n_threads: int, config=None) -> None:
-        first = getattr(config, "stream_l1_entries", 1024)
-        second = getattr(config, "stream_l2_entries", 4096)
-        assoc = getattr(config, "stream_assoc", 4)
-        ras_entries = getattr(config, "ras_entries", 64)
+    def __init__(self, n_threads: int, config: SimConfig) -> None:
         self.n_threads = n_threads
-        self.predictor = StreamPredictor(first, second, assoc)
+        self.predictor = StreamPredictor(config.stream_l1_entries,
+                                         config.stream_l2_entries,
+                                         config.stream_assoc)
         self.dolc = [DolcHistory() for _ in range(n_threads)]
-        self.ras = [ReturnAddressStack(ras_entries)
+        self.ras = [ReturnAddressStack(config.ras_entries)
                     for _ in range(n_threads)]
         self._builders: list[_StreamBuilder | None] = [None] * n_threads
         self._build_paths()

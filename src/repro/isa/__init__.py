@@ -13,7 +13,6 @@ from repro.isa.instruction import (
     DynInst,
     InstrClass,
     StaticInstruction,
-    execution_latency,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "DynInst",
     "InstrClass",
     "StaticInstruction",
-    "execution_latency",
 ]

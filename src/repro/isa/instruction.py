@@ -52,14 +52,6 @@ LATENCY_TABLE: tuple[int, ...] = tuple(
 (a plain sequence index, no enum hashing on the hot path)."""
 
 
-def execution_latency(opclass: InstrClass) -> int:
-    """Return the fixed functional-unit latency of ``opclass`` in cycles.
-
-    Loads add the data-cache access latency on top of this at issue time.
-    """
-    return LATENCY_TABLE[opclass]
-
-
 class StaticInstruction:
     """An instruction at a fixed code address inside a basic block.
 
@@ -104,11 +96,6 @@ class StaticInstruction:
     def is_branch(self) -> bool:
         """True for any control-flow instruction."""
         return self.kind != BranchKind.NOT_BRANCH
-
-    @property
-    def fall_addr(self) -> int:
-        """Address of the sequentially next instruction."""
-        return self.addr + INSTR_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"StaticInstruction(sid={self.sid}, addr={self.addr:#x}, "
@@ -199,12 +186,6 @@ class DynInst:
     def is_branch(self) -> bool:
         """True for any control-flow instruction."""
         return self.static.kind != BranchKind.NOT_BRANCH
-
-    def next_pc_actual(self) -> int:
-        """Architectural next PC (only valid for correct-path instances)."""
-        if self.actual_taken:
-            return self.actual_target
-        return self.static.addr + INSTR_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         path = "ok" if self.on_correct_path else "wrong"

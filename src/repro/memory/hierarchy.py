@@ -17,9 +17,14 @@ keeps hit/miss sequences deterministic.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.memory.cache import Cache
 from repro.memory.mshr import MshrFile
 from repro.memory.tlb import Tlb
+
+if TYPE_CHECKING:
+    from repro.core.config import SimConfig
 
 
 class AccessResult:
@@ -39,30 +44,27 @@ class AccessResult:
 
 
 class MemoryHierarchy:
-    """Table 3 memory system: L1I + L1D over unified L2 over DRAM."""
+    """Table 3 memory system: L1I + L1D over unified L2 over DRAM.
 
-    def __init__(self,
-                 l1i_kb: int = 32, l1i_assoc: int = 2,
-                 l1d_kb: int = 32, l1d_assoc: int = 2,
-                 l2_kb: int = 1024, l2_assoc: int = 2,
-                 line_bytes: int = 64, banks: int = 8,
-                 l1_latency: int = 1, l2_latency: int = 10,
-                 memory_latency: int = 100,
-                 itlb_entries: int = 48, dtlb_entries: int = 128,
-                 dmshr_entries: int = 8) -> None:
-        self.l1i = Cache("L1I", l1i_kb * 1024, l1i_assoc, line_bytes, banks)
-        self.l1d = Cache("L1D", l1d_kb * 1024, l1d_assoc, line_bytes, banks)
-        self.l2 = Cache("L2", l2_kb * 1024, l2_assoc, line_bytes, banks)
-        self.itlb = Tlb(itlb_entries)
-        self.dtlb = Tlb(dtlb_entries)
-        self.dmshr = MshrFile(dmshr_entries)
-        self.l1_latency = l1_latency
-        self.l2_latency = l2_latency
-        self.memory_latency = memory_latency
-        self._line_shift = line_bytes.bit_length() - 1
-        self._build_fast_paths()
+    Every size and latency is read from ``config`` when the hierarchy
+    is built.
+    """
 
-    def _build_fast_paths(self) -> None:
+    def __init__(self, config: SimConfig) -> None:
+        line_bytes = config.line_bytes
+        banks = config.cache_banks
+        self.l1i = Cache("L1I", config.l1i_kb * 1024, config.l1i_assoc,
+                         line_bytes, banks)
+        self.l1d = Cache("L1D", config.l1d_kb * 1024, config.l1d_assoc,
+                         line_bytes, banks)
+        self.l2 = Cache("L2", config.l2_kb * 1024, config.l2_assoc,
+                        line_bytes, banks)
+        self.itlb = Tlb(config.itlb_entries)
+        self.dtlb = Tlb(config.dtlb_entries)
+        self.dmshr = MshrFile(config.dmshr_entries)
+        self._build_fast_paths(config)
+
+    def _build_fast_paths(self, config: SimConfig) -> None:
         """Compile ``ifetch``/``dread``/``dwrite`` as closures.
 
         These run once or twice every simulated cycle, and on the
@@ -105,7 +107,7 @@ class MemoryHierarchy:
         dtlb_penalty = dtlb.miss_penalty
         # All three caches share the hierarchy's line size, so one line
         # number (and one ``line * 64 + asid`` key) serves every level.
-        line_shift = self._line_shift
+        line_shift = config.line_bytes.bit_length() - 1
         l1i = self.l1i
         l1i_sets = l1i._sets
         l1i_mask = l1i._set_mask
@@ -122,9 +124,9 @@ class MemoryHierarchy:
         mshr_entries = dmshr._entries
         mshr_capacity = dmshr.capacity
         mshr_never = dmshr._NEVER
-        l1_latency = self.l1_latency
-        l2_latency = self.l2_latency
-        l2_miss_latency = self.l2_latency + self.memory_latency
+        l1_latency = config.l1_latency
+        l2_latency = config.l2_latency
+        l2_miss_latency = l2_latency + config.memory_latency
         access_result = AccessResult
         hit_result = AccessResult(True, 0)
         # Same-key TLB filters: when an access repeats the immediately

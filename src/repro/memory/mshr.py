@@ -20,7 +20,7 @@ class MshrFile:
 
     _NEVER = 1 << 62                # sentinel: no entry due
 
-    def __init__(self, capacity: int = 8) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"MSHR capacity must be >= 1, got {capacity}")
         self.capacity = capacity

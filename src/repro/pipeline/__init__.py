@@ -13,7 +13,7 @@ the emergent effect behind the paper's Figure 7 (fetching from a second,
 low-quality thread can *reduce* total commit throughput).
 """
 
-from repro.pipeline.core import CoreParams, SmtCore
+from repro.pipeline.core import SmtCore
 from repro.pipeline.resources import (
     FunctionalUnits,
     InstructionQueues,
@@ -22,7 +22,6 @@ from repro.pipeline.resources import (
 )
 
 __all__ = [
-    "CoreParams",
     "FunctionalUnits",
     "InstructionQueues",
     "PhysicalRegisters",

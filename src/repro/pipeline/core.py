@@ -99,16 +99,17 @@ All of it is behaviour-preserving by contract: the golden-parity suite
 from __future__ import annotations
 
 import weakref
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from repro.frontend.fetch_unit import FetchUnit
 from repro.isa.instruction import LATENCY_TABLE, DynInst, InstrClass
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.resources import QUEUE_TABLE, FunctionalUnits, \
     InstructionQueues, PhysicalRegisters, ReorderBuffer
-from repro.trace.context import ThreadContext
+
+if TYPE_CHECKING:
+    from repro.core.config import SimConfig
 
 _WHEEL_SIZE = 512
 """Event-wheel span in cycles (power of two; > L1+L2+memory+TLB-walk
@@ -119,26 +120,6 @@ _SEQ_KEY = attrgetter("seq")
 
 class DeadlockError(RuntimeError):
     """No thread committed for an implausibly long time (simulator bug)."""
-
-
-@dataclass
-class CoreParams:
-    """Execution-core sizing (defaults from the paper's Table 3)."""
-
-    decode_width: int = 8
-    issue_width: int = 8
-    commit_width: int = 8
-    rob_entries: int = 256
-    iq_int: int = 32
-    iq_ldst: int = 32
-    iq_fp: int = 32
-    int_regs: int = 384
-    fp_regs: int = 384
-    int_units: int = 6
-    ldst_units: int = 4
-    fp_units: int = 3
-    regread_latency: int = 1
-    watchdog_cycles: int = 50_000
 
 
 @dataclass(slots=True)
@@ -184,27 +165,30 @@ class CoreStats:
 class SmtCore:
     """Out-of-order SMT execution core around a decoupled front-end.
 
+    The core takes the fetch engine, memory hierarchy, thread contexts
+    and ICOUNT list from ``fetch_unit``, and its widths, structure sizes
+    and watchdog from ``config``.
+
     ``tick`` is a closure built by :meth:`_build_cycle_loop` fusing
     all six back-end stages; see the module docstring for the
     specialisation contract.
     """
 
-    def __init__(self, fetch_unit: FetchUnit, memory: MemoryHierarchy,
-                 contexts: Sequence[ThreadContext],
-                 params: CoreParams | None = None) -> None:
-        self.params = params or CoreParams()
+    def __init__(self, fetch_unit: FetchUnit, config: SimConfig) -> None:
+        self.config = config
         self.fetch_unit = fetch_unit
         self.engine = fetch_unit.engine
-        self.memory = memory
-        self.contexts = contexts
+        self.memory = fetch_unit.memory
+        self.contexts = fetch_unit.contexts
         self.icounts = fetch_unit.icounts
-        n = len(contexts)
+        n = len(self.contexts)
 
-        p = self.params
-        self.iqs = InstructionQueues(p.iq_int, p.iq_ldst, p.iq_fp)
-        self.rob = ReorderBuffer(n, p.rob_entries)
-        self.regs = PhysicalRegisters(n, p.int_regs, p.fp_regs)
-        self.fus = FunctionalUnits(p.int_units, p.ldst_units, p.fp_units)
+        self.iqs = InstructionQueues(config.iq_int, config.iq_ldst,
+                                     config.iq_fp)
+        self.rob = ReorderBuffer(n, config.rob_entries)
+        self.regs = PhysicalRegisters(n, config.int_regs, config.fp_regs)
+        self.fus = FunctionalUnits(config.int_units, config.ldst_units,
+                                   config.fp_units)
         self.decode_latch: list[DynInst] = []
         self.rename_latch: list[DynInst] = []
         self.rename_map: list[dict[int, DynInst | None]] = \
@@ -255,13 +239,13 @@ class SmtCore:
         """
         core_ref = weakref.ref(self)
         core_stats = self.stats
-        params = self.params
+        config = self.config
         n_threads = len(self.contexts)
-        commit_width = params.commit_width
-        decode_width = params.decode_width
-        double_decode_width = 2 * params.decode_width
-        issue_width = params.issue_width
-        watchdog = params.watchdog_cycles
+        commit_width = config.commit_width
+        decode_width = config.decode_width
+        double_decode_width = 2 * config.decode_width
+        issue_width = config.issue_width
+        watchdog = config.watchdog_cycles
         rob = self.rob
         rob_lists = rob.lists
         rob_capacity = rob.capacity

@@ -52,8 +52,8 @@ class InstructionQueues:
 
     __slots__ = ("capacity", "queues", "ready")
 
-    def __init__(self, int_entries: int = 32, ldst_entries: int = 32,
-                 fp_entries: int = 32) -> None:
+    def __init__(self, int_entries: int, ldst_entries: int,
+                 fp_entries: int) -> None:
         self.capacity = (int_entries, ldst_entries, fp_entries)
         self.queues: tuple[dict[DynInst, None], dict[DynInst, None],
                            dict[DynInst, None]] = ({}, {}, {})
@@ -96,8 +96,8 @@ class PhysicalRegisters:
 
     __slots__ = ("free_int", "free_fp")
 
-    def __init__(self, n_threads: int, int_regs: int = 384,
-                 fp_regs: int = 384, arch_regs: int = 32) -> None:
+    def __init__(self, n_threads: int, int_regs: int, fp_regs: int,
+                 arch_regs: int = 32) -> None:
         reserved = n_threads * arch_regs
         if int_regs <= reserved or fp_regs <= reserved:
             raise ValueError(
@@ -116,7 +116,7 @@ class ReorderBuffer:
 
     __slots__ = ("capacity", "lists", "size")
 
-    def __init__(self, n_threads: int, capacity: int = 256) -> None:
+    def __init__(self, n_threads: int, capacity: int) -> None:
         self.capacity = capacity
         self.lists: list[deque[DynInst]] = \
             [deque() for _ in range(n_threads)]
@@ -128,7 +128,7 @@ class FunctionalUnits:
 
     __slots__ = ("counts", "_free")
 
-    def __init__(self, int_units: int = 6, ldst_units: int = 4,
-                 fp_units: int = 3) -> None:
+    def __init__(self, int_units: int, ldst_units: int,
+                 fp_units: int) -> None:
         self.counts = (int_units, ldst_units, fp_units)
         self._free = [0, 0, 0]

@@ -105,12 +105,6 @@ class Program:
         """Static code footprint in bytes."""
         return self.instruction_count * INSTR_BYTES
 
-    def static_branches(self) -> list[StaticInstruction]:
-        """All branch instructions, in address order."""
-        return [instr for instr in sorted(self._instr_map.values(),
-                                          key=lambda i: i.addr)
-                if instr.is_branch]
-
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation.
 

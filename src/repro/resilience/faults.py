@@ -10,7 +10,7 @@ mechanisms make that work:
   ``REPRO_FAULTS`` environment variable.  Worker subprocesses inherit
   the environment regardless of the multiprocessing start method, so
   injected faults fire *inside* the worker where the real failure
-  would happen — no pickling support from the pool plumbing required.
+  would happen — nothing has to be passed in the worker's arguments.
 * **The spool directory.**  Fire budgets (``times``) are enforced by
   atomically claiming marker files (``O_CREAT | O_EXCL``) in a spool
   directory shared by every process of the campaign.  A claim survives
@@ -22,7 +22,9 @@ Fault kinds:
 
 ``crash``
     ``os._exit`` the executing process (models an OOM kill; surfaces
-    as ``BrokenProcessPool`` in the parent).
+    as a dead worker, whose cell the supervisor releases, or as
+    :class:`~repro.resilience.isolate.CellCrash` from an isolated
+    child).
 ``hang``
     Sleep ``seconds`` (default one hour) before continuing — a wedged
     cell, recoverable only via a wall-clock timeout.

@@ -1,17 +1,19 @@
 """Run one cell in a disposable child process.
 
-The recovery path of :meth:`ExperimentSession.run_cells` needs three
-guarantees a shared :class:`~concurrent.futures.ProcessPoolExecutor`
-cannot give for an individual cell:
+A campaign worker runs a cell in isolation under ``--cell-timeout``,
+for a *suspect* cell (one whose earlier attempt killed its worker), and
+in the recovery drain that finishes what a dead fleet left.  Each needs
+three guarantees that running the cell in the worker's own process
+cannot give:
 
 * a **crash** (OOM kill, ``os._exit``) must be attributable to *this*
-  cell, not break a pool shared with innocent neighbours;
-* a **hang** must be killable after a wall-clock budget — pool workers
-  cannot be terminated individually;
+  cell, not kill the worker that would go on to run others;
+* a **hang** must be killable after a wall-clock budget — a worker
+  cannot interrupt a simulation running in its own process;
 * an **exception** must come back with its description even if the
   child dies immediately after.
 
-So each recovery attempt gets its own ``multiprocessing.Process`` and
+So each isolated attempt gets its own ``multiprocessing.Process`` and
 a one-shot pipe: the child sends ``("ok", result)`` or
 ``("err", description)`` and exits; the parent polls with the timeout
 and kills on expiry.  The child re-enters the exact same execution

@@ -144,25 +144,29 @@ class TestDolcHistory:
 
 class TestStreamPredictor:
     def test_cold_miss(self):
-        sp = StreamPredictor(first_entries=64, second_entries=256)
+        sp = StreamPredictor(first_entries=64, second_entries=256,
+                             assoc=4)
         assert sp.lookup(0x400000, DolcHistory()) is None
 
     def test_train_then_hit(self):
-        sp = StreamPredictor(first_entries=64, second_entries=256)
+        sp = StreamPredictor(first_entries=64, second_entries=256,
+                             assoc=4)
         h = DolcHistory()
         sp.update(0x400000, 24, 0x400800, BranchKind.COND, h)
         entry = sp.lookup(0x400000, h)
         assert (entry.length, entry.target) == (24, 0x400800)
 
     def test_length_clamped(self):
-        sp = StreamPredictor(first_entries=64, second_entries=256)
+        sp = StreamPredictor(first_entries=64, second_entries=256,
+                             assoc=4)
         h = DolcHistory()
         sp.update(0x400000, 500, 0x400800, BranchKind.COND, h)
         assert sp.lookup(0x400000, h).length == MAX_STREAM_LENGTH
 
     def test_path_correlation_in_second_level(self):
         """Same start address, different paths -> different predictions."""
-        sp = StreamPredictor(first_entries=64, second_entries=256)
+        sp = StreamPredictor(first_entries=64, second_entries=256,
+                             assoc=4)
         path_a = DolcHistory()
         path_a.push(0x400100)
         path_b = DolcHistory()
@@ -173,7 +177,8 @@ class TestStreamPredictor:
         assert sp.lookup(0x400000, path_b).length == 30
 
     def test_first_level_catches_unseen_path(self):
-        sp = StreamPredictor(first_entries=64, second_entries=256)
+        sp = StreamPredictor(first_entries=64, second_entries=256,
+                             assoc=4)
         trained = DolcHistory()
         sp.update(0x400000, 16, 0xC000, BranchKind.COND, trained)
         fresh = DolcHistory()
@@ -183,12 +188,14 @@ class TestStreamPredictor:
         assert entry.length == 16
 
     def test_rejects_empty_stream(self):
-        sp = StreamPredictor(first_entries=64, second_entries=256)
+        sp = StreamPredictor(first_entries=64, second_entries=256,
+                             assoc=4)
         with pytest.raises(ValueError):
             sp.update(0x400000, 0, 0x1, BranchKind.COND, DolcHistory())
 
     def test_hit_counters(self):
-        sp = StreamPredictor(first_entries=64, second_entries=256)
+        sp = StreamPredictor(first_entries=64, second_entries=256,
+                             assoc=4)
         h = DolcHistory()
         sp.lookup(0x1000, h)
         sp.update(0x1000, 8, 0x2000, BranchKind.COND, h)

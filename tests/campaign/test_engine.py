@@ -28,7 +28,7 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.core.metrics import SimResult
 from repro.experiments import ExperimentSession
 from repro.experiments.cache import ResultCache
-from repro.obs.journal import read_events
+from repro.obs.journal import NULL_JOURNAL, read_events
 from repro.resilience import FaultSpec, inject_faults
 from repro.resilience.faults import fault_label
 
@@ -223,9 +223,11 @@ class TestWorkerParity:
 
     def test_two_manual_workers_partition_one_queue(self, tmp_path):
         # The standalone-worker contract without processes: two queue
-        # connections interleave leases on one file; between them every
-        # row resolves and the stored results parse back bit-identical
-        # to inline execution.
+        # connections share one file.  Worker a holds a lease on one
+        # cell while b drains the other three, then a settles its cell
+        # through the worker's own execute-persist-ack step.  Every row
+        # resolves, each worker ran its share, and the stored results
+        # parse back bit-identical to inline execution.
         session = ExperimentSession(**FAST)
         cells = grid(session)
         inline = session.run_cells(cells)
@@ -239,10 +241,15 @@ class TestWorkerParity:
         try:
             with CellQueue(campaign.queue_file) as a, \
                     CellQueue(campaign.queue_file) as b:
-                stats_a = drain(a, worker_id="a", wait=False)
+                held = a.lease("a")
                 stats_b = drain(b, worker_id="b", wait=False)
-            assert stats_a.executed + stats_b.executed == 4
-            assert campaign.queue.unresolved() == 0
+                assert campaign.queue.counts() == {"done": 3, "leased": 1}
+                stats_a = worker_mod.DrainStats()
+                worker_mod._run_cell(a, held, worker_id="a", cache=None,
+                                     cell_timeout=None, isolate=False,
+                                     stats=stats_a, journal=NULL_JOURNAL)
+            assert (stats_a.executed, stats_b.executed) == (1, 3)
+            assert campaign.queue.counts() == {"done": 4}
             outcomes = campaign.outcomes(planned)
             assert all(isinstance(o, SimResult)
                        for o in outcomes.values())

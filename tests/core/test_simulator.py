@@ -1,10 +1,17 @@
 """Tests for the simulator facade and result bundling."""
 
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.core import SimConfig, Simulator, simulate
+from repro.core.config import DEFAULT_CONFIG
+from repro.frontend import GShareBtbEngine, GSkewFtbEngine, \
+    StreamFetchEngine, make_engine
+from repro.frontend.fetch_unit import FetchUnit
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.pipeline.core import SmtCore
 from repro.program import SPECINT2000, generate_program
 from repro.trace import walk
 from repro.trace.context import ThreadContext
@@ -121,9 +128,36 @@ class TestConfigPlumbing:
         assert dual.bank_conflicts >= 0
 
     def test_custom_config_applies(self):
-        cfg = SimConfig(rob_entries=64)
-        sim = Simulator(("gzip",), config=cfg)
+        """Each field reaches the component that uses it."""
+        sizes = dict(dmshr_entries=4, ftq_depth=2, fetch_buffer=24,
+                     rob_entries=64, iq_int=16, gshare_history=9)
+        assert all(getattr(DEFAULT_CONFIG, name) != value
+                   for name, value in sizes.items())
+        sim = Simulator(("gzip", "eon"),
+                        config=DEFAULT_CONFIG.with_(**sizes))
+        assert sim.memory.dmshr.capacity == 4
+        assert sim.fetch_unit.fetch_buffer_capacity == 24
         assert sim.core.rob.capacity == 64
+        assert sim.core.iqs.capacity[0] == 16
+        assert sim.engine.gshare.history_bits == 9
+        assert [ghr.bits for ghr in sim.engine.ghr] == [9, 9]
+        # The prediction stage, with fetch stalled, runs each thread's
+        # FTQ up to the depth and no further.
+        unit = sim.fetch_unit
+        for cycle in range(8):
+            unit.predict_stage(cycle)
+        assert [len(ftq) for ftq in unit.ftqs] == [2, 2]
+
+    @pytest.mark.parametrize("build", [
+        MemoryHierarchy, FetchUnit, SmtCore, make_engine, GShareBtbEngine,
+        GSkewFtbEngine, StreamFetchEngine], ids=lambda build: build.__name__)
+    def test_no_component_repeats_a_config_field(self, build):
+        """``SimConfig`` is the one place a machine size is declared:
+        each component takes the whole config, and no size of its own
+        that could drift from it."""
+        params = inspect.signature(build).parameters
+        assert not set(params) & {f.name for f in fields(SimConfig)}
+        assert params["config"].default is inspect.Parameter.empty
 
 
 class TestProgramEntries:

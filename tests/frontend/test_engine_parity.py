@@ -16,7 +16,6 @@ state must agree.
 """
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +28,7 @@ from repro.branch.gskew import GSkew
 from repro.branch.history import GlobalHistory
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.stream import DolcHistory, StreamPredictor
+from repro.core.config import DEFAULT_CONFIG
 from repro.frontend.engine import make_engine
 from repro.frontend.request import FetchRequest
 from repro.frontend.stream_engine import _StreamBuilder
@@ -45,12 +45,12 @@ BRANCH_KINDS = (BranchKind.COND, BranchKind.JUMP, BranchKind.CALL,
 # Tiny tables: every set overflows, and the 1-set stream second level
 # exercises the zero-width DOLC fold.  Small tables: a few sets each.
 CONFIGS = {
-    "tiny": SimpleNamespace(
+    "tiny": DEFAULT_CONFIG.with_(
         gshare_entries=64, gshare_history=6, btb_entries=8, btb_assoc=2,
         gskew_bank_entries=64, gskew_history=5, ftb_entries=8, ftb_assoc=2,
         stream_l1_entries=8, stream_l2_entries=4, stream_assoc=4,
         ras_entries=4),
-    "small": SimpleNamespace(
+    "small": DEFAULT_CONFIG.with_(
         gshare_entries=256, gshare_history=6, btb_entries=32, btb_assoc=4,
         gskew_bank_entries=256, gskew_history=5, ftb_entries=32,
         ftb_assoc=4, stream_l1_entries=32, stream_l2_entries=64,

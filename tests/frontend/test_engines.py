@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.core.config import DEFAULT_CONFIG
 from repro.frontend.engine import EngineKind, make_engine
 from repro.frontend.gshare_btb import GShareBtbEngine
 from repro.frontend.gskew_ftb import GSkewFtbEngine
-from repro.frontend.request import FetchRequest
 from repro.frontend.stream_engine import StreamFetchEngine
 from repro.isa.instruction import BranchKind, DynInst, InstrClass, \
     StaticInstruction
@@ -27,25 +27,27 @@ def resolved_branch(engine_request, addr, kind, taken, target, seq=0):
 
 class TestMakeEngine:
     def test_all_kinds(self):
-        assert isinstance(make_engine(EngineKind.GSHARE_BTB, 2),
-                          GShareBtbEngine)
-        assert isinstance(make_engine("gskew+FTB", 2), GSkewFtbEngine)
-        assert isinstance(make_engine("stream", 2), StreamFetchEngine)
+        assert isinstance(make_engine(EngineKind.GSHARE_BTB, 2,
+                                      DEFAULT_CONFIG), GShareBtbEngine)
+        assert isinstance(make_engine("gskew+FTB", 2, DEFAULT_CONFIG),
+                          GSkewFtbEngine)
+        assert isinstance(make_engine("stream", 2, DEFAULT_CONFIG),
+                          StreamFetchEngine)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_engine("tage", 2)
+            make_engine("tage", 2, DEFAULT_CONFIG)
 
 
 class TestGShareBtbEngine:
     def test_cold_predict_sequential(self):
-        e = GShareBtbEngine(1)
+        e = GShareBtbEngine(1, DEFAULT_CONFIG)
         r = e.predict(0, 0x1000, 8)
         assert (r.start_pc, r.length, r.next_pc) == (0x1000, 8, 0x1020)
         assert not r.term_is_branch
 
     def test_block_ends_at_btb_hit(self):
-        e = GShareBtbEngine(1)
+        e = GShareBtbEngine(1, DEFAULT_CONFIG)
         req = e.predict(0, 0x1000, 8)
         di = resolved_branch(req, 0x100C, BranchKind.COND, True, 0x2000)
         e.resolve_branch(di)
@@ -56,7 +58,7 @@ class TestGShareBtbEngine:
         assert r.term_is_branch
 
     def test_jump_always_taken(self):
-        e = GShareBtbEngine(1)
+        e = GShareBtbEngine(1, DEFAULT_CONFIG)
         req = e.predict(0, 0x1000, 8)
         e.resolve_branch(resolved_branch(req, 0x1004, BranchKind.JUMP,
                                          True, 0x3000))
@@ -65,7 +67,7 @@ class TestGShareBtbEngine:
         assert r.next_pc == 0x3000
 
     def test_call_pushes_ras_and_ret_pops(self):
-        e = GShareBtbEngine(1)
+        e = GShareBtbEngine(1, DEFAULT_CONFIG)
         req = e.predict(0, 0x1000, 8)
         e.resolve_branch(resolved_branch(req, 0x1000, BranchKind.CALL,
                                          True, 0x5000))
@@ -77,7 +79,7 @@ class TestGShareBtbEngine:
         assert ret_req.next_pc == 0x1004      # from the RAS
 
     def test_repair_restores_history(self):
-        e = GShareBtbEngine(1)
+        e = GShareBtbEngine(1, DEFAULT_CONFIG)
         req = e.predict(0, 0x1000, 8)
         e.resolve_branch(resolved_branch(req, 0x1004, BranchKind.COND,
                                          True, 0x2000))
@@ -92,7 +94,7 @@ class TestGShareBtbEngine:
         assert e.ghr[0].value == ((before << 1) | 0) & ((1 << 16) - 1)
 
     def test_stats_keys(self):
-        e = GShareBtbEngine(1)
+        e = GShareBtbEngine(1, DEFAULT_CONFIG)
         e.predict(0, 0x1000, 8)
         s = e.stats()
         assert "direction_accuracy" in s
@@ -101,13 +103,13 @@ class TestGShareBtbEngine:
 
 class TestGSkewFtbEngine:
     def test_cold_predict_sequential(self):
-        e = GSkewFtbEngine(1)
+        e = GSkewFtbEngine(1, DEFAULT_CONFIG)
         r = e.predict(0, 0x1000, 16)
         assert r.length == 16
         assert not r.term_is_branch
 
     def test_taken_branch_allocates_block(self):
-        e = GSkewFtbEngine(1)
+        e = GSkewFtbEngine(1, DEFAULT_CONFIG)
         req = e.predict(0, 0x1000, 16)
         e.resolve_branch(resolved_branch(req, 0x1014, BranchKind.COND,
                                          True, 0x4000))
@@ -118,7 +120,7 @@ class TestGSkewFtbEngine:
         assert r.length == 6                  # 0x1000..0x1014
 
     def test_never_taken_branch_not_allocated(self):
-        e = GSkewFtbEngine(1)
+        e = GSkewFtbEngine(1, DEFAULT_CONFIG)
         req = e.predict(0, 0x1000, 16)
         e.resolve_branch(resolved_branch(req, 0x1008, BranchKind.COND,
                                          False, 0x4000))
@@ -126,7 +128,7 @@ class TestGSkewFtbEngine:
         assert not r.term_is_branch           # still a sequential block
 
     def test_embedded_branch_taking_shrinks_block(self):
-        e = GSkewFtbEngine(1)
+        e = GSkewFtbEngine(1, DEFAULT_CONFIG)
         req = e.predict(0, 0x1000, 16)
         e.resolve_branch(resolved_branch(req, 0x1014, BranchKind.COND,
                                          True, 0x4000))
@@ -137,7 +139,7 @@ class TestGSkewFtbEngine:
         assert r.length == 3                  # shrunk to 0x1008
 
     def test_stats_keys(self):
-        e = GSkewFtbEngine(1)
+        e = GSkewFtbEngine(1, DEFAULT_CONFIG)
         e.predict(0, 0x1000, 8)
         assert "ftb_hit_rate" in e.stats()
 
@@ -156,13 +158,13 @@ class TestStreamFetchEngine:
         engine.commit(term)
 
     def test_cold_predict_sequential(self):
-        e = StreamFetchEngine(1)
+        e = StreamFetchEngine(1, DEFAULT_CONFIG)
         r = e.predict(0, 0x1000, 16)
         assert r.length == 16
         assert not r.term_is_branch
 
     def test_committed_stream_predicts(self):
-        e = StreamFetchEngine(1)
+        e = StreamFetchEngine(1, DEFAULT_CONFIG)
         self._commit_stream(e, 0x1000, 20, BranchKind.COND, 0x8000)
         r = e.predict(0, 0x1000, 16)
         assert r.term_is_branch
@@ -170,7 +172,7 @@ class TestStreamFetchEngine:
         assert r.next_pc == 0x8000
 
     def test_ret_stream_uses_ras(self):
-        e = StreamFetchEngine(1)
+        e = StreamFetchEngine(1, DEFAULT_CONFIG)
         # Stream A ends in a call; stream B (callee) ends in a ret.
         self._commit_stream(e, 0x1000, 6, BranchKind.CALL, 0x7000)
         self._commit_stream(e, 0x7000, 4, BranchKind.RET, 0x1018)
@@ -180,7 +182,7 @@ class TestStreamFetchEngine:
         assert ret_req.next_pc == 0x1014 + 4  # RAS: call site + 4
 
     def test_repair_restores_dolc(self):
-        e = StreamFetchEngine(1)
+        e = StreamFetchEngine(1, DEFAULT_CONFIG)
         self._commit_stream(e, 0x1000, 8, BranchKind.COND, 0x9000)
         snap_before = e.dolc[0].snapshot()
         req = e.predict(0, 0x1000, 16)        # pushes path history
@@ -189,7 +191,7 @@ class TestStreamFetchEngine:
         assert e.dolc[0].snapshot() == snap_before
 
     def test_stats_keys(self):
-        e = StreamFetchEngine(1)
+        e = StreamFetchEngine(1, DEFAULT_CONFIG)
         e.predict(0, 0x1000, 8)
         s = e.stats()
         assert "stream_hit_rate" in s

@@ -8,31 +8,32 @@ recovery.
 
 import pytest
 
+from repro.core.config import DEFAULT_CONFIG
 from repro.frontend.engine import make_engine
 from repro.frontend.fetch_unit import FetchUnit
 from repro.frontend.policy import PolicySpec
-from repro.isa.instruction import BranchKind
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.program import program_for
 from repro.trace.context import ThreadContext
 
 
 def build_unit(engine_kind="gshare+BTB", policy="ICOUNT.1.8",
-               benchmarks=("gzip",), buffer_capacity=64):
+               benchmarks=("gzip",), buffer_capacity=64, **overrides):
+    """A fetch unit over the default machine, its fetch buffer resized
+    (and any other ``SimConfig`` field overridden)."""
+    config = DEFAULT_CONFIG.with_(fetch_buffer=buffer_capacity,
+                                  **overrides)
     contexts = [ThreadContext(program_for(name, 0), tid)
                 for tid, name in enumerate(benchmarks)]
     spec = PolicySpec.parse(policy)
-    engine = make_engine(engine_kind, len(contexts))
-    memory = MemoryHierarchy()
+    engine = make_engine(engine_kind, len(contexts), config)
+    memory = MemoryHierarchy(config)
     for ctx in contexts:
         program = ctx.program
         memory.warm_instruction_side(ctx.tid, program.entry_addr,
                                      program.entry_addr
                                      + program.code_bytes)
-    unit = FetchUnit(engine, spec, spec.make(len(contexts)),
-                     memory, contexts,
-                     icounts=[0] * len(contexts),
-                     fetch_buffer_capacity=buffer_capacity)
+    unit = FetchUnit(engine, spec, memory, contexts, config)
     return unit, contexts
 
 
@@ -140,7 +141,7 @@ class TestRedirect:
                 resume = contexts[0].recover()
                 unit.redirect(0, resume, pending)
                 assert unit.next_pc[0] == resume
-                assert unit.ftqs[0].empty
+                assert not unit.ftqs[0]
                 pending = None
                 resumed += 1
         assert resumed > 0
@@ -196,7 +197,7 @@ class TestRedirect:
         assert len(unit.fetch_buffer) == 0
         assert unit.next_pc[0] == resume
         assert unit.blocked_until[0] == 0
-        assert unit.ftqs[0].empty
+        assert not unit.ftqs[0]
         assert unit.stats.squash_redirects == redirects_before + 1
 
     def test_redirect_noop_leaves_other_threads_entries_untouched(self):

@@ -4,20 +4,28 @@ import re
 
 import pytest
 
-from repro.frontend.ftq import FetchTargetQueue
+from repro.core.config import DEFAULT_CONFIG
+from repro.frontend.engine import make_engine
+from repro.frontend.fetch_unit import FetchUnit
 from repro.frontend.policy import ICount, PolicySpec, RoundRobin
 from repro.frontend.request import FetchRequest
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.program import program_for
+from repro.trace.context import ThreadContext
+
+
+def build_unit(**overrides):
+    """A one-thread (gzip) fetch unit over the default machine, with
+    any ``SimConfig`` field overridden."""
+    config = DEFAULT_CONFIG.with_(**overrides)
+    ctx = ThreadContext(program_for("gzip", 0), 0)
+    unit = FetchUnit(make_engine("gshare+BTB", 1, config),
+                     PolicySpec.parse("ICOUNT.1.8"),
+                     MemoryHierarchy(config), [ctx], config)
+    return unit, ctx
 
 
 class TestFetchRequest:
-    def test_progress_tracking(self):
-        r = FetchRequest(0, 0x1000, 12, 0x2000)
-        assert r.remaining == 12
-        assert r.current_pc == 0x1000
-        r.consumed = 5
-        assert r.remaining == 7
-        assert r.current_pc == 0x1000 + 5 * 4
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FetchRequest(0, 0x1000, 0, 0x2000)
@@ -29,34 +37,58 @@ class TestFetchRequest:
 
 
 class TestFetchTargetQueue:
+    """Each thread's FTQ is a plain deque the fetch unit owns."""
+
     def test_fifo_order(self):
-        q = FetchTargetQueue(4)
-        a = FetchRequest(0, 0x1000, 4, 0x1010)
-        b = FetchRequest(0, 0x2000, 4, 0x2010)
-        q.push(a)
-        q.push(b)
-        assert q.head() is a
-        assert q.pop_head() is a
-        assert q.head() is b
+        unit, ctx = build_unit()
+        for cycle in range(3):
+            unit.predict_stage(cycle)
+        a, b, c = unit.ftqs[0]
+        assert a.start_pc == ctx.program.entry_addr
+        assert b.start_pc == a.next_pc
+        assert c.start_pc == b.next_pc
+        # The fetch stage drains the head request before the next one.
+        for cycle in range(3, 500):
+            if unit.ftqs[0][0] is not a:
+                break
+            unit.fetch_stage(cycle)
+        assert unit.ftqs[0][0] is b
+        fetched = list(unit.fetch_buffer)
+        assert len(fetched) == a.length
+        assert all(di.request is a for di in fetched)
+        assert fetched[0].pc == a.start_pc
 
     def test_capacity(self):
-        q = FetchTargetQueue(2)
-        q.push(FetchRequest(0, 0, 1, 4))
-        q.push(FetchRequest(0, 4, 1, 8))
-        assert q.full
-        with pytest.raises(OverflowError):
-            q.push(FetchRequest(0, 8, 1, 12))
+        unit, _ = build_unit(ftq_depth=2)
+        for cycle in range(10):
+            unit.predict_stage(cycle)
+        assert len(unit.ftqs[0]) == 2
+        assert unit.stats.predictions == 2
 
     def test_clear(self):
-        q = FetchTargetQueue(2)
-        q.push(FetchRequest(0, 0, 1, 4))
-        q.clear()
-        assert q.empty
-        assert len(q) == 0
+        # A squash empties the thread's FTQ, and prediction restarts at
+        # the resume PC.
+        unit, ctx = build_unit(fetch_buffer=4096)
+        target = None
+        for cycle in range(4000):
+            unit.fetch_stage(cycle)
+            unit.predict_stage(cycle)
+            target = next((di for di in unit.fetch_buffer if di.diverges),
+                          None)
+            if target is not None:
+                break
+        assert target is not None
+        assert unit.ftqs[0]
+        resume = ctx.recover()
+        unit.redirect(0, resume, target)
+        assert not unit.ftqs[0]
+        assert len(unit.ftqs[0]) == 0
+        unit.predict_stage(cycle + 1)
+        assert unit.ftqs[0][0].start_pc == resume
 
     def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            FetchTargetQueue(0)
+        with pytest.raises(ValueError, match="FTQ depth must be >= 1"):
+            build_unit(ftq_depth=0)
 
 
 class TestPolicySpec:

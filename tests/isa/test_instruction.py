@@ -3,12 +3,11 @@
 import pytest
 
 from repro.isa.instruction import (
-    INSTR_BYTES,
+    LATENCY_TABLE,
     BranchKind,
     DynInst,
     InstrClass,
     StaticInstruction,
-    execution_latency,
 )
 
 
@@ -18,10 +17,6 @@ def make_static(addr=0x1000, opclass=InstrClass.INT_ALU,
 
 
 class TestStaticInstruction:
-    def test_fall_addr(self):
-        s = make_static(addr=0x1000)
-        assert s.fall_addr == 0x1000 + INSTR_BYTES
-
     def test_is_branch(self):
         assert not make_static().is_branch
         branch = make_static(opclass=InstrClass.BRANCH,
@@ -43,13 +38,14 @@ class TestStaticInstruction:
 
 class TestExecutionLatency:
     def test_all_classes_have_latency(self):
+        assert len(LATENCY_TABLE) == len(InstrClass)
         for opclass in InstrClass:
-            assert execution_latency(opclass) >= 1
+            assert LATENCY_TABLE[opclass] >= 1
 
     def test_ordering(self):
-        assert (execution_latency(InstrClass.INT_ALU)
-                < execution_latency(InstrClass.INT_MUL)
-                <= execution_latency(InstrClass.FP_ALU))
+        assert (LATENCY_TABLE[InstrClass.INT_ALU]
+                < LATENCY_TABLE[InstrClass.INT_MUL]
+                <= LATENCY_TABLE[InstrClass.FP_ALU])
 
 
 class TestDynInst:
@@ -61,19 +57,6 @@ class TestDynInst:
         assert not d.diverges
         assert not d.issued and not d.completed and not d.squashed
         assert d.fetch_cycle == 11
-
-    def test_next_pc_actual_fallthrough(self):
-        d = DynInst(0, 0, make_static(addr=0x2000))
-        d.actual_taken = False
-        assert d.next_pc_actual() == 0x2000 + INSTR_BYTES
-
-    def test_next_pc_actual_taken(self):
-        d = DynInst(0, 0, make_static(addr=0x2000,
-                                      opclass=InstrClass.BRANCH,
-                                      kind=BranchKind.JUMP))
-        d.actual_taken = True
-        d.actual_target = 0x3000
-        assert d.next_pc_actual() == 0x3000
 
     def test_opclass_passthrough(self):
         d = DynInst(0, 0, make_static(opclass=InstrClass.LOAD))

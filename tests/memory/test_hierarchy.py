@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.core.config import DEFAULT_CONFIG
 from repro.memory.hierarchy import MemoryHierarchy
 
 
 @pytest.fixture
 def mem():
-    return MemoryHierarchy(l1_latency=1, l2_latency=10, memory_latency=100,
-                           dmshr_entries=2)
+    return MemoryHierarchy(DEFAULT_CONFIG.with_(
+        l1_latency=1, l2_latency=10, memory_latency=100, dmshr_entries=2))
 
 
 class TestIFetch:
@@ -84,7 +85,7 @@ class TestDWrite:
 
 class TestSharing:
     def test_threads_share_l2_capacity(self):
-        mem = MemoryHierarchy(l2_kb=64, l2_assoc=2)
+        mem = MemoryHierarchy(DEFAULT_CONFIG.with_(l2_kb=64, l2_assoc=2))
         # Thread 0 warms a line; thread 1 blows the set with its own.
         mem.dread(0, 0x1000, 0)
         set_stride = (64 * 1024 // 2 // 64) * 64   # L2 set stride

@@ -15,6 +15,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DEFAULT_CONFIG
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.mshr import MshrFile
@@ -25,6 +26,8 @@ L1_LATENCY, L2_LATENCY, MEMORY_LATENCY = 1, 10, 100
 SIZES = dict(l1i_kb=1, l1i_assoc=2, l1d_kb=1, l1d_assoc=2, l2_kb=4,
              l2_assoc=2, line_bytes=LINE, itlb_entries=4, dtlb_entries=4,
              dmshr_entries=2)
+CONFIG = DEFAULT_CONFIG.with_(l1_latency=L1_LATENCY, l2_latency=L2_LATENCY,
+                              memory_latency=MEMORY_LATENCY, **SIZES)
 
 
 class ReferenceHierarchy:
@@ -124,8 +127,7 @@ def state(mem) -> dict:
 
 def replay(accesses) -> MemoryHierarchy:
     """Run ``accesses`` on both models, comparing after each one."""
-    mem = MemoryHierarchy(l1_latency=L1_LATENCY, l2_latency=L2_LATENCY,
-                          memory_latency=MEMORY_LATENCY, **SIZES)
+    mem = MemoryHierarchy(CONFIG)
     ref = ReferenceHierarchy()
     cycle = 0
     for i, (kind, asid, addr, gap) in enumerate(accesses):
@@ -202,8 +204,7 @@ WARM = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(WARM, max_size=6))
 def test_warm_ups_match_component_reference(warm_ups):
-    mem = MemoryHierarchy(l1_latency=L1_LATENCY, l2_latency=L2_LATENCY,
-                          memory_latency=MEMORY_LATENCY, **SIZES)
+    mem = MemoryHierarchy(CONFIG)
     ref = ReferenceHierarchy()
     for kind, *args in warm_ups:
         getattr(mem, kind)(*args)

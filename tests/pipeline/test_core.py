@@ -80,8 +80,8 @@ class TestInvariants:
         allocated_fp = sum(
             1 for lst in core.rob.lists for di in lst
             if di.static.dest >= 0 and di.opclass.name == "FP_ALU")
-        total_int = core.params.int_regs - 32 * len(sim.contexts)
-        total_fp = core.params.fp_regs - 32 * len(sim.contexts)
+        total_int = core.config.int_regs - 32 * len(sim.contexts)
+        total_fp = core.config.fp_regs - 32 * len(sim.contexts)
         assert core.regs.free_int == total_int - allocated_int
         assert core.regs.free_fp == total_fp - allocated_fp
 

@@ -17,8 +17,8 @@ checks after each cycle that:
 * ``icounts[t]`` counts thread t's entries in the fetch buffer, both
   latches and the IQs;
 * ``rob.size`` is the total length of the per-thread ROB lists;
-* no queue, the shared ROB or a register pool holds more than its
-  capacity.
+* no queue, the shared ROB, a register pool or a thread's FTQ holds
+  more than its capacity.
 """
 
 import pytest
@@ -28,7 +28,8 @@ from repro.core.workloads import resolve_workload
 from repro.isa.instruction import InstrClass
 
 # 4_MEM fills the ROB and the IQs to capacity; 8_MIX, with 8 x 32
-# registers of each pool reserved, runs the rename pools dry.
+# registers of each pool reserved, runs the rename pools dry; every
+# case fills some thread's FTQ to its depth.
 WORKLOADS = ("2_ILP", "4_ILP", "4_MEM", "8_MIX")
 ENGINES = ("gshare+BTB", "gskew+FTB", "stream")
 POLICIES = ("ICOUNT.1.8", "ICOUNT.2.8", "ICOUNT.2.16")
@@ -40,12 +41,14 @@ FP = int(InstrClass.FP_ALU)
 
 def check(sim) -> None:
     core = sim.core
+    config = sim.config
     n = len(sim.contexts)
     rob_entries = [di for lst in core.rob.lists for di in lst]
     assert core.rob.size == len(rob_entries) <= core.rob.capacity
     assert all(len(queue) <= capacity for queue, capacity
                in zip(core.iqs.queues, core.iqs.capacity))
     assert core.regs.free_int >= 0 and core.regs.free_fp >= 0
+    assert all(len(ftq) <= config.ftq_depth for ftq in sim.fetch_unit.ftqs)
 
     queued = [di for queue in core.iqs.queues for di in queue]
     assert len(queued) == len(set(queued))
@@ -60,12 +63,11 @@ def check(sim) -> None:
         assert not any(producer is not None and producer.squashed
                        for producer in rmap.values())
 
-    params = core.params
     dests = [di for di in rob_entries if di.static.dest >= 0]
     fp_dests = sum(1 for di in dests if di.op == FP)
-    assert core.regs.free_fp + fp_dests == params.fp_regs - n * ARCH_REGS
+    assert core.regs.free_fp + fp_dests == config.fp_regs - n * ARCH_REGS
     assert core.regs.free_int + len(dests) - fp_dests \
-        == params.int_regs - n * ARCH_REGS
+        == config.int_regs - n * ARCH_REGS
 
     pre_issue = [0] * n
     for group in (sim.fetch_unit.fetch_buffer, core.decode_latch,

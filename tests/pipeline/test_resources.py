@@ -44,7 +44,7 @@ class TestQueueOf:
 
 class TestInstructionQueues:
     def test_remove_squashed_filters_by_thread_and_seq(self):
-        iqs = InstructionQueues()
+        iqs = InstructionQueues(32, 32, 32)
         keep_old = make_di(tid=0, seq=5)
         kill = make_di(tid=0, seq=9, opclass=InstrClass.LOAD)
         other = make_di(tid=1, seq=50)
@@ -61,7 +61,7 @@ class TestReadyListProtocol:
     """A squash keeps each ready list the ready subset of its queue."""
 
     def test_remove_squashed_clears_ready_list(self):
-        iqs = InstructionQueues()
+        iqs = InstructionQueues(32, 32, 32)
         di = make_di(tid=0, seq=5)
         dispatch(iqs, di)
         assert iqs.remove_squashed(tid=0, seq_limit=0) == 1

@@ -59,10 +59,6 @@ class TestProgram:
         assert program.instruction_count == 5
         assert program.code_bytes == 20
 
-    def test_static_branches_sorted(self):
-        branches = tiny_program().static_branches()
-        assert [b.addr for b in branches] == [0x1008, 0x1010]
-
     def test_validate_ok(self):
         tiny_program().validate()
 

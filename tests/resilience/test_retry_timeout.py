@@ -86,8 +86,8 @@ class TestCrashRecovery:
                            spool=tmp_path / "spool"):
             results, session = run_grid(tmp_path, "faulty", jobs=2,
                                         retries=1)
-        # 4 stripe slots + at least one re-execution after the crash:
-        # the accounting must show recovery work happened.
+        # 4 cells + at least one re-execution after the crash: the
+        # accounting must show recovery work happened.
         assert len(results) == 4
         assert session.simulated > 4
 
