@@ -18,24 +18,15 @@ import json
 from dataclasses import dataclass, fields, replace
 
 
-CONFIG_SCHEMA_VERSION = 2
-"""Version of the fingerprint/result schema, hashed into every
-:meth:`SimConfig.fingerprint`.
-
-Bump it when the meaning of a cached result changes without any config
-field changing — a new ``SimResult`` field, a semantic fix in a
-simulated component, or a change to what a backend computes — so
-entries written under the old semantics miss instead of deserialising
-stale dicts.  Version 2: backend-aware configs (the ``backend`` field
-and the pluggable :mod:`repro.backend` layer)."""
-
-
 def canonical_hash(data) -> str:
     """SHA-256 of a canonical (sorted-key, compact) JSON rendering.
 
-    The one hashing scheme behind every content key in the repo:
-    :meth:`SimConfig.fingerprint` and the experiment cache's cell keys
-    both go through here, so they can never drift apart.
+    The one hashing scheme behind every content key in the repo: cell
+    keys (:func:`repro.campaign.cells.cell_key`) and campaign ids both
+    go through here, so they can never drift apart.  A cell's
+    descriptor carries every config field and ``CACHE_FORMAT_VERSION``,
+    so a change to what a cached result means bumps that version and
+    every stale entry misses.
     """
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -130,20 +121,6 @@ class SimConfig:
             raise ValueError(
                 f"unknown SimConfig fields: {', '.join(sorted(unknown))}")
         return cls(**data)
-
-    def fingerprint(self) -> str:
-        """Content hash of every configuration field.
-
-        Two configs with equal field values — regardless of object
-        identity or construction order — produce the same fingerprint,
-        making it safe as a persistent cache key component (unlike
-        ``id()``, which CPython reuses after garbage collection).
-
-        ``CONFIG_SCHEMA_VERSION`` participates in the hash, so a bump
-        invalidates every previously-written cache entry at once.
-        """
-        return canonical_hash({"schema": CONFIG_SCHEMA_VERSION,
-                               "config": self.to_dict()})
 
 
 DEFAULT_CONFIG = SimConfig()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from repro.isa.instruction import DynInst
+from repro.isa.instruction import INSTR_BYTES, BranchKind, DynInst
 
 if TYPE_CHECKING:
     from repro.core.config import SimConfig
@@ -74,6 +74,39 @@ class FetchEngine:
         activity never leaks into measured results.
         """
         raise NotImplementedError
+
+
+class GlobalHistoryEngine(FetchEngine):
+    """A single-prediction engine over a per-thread GHR and RAS.
+
+    The gshare+BTB and gskew+FTB engines share this recovery and train
+    nothing at commit.  A subclass sets ``self.ghr`` and ``self.ras``,
+    one :class:`~repro.branch.history.GlobalHistory` and one
+    :class:`~repro.branch.ras.ReturnAddressStack` per thread.
+    """
+
+    commit_training = False     # commit() below is a no-op
+
+    def commit(self, di: DynInst) -> None:
+        """No commit-side training for this engine."""
+
+    def repair(self, tid: int, di: DynInst) -> None:
+        """Restore GHR and RAS, then re-apply ``di``'s own effect."""
+        request = di.request
+        if request is None:
+            return
+        ghr = self.ghr[tid]
+        ras = self.ras[tid]
+        if request.ghr_ckpt is not None:
+            ghr.restore(request.ghr_ckpt)
+        if di.static.kind == BranchKind.COND:
+            ghr.push(di.actual_taken)
+        if request.ras_ckpt is not None:
+            ras.restore(request.ras_ckpt)
+        if di.static.kind == BranchKind.CALL:
+            ras.push(di.pc + INSTR_BYTES)
+        elif di.static.kind == BranchKind.RET:
+            ras.pop()
 
 
 def make_engine(kind: EngineKind | str, n_threads: int,

@@ -58,9 +58,8 @@ class FetchStats:
     """Counters the paper's fetch-side metrics are computed from."""
 
     __slots__ = ("fetch_cycles", "fetched_instructions", "predictions",
-                 "bank_conflicts", "icache_miss_blocks", "wrong_path_fetched",
-                 "delivered_histogram", "squash_redirects",
-                 "decode_redirects")
+                 "bank_conflicts", "wrong_path_fetched",
+                 "delivered_histogram")
 
     def __init__(self, max_width: int = 32) -> None:
         self.delivered_histogram = [0] * (max_width + 1)
@@ -72,12 +71,9 @@ class FetchStats:
         self.fetched_instructions = 0
         self.predictions = 0
         self.bank_conflicts = 0
-        self.icache_miss_blocks = 0
         self.wrong_path_fetched = 0
         histogram = self.delivered_histogram
         histogram[:] = [0] * len(histogram)
-        self.squash_redirects = 0
-        self.decode_redirects = 0
 
     @property
     def ipfc(self) -> float:
@@ -164,7 +160,7 @@ class FetchUnit:
         policy_order = self.policy.order
         engine_predict = self.engine.predict
         ifetch = self.memory.ifetch
-        bank_of = self.memory.l1i.bank_of     # == MemoryHierarchy.ibank_of
+        bank_of = self.memory.l1i.bank_of
         # Per-thread architectural structures (identity-stable).
         instr_gets = [ctx.program._instr_map.get for ctx in contexts]
         counts_list = [ctx._counts for ctx in contexts]
@@ -248,7 +244,6 @@ class FetchUnit:
                 attempted = True
                 if not access.hit:
                     blocked_until[tid] = access.ready_cycle
-                    stats.icache_miss_blocks += 1
                     continue
                 to_line_end = line_instrs - ((pc >> 2) & line_mask)
                 count = request.length - consumed
@@ -307,7 +302,6 @@ class FetchUnit:
                     di.issued = False
                     di.completed = False
                     di.squashed = False
-                    di.fetch_cycle = cycle
                     seq += 1
                     kind = static.kind  # truthy exactly for branches
                     mg = static.memgen
@@ -428,8 +422,7 @@ class FetchUnit:
     # squash recovery (cold path)
     # ------------------------------------------------------------------
 
-    def redirect(self, tid: int, resume_pc: int, di: DynInst,
-                 at_decode: bool = False) -> None:
+    def redirect(self, tid: int, resume_pc: int, di: DynInst) -> None:
         """Restart thread ``tid`` at the architectural PC after a squash.
 
         Clears the FTQ and any fetch-buffer remnants of the thread,
@@ -456,7 +449,3 @@ class FetchUnit:
                 fetch_buffer.clear()
                 fetch_buffer.extend(kept)
                 self.icounts[tid] -= removed
-        if at_decode:
-            self.stats.decode_redirects += 1
-        else:
-            self.stats.squash_redirects += 1

@@ -15,7 +15,7 @@ from repro.branch.ftb import FTB, MAX_FTB_BLOCK, FTBEntry
 from repro.branch.gskew import _HIST_MULT, _PC_MULT, GSkew
 from repro.branch.history import GlobalHistory
 from repro.branch.ras import ReturnAddressStack
-from repro.frontend.engine import FetchEngine
+from repro.frontend.engine import GlobalHistoryEngine
 from repro.frontend.request import FetchRequest
 from repro.isa.instruction import INSTR_BYTES, BranchKind, DynInst
 
@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from repro.core.config import SimConfig
 
 
-class GSkewFtbEngine(FetchEngine):
+class GSkewFtbEngine(GlobalHistoryEngine):
     """gskew (3x32K) + FTB (2K, 4-way) + per-thread RAS.
 
     Table 3 gives gskew 15 bits of global history; the default here is
@@ -31,7 +31,6 @@ class GSkewFtbEngine(FetchEngine):
     """
 
     name = "gskew+FTB"
-    commit_training = False     # commit() below is a no-op
 
     def __init__(self, n_threads: int, config: SimConfig) -> None:
         self.n_threads = n_threads
@@ -196,27 +195,6 @@ class GSkewFtbEngine(FetchEngine):
 
         self.predict = predict
         self.resolve_branch = resolve_branch
-
-    def commit(self, di: DynInst) -> None:
-        """No commit-side training for this engine."""
-
-    def repair(self, tid: int, di: DynInst) -> None:
-        """Restore GHR and RAS, then re-apply ``di``'s own effect."""
-        request = di.request
-        if request is None:
-            return
-        ghr = self.ghr[tid]
-        ras = self.ras[tid]
-        if request.ghr_ckpt is not None:
-            ghr.restore(request.ghr_ckpt)
-        if di.static.kind == BranchKind.COND:
-            ghr.push(di.actual_taken)
-        if request.ras_ckpt is not None:
-            ras.restore(request.ras_ckpt)
-        if di.static.kind == BranchKind.CALL:
-            ras.push(di.pc + INSTR_BYTES)
-        elif di.static.kind == BranchKind.RET:
-            ras.pop()
 
     def stats(self) -> dict[str, float]:
         """Direction accuracy and FTB hit rate."""

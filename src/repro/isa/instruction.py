@@ -143,13 +143,13 @@ class DynInst:
                  "actual_taken", "actual_target", "diverges",
                  "resolve_at_decode", "mem_addr", "request",
                  "pending", "waiters", "age",
-                 "issued", "completed", "squashed", "fetch_cycle")
+                 "issued", "completed", "squashed")
 
     # NOTE: the fetch unit's `fetch_stage` closure inlines this
     # constructor (repro/frontend/fetch_unit.py) — keep the two field
     # lists in sync when adding or removing slots.
-    def __init__(self, tid: int, seq: int, static: StaticInstruction,
-                 fetch_cycle: int = 0) -> None:
+    def __init__(self, tid: int, seq: int,
+                 static: StaticInstruction) -> None:
         self.tid = tid
         self.seq = seq
         self.static = static
@@ -169,7 +169,6 @@ class DynInst:
         self.issued = False
         self.completed = False
         self.squashed = False
-        self.fetch_cycle = fetch_cycle
 
     @property
     def pc(self) -> int:

@@ -62,6 +62,11 @@ class MemoryHierarchy:
         self.itlb = Tlb(config.itlb_entries)
         self.dtlb = Tlb(config.dtlb_entries)
         self.dmshr = MshrFile(config.dmshr_entries)
+        self.max_dread_latency = self.dtlb.miss_penalty + max(
+            config.l1_latency, config.l2_latency + config.memory_latency)
+        """The longest latency ``dread`` can return: a D-TLB walk plus
+        the larger of an L1 hit and an L2 miss to memory.  A coalesced
+        load waits no longer than the miss it joins."""
         self._build_fast_paths(config)
 
     def _build_fast_paths(self, config: SimConfig) -> None:
@@ -350,10 +355,6 @@ class MemoryHierarchy:
         self.ifetch = ifetch
         self.dread = dread
         self.dwrite = dwrite
-
-    def ibank_of(self, addr: int, asid: int = 0) -> int:
-        """I-cache bank servicing ``addr`` (for 2.X conflict logic)."""
-        return self.l1i.bank_of(addr, asid)
 
     def warm_instruction_side(self, asid: int, start_addr: int,
                               end_addr: int) -> None:

@@ -8,7 +8,8 @@ behaviour-preserving.  This module pins that contract: a fixed grid of
 not just IPC — is rendered to canonical JSON and compared byte-for-byte
 against a committed fixture (``tests/perf/golden_parity.json``).
 
-The cells run on the one backend, ``reference`` (see
+A cell may override config fields; the overrides are part of its
+label.  The cells run on the one backend, ``reference`` (see
 :mod:`repro.backend`).  Check the simulator against the committed
 fixture with::
 
@@ -35,37 +36,44 @@ from repro.core.simulator import simulate
 PARITY_CYCLES = 1_200
 PARITY_WARMUP = 600
 
-PARITY_CELLS: tuple[tuple[str, str, str, int], ...] = tuple(
-    (workload, engine, policy, 0)
+Overrides = tuple[tuple[str, int], ...]
+"""``(SimConfig field, value)`` pairs a cell sets on top of its seed."""
+
+PARITY_CELLS: tuple[tuple[str, str, str, int, Overrides], ...] = tuple(
+    (workload, engine, policy, 0, ())
     for workload in ("2_MIX", "4_MIX")
     for engine in ("gshare+BTB", "gskew+FTB", "stream")
     for policy in ("ICOUNT.1.8", "ICOUNT.2.8")
 ) + (
     # Seed sensitivity: different programs, same machine.
-    ("2_ILP", "stream", "ICOUNT.2.8", 1),
-    ("4_MEM", "gshare+BTB", "ICOUNT.2.8", 1),
+    ("2_ILP", "stream", "ICOUNT.2.8", 1, ()),
+    ("4_MEM", "gshare+BTB", "ICOUNT.2.8", 1, ()),
     # RR exercises the non-ICOUNT ordering path.
-    ("2_MIX", "stream", "RR.2.8", 0),
+    ("2_MIX", "stream", "RR.2.8", 0, ()),
+    # A load that misses the D-TLB and L2 completes 641 cycles after
+    # issue, past the default machine's 256-cycle event wheel.
+    ("4_MEM", "stream", "ICOUNT.2.8", 0, (("memory_latency", 600),)),
 )
 """The pinned grid: both fetch generations, all engines, 2/4 threads."""
 
 
-def parity_label(workload: str, engine: str, policy: str,
-                 seed: int) -> str:
+def parity_label(workload: str, engine: str, policy: str, seed: int,
+                 overrides: Overrides) -> str:
     """Stable fixture key for one cell."""
-    return f"{workload}/{engine}/{policy}/seed{seed}"
+    return f"{workload}/{engine}/{policy}/seed{seed}" + "".join(
+        f"/{name}={value}" for name, value in overrides)
 
 
 def collect_parity(cells=PARITY_CELLS, cycles: int = PARITY_CYCLES,
                    warmup: int = PARITY_WARMUP) -> dict[str, dict]:
     """Simulate every pinned cell; returns {label: SimResult.to_dict()}."""
     results: dict[str, dict] = {}
-    for workload, engine, policy, seed in cells:
-        config = SimConfig(seed=seed)
+    for workload, engine, policy, seed, overrides in cells:
+        config = SimConfig(seed=seed, **dict(overrides))
         result = simulate(workload, engine=engine, policy=policy,
                           cycles=cycles, config=config, warmup=warmup)
-        results[parity_label(workload, engine, policy, seed)] = \
-            result.to_dict()
+        results[parity_label(workload, engine, policy, seed,
+                             overrides)] = result.to_dict()
     return results
 
 

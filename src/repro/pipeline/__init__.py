@@ -15,14 +15,12 @@ low-quality thread can *reduce* total commit throughput).
 
 from repro.pipeline.core import SmtCore
 from repro.pipeline.resources import (
-    FunctionalUnits,
     InstructionQueues,
     PhysicalRegisters,
     ReorderBuffer,
 )
 
 __all__ = [
-    "FunctionalUnits",
     "InstructionQueues",
     "PhysicalRegisters",
     "ReorderBuffer",

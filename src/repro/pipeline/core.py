@@ -19,13 +19,18 @@ plus queued ones, per Tullsen's definition as used by the paper.
 
 Hot-path design (this loop dominates every experiment's wall-clock):
 
-* **Event-wheel writeback** — in-flight completions live in a
-  fixed-size wheel of per-cycle buckets indexed by ``cycle & mask``
-  instead of a dict keyed by absolute cycle.  The issue stage inserts
-  each instruction seq-ordered into its bucket (cheap: buckets hold a
-  handful of entries), so writeback drains an already-sorted list with
-  no per-cycle ``sort``.  Latencies beyond the wheel span (possible
-  only through MSHR queuing) spill to an overflow dict.
+* **Event-wheel writeback** — in-flight completions live in a wheel
+  of per-cycle buckets indexed by ``cycle & mask`` instead of a dict
+  keyed by absolute cycle.  The issue stage inserts each instruction
+  seq-ordered into its bucket (cheap: buckets hold a handful of
+  entries), so writeback drains an already-sorted list with no
+  per-cycle ``sort``.  The wheel spans the first power of two above
+  the longest latency issue can charge: the slowest opclass, or a
+  load's address generation plus the longest data access
+  (:attr:`MemoryHierarchy.max_dread_latency`; a load that finds every
+  MSHR busy replays instead of queuing).  Every completion therefore
+  lands less than one span ahead, so each bucket holds exactly the
+  completions due at the cycle that reads it.
 * **Ready-count wakeup** — every dispatched instruction carries the
   count of its uncompleted producers (``DynInst.pending``); completing
   instructions decrement their registered ``waiters`` and hand newly
@@ -58,12 +63,13 @@ Hot-path design (this loop dominates every experiment's wall-clock):
     appends only uncompleted instructions and squashes only trim ROB
     tails.
   - *Dispatch* remembers the stall count of a scan that dispatched
-    nothing, together with ``rob.size``, the three IQ lengths and
-    both free-register counts.  While none of those six numbers
-    changed and the rename latch did not move (the rename stage
-    moving entries in, a squash, or a dispatching scan), the next
-    scan would stall the same entries, so only its stall count is
-    added to ``stats.dispatch_stalls``.
+    nothing and clears ``rescan``.  The scan's outcome depends only
+    on the rename latch, ``rob.size``, the three IQ lengths and the
+    two free-register counts, and those change only when a stage
+    commits, issues, squashes, dispatches or renames; each of those
+    sets ``rescan``.  While it is clear, the next scan would stall the
+    same entries, so only its stall count is added to
+    ``stats.dispatch_stalls``.
 
   Both states are locals of one ``run_fast`` call, so every call (and
   every ``tick()``) starts without them.
@@ -100,22 +106,15 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.frontend.fetch_unit import FetchUnit
 from repro.isa.instruction import LATENCY_TABLE, DynInst, InstrClass
-from repro.pipeline.resources import QUEUE_TABLE, FunctionalUnits, \
-    InstructionQueues, PhysicalRegisters, ReorderBuffer
+from repro.pipeline.resources import QUEUE_TABLE, InstructionQueues, \
+    PhysicalRegisters, ReorderBuffer
 
 if TYPE_CHECKING:
     from repro.core.config import SimConfig
-
-_WHEEL_SIZE = 512
-"""Event-wheel span in cycles (power of two; > L1+L2+memory+TLB-walk
-latency, so only MSHR-queued stragglers ever reach the overflow dict)."""
-
-_SEQ_KEY = attrgetter("seq")
 
 
 class DeadlockError(RuntimeError):
@@ -187,21 +186,18 @@ class SmtCore:
                                      config.iq_fp)
         self.rob = ReorderBuffer(n, config.rob_entries)
         self.regs = PhysicalRegisters(n, config.int_regs, config.fp_regs)
-        self.fus = FunctionalUnits(config.int_units, config.ldst_units,
-                                   config.fp_units)
         self.decode_latch: list[DynInst] = []
         self.rename_latch: list[DynInst] = []
         self.rename_map: list[dict[int, DynInst | None]] = \
             [dict() for _ in range(n)]
         # Event wheel: bucket b holds the instructions completing at the
-        # cycle whose low bits are b, each bucket seq-ordered.
+        # cycle whose low bits are b, each bucket seq-ordered.  It spans
+        # the first power of two above the longest latency issue can
+        # charge (see the module docstring).
+        longest = max(max(LATENCY_TABLE), LATENCY_TABLE[InstrClass.LOAD]
+                      + self.memory.max_dread_latency)
         self._wheel: list[list[DynInst]] = \
-            [[] for _ in range(_WHEEL_SIZE)]
-        self._wheel_mask = _WHEEL_SIZE - 1
-        self._overflow: dict[int, list[DynInst]] = {}
-        # Scratch buffers reused every cycle (never reallocated).
-        self._kept_scratch: list[DynInst] = []
-        self._issued_scratch: list[int] = []
+            [[] for _ in range(1 << longest.bit_length())]
         self.cycle = 0
         self._age = 0
         self._last_commit_cycle = 0
@@ -216,10 +212,9 @@ class SmtCore:
     # driver
     # ------------------------------------------------------------------
 
-    def run(self, max_cycles: int,
-            max_instructions: int | None = None) -> CoreStats:
-        """Simulate until a cycle or committed-instruction budget."""
-        self._run_fast(max_cycles, max_instructions)
+    def run(self, max_cycles: int) -> CoreStats:
+        """Simulate ``max_cycles`` cycles."""
+        self._run_fast(max_cycles)
         return self.stats
 
     # ------------------------------------------------------------------
@@ -255,17 +250,16 @@ class SmtCore:
         q0, q1, q2 = queues
         iq_caps = iqs.capacity
         ready_lists = iqs.ready
-        fu_counts = self.fus.counts
-        fu_free = self.fus._free
+        fu_counts = (config.int_units, config.ldst_units, config.fp_units)
         wheel = self._wheel
-        wheel_mask = self._wheel_mask
-        overflow = self._overflow
+        wheel_mask = len(wheel) - 1
         icounts = self.icounts
         rename_map = self.rename_map
         decode_latch = self.decode_latch
         rename_latch = self.rename_latch
-        kept_scratch = self._kept_scratch
-        issued_scratch = self._issued_scratch
+        # Scratch buffers reused every cycle (never reallocated).
+        kept_scratch: list[DynInst] = []
+        issued_scratch: list[int] = []
         contexts = self.contexts
         redirect = self.fetch_unit.redirect
         engine_resolve = self.engine.resolve_branch
@@ -287,8 +281,7 @@ class SmtCore:
         op_fp = int(InstrClass.FP_ALU)
         thread_range = range(n_threads)
 
-        def run_fast(max_cycles: int,
-                     max_instructions: int | None = None) -> None:
+        def run_fast(max_cycles: int) -> None:
             """Run the whole cycle loop for up to ``max_cycles``.
 
             All six back-end stages are fused inline: at steady state
@@ -319,14 +312,9 @@ class SmtCore:
             # in this call, so a ``tick()`` never inherits a skip.
             commit_stuck = False
             rescan = True
-            stall_rob = stall_q0 = stall_q1 = stall_q2 = 0
-            stall_int = stall_fp = stall_count = 0
+            stall_count = 0
             try:
                 while cycle < target:
-                    if max_instructions is not None \
-                            and stat_committed >= max_instructions:
-                        break
-
                     # ---------------- commit stage ----------------
                     # Skipped while stuck: after a commit that committed
                     # nothing, only writeback completing a ROB head can
@@ -369,23 +357,12 @@ class SmtCore:
                             rob.size -= committed
                             stat_committed += committed
                             last_commit = cycle
+                            rescan = True
                         else:
                             commit_stuck = True
 
                     # ---------------- writeback stage ----------------
                     done = wheel[cycle & wheel_mask]
-                    if overflow:
-                        spilled = overflow.pop(cycle, None)
-                        if spilled:
-                            # Rare (latency beyond the wheel span): merge and
-                            # re-sort.  Spills predate every wheel insertion
-                            # for this cycle, so a stable sort of
-                            # (spilled + bucket) reproduces the old
-                            # insertion-ordered sort exactly.
-                            spilled.extend(done)
-                            spilled.sort(key=_SEQ_KEY)
-                            done = spilled
-                            wheel[cycle & wheel_mask] = []
                     if done:
                         for di in done:
                             if di.squashed:
@@ -423,8 +400,6 @@ class SmtCore:
                         del done[:]
 
                     # ---------------- issue stage ----------------
-                    # Every functional unit is free again.
-                    fu_free[0], fu_free[1], fu_free[2] = fu_counts
                     budget = issue_width
                     issued_total = 0
                     for q in (0, 1, 2):
@@ -433,7 +408,7 @@ class SmtCore:
                         ready = ready_lists[q]
                         if not ready:
                             continue
-                        nfree = fu_free[q]
+                        nfree = fu_counts[q]    # every unit free again
                         queue = queues[q]
                         del issued_scratch[:]
                         # Ready lists are age-ordered by construction
@@ -458,28 +433,25 @@ class SmtCore:
                             # Full bypass network: results forward to
                             # dependents at `latency`; the register-read
                             # stage affects refill depth, not chains.
-                            ready_at = cycle + latency
-                            if latency < _WHEEL_SIZE:
-                                bucket = wheel[ready_at & wheel_mask]
-                                seq = di.seq
-                                if bucket and bucket[-1].seq > seq:
-                                    # Keep the bucket seq-ordered (right
-                                    # insertion matches the old stable sort).
-                                    i = len(bucket) - 1
-                                    while i >= 0 and bucket[i].seq > seq:
-                                        i -= 1
-                                    bucket.insert(i + 1, di)
-                                else:
-                                    bucket.append(di)
+                            bucket = wheel[(cycle + latency) & wheel_mask]
+                            seq = di.seq
+                            if bucket and bucket[-1].seq > seq:
+                                # Keep the bucket seq-ordered (right
+                                # insertion keeps equal seqs, which
+                                # different threads share, in issue
+                                # order).
+                                i = len(bucket) - 1
+                                while i >= 0 and bucket[i].seq > seq:
+                                    i -= 1
+                                bucket.insert(i + 1, di)
                             else:
-                                overflow.setdefault(ready_at, []).append(di)
+                                bucket.append(di)
                             icounts[di.tid] -= 1
                             del queue[di]
                             iq_total -= 1
                             issued_scratch.append(pos)
                             budget -= 1
                             issued_total += 1
-                        fu_free[q] = nfree
                         m = len(issued_scratch)
                         if m:
                             if issued_scratch[m - 1] == m - 1:
@@ -491,6 +463,7 @@ class SmtCore:
                                     ready.pop(pos)
                     if issued_total:
                         stat_issued += issued_total
+                        rescan = True
 
                     # ---------------- dispatch stage ----------------
                     # Rename-latch to IQ/ROB, in order *per thread*: a thread
@@ -501,17 +474,12 @@ class SmtCore:
                     #
                     # A scan that dispatches nothing depends only on the
                     # latch, rob.size, the three IQ lengths and the two
-                    # free-register counts.  Until one of them changes
-                    # (the latch moves only at rename and squash) a
-                    # rescan would stall the same entries again, so its
-                    # stall count is added without the scan.
+                    # free-register counts.  Until a stage that moves one
+                    # of them sets `rescan`, a rescan would stall the
+                    # same entries again, so its stall count is added
+                    # without the scan.
                     latch = rename_latch
-                    if latch and not rescan and rob.size == stall_rob \
-                            and len(q0) == stall_q0 \
-                            and len(q1) == stall_q1 \
-                            and len(q2) == stall_q2 \
-                            and regs.free_int == stall_int \
-                            and regs.free_fp == stall_fp:
+                    if latch and not rescan:
                         stats.dispatch_stalls += stall_count
                     elif latch:
                         blocked = 0             # bitmask of stalled threads
@@ -599,12 +567,6 @@ class SmtCore:
                             # Nothing moved: `kept` is the latch, unchanged.
                             del kept[:]
                             rescan = False
-                            stall_rob = rob_size
-                            stall_q0 = len(q0)
-                            stall_q1 = len(q1)
-                            stall_q2 = len(q2)
-                            stall_int = regs.free_int
-                            stall_fp = regs.free_fp
                             stall_count = stalls
 
                     # ---------------- rename stage ----------------
@@ -744,6 +706,6 @@ class SmtCore:
         removed = self.iqs.remove_squashed(tid, di.seq)
         assert removed == 0, "younger instructions cannot be in the IQ"
         resume = self.contexts[tid].recover()
-        self.fetch_unit.redirect(tid, resume, di, at_decode=True)
+        self.fetch_unit.redirect(tid, resume, di)
         di.diverges = False             # recovery handled
         self.stats.decode_redirects += 1

@@ -1,4 +1,4 @@
-"""Shared execution resources: queues, registers, ROB, functional units.
+"""Shared execution resources: queues, registers, ROB.
 
 These are deliberately simple occupancy models — the simulation cares
 about *when structures fill up and who is occupying them*, which is the
@@ -122,13 +122,3 @@ class ReorderBuffer:
             [deque() for _ in range(n_threads)]
         self.size = 0
 
-
-class FunctionalUnits:
-    """Per-cycle functional-unit availability (Table 3: 6 int, 4 ld/st, 3 fp)."""
-
-    __slots__ = ("counts", "_free")
-
-    def __init__(self, int_units: int, ldst_units: int,
-                 fp_units: int) -> None:
-        self.counts = (int_units, ldst_units, fp_units)
-        self._free = [0, 0, 0]

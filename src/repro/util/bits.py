@@ -15,11 +15,6 @@ MIX2 = 0x94D049BB133111EB
 MIX_SEED = 0x243F6A8885A308D3
 """pi fractional bits; the (arbitrary, non-zero) fold start of mix64."""
 
-# Backwards-compatible aliases (pre-existing private spellings).
-_GAMMA = GAMMA
-_MIX1 = MIX1
-_MIX2 = MIX2
-
 
 def splitmix64(x: int) -> int:
     """Return the splitmix64 hash of ``x`` (a 64-bit avalanche function)."""

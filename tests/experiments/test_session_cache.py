@@ -19,20 +19,7 @@ def fast_session(**kwargs) -> ExperimentSession:
     return ExperimentSession(cycles=400, warmup=200, **kwargs)
 
 
-class TestConfigFingerprint:
-    def test_equal_content_equal_fingerprint(self):
-        a = SimConfig(seed=3, l2_kb=512)
-        b = SimConfig(seed=3, l2_kb=512)
-        assert a is not b
-        assert a.fingerprint() == b.fingerprint()
-
-    def test_any_field_changes_fingerprint(self):
-        base = SimConfig()
-        assert base.fingerprint() != base.with_(seed=1).fingerprint()
-        assert base.fingerprint() != base.with_(l2_kb=512).fingerprint()
-        assert base.fingerprint() != \
-            base.with_(warmup_cycles=1).fingerprint()
-
+class TestConfigDict:
     def test_round_trip_dict(self):
         cfg = SimConfig(seed=7, ftq_depth=2)
         assert SimConfig.from_dict(cfg.to_dict()) == cfg
@@ -76,8 +63,10 @@ class TestCellKey:
     def test_differing_configs_differ(self):
         base = cell_key("2_MIX", "stream", "ICOUNT.1.8", 400, 200,
                         SimConfig())
-        assert base != cell_key("2_MIX", "stream", "ICOUNT.1.8", 400, 200,
-                                SimConfig(seed=1))
+        for config in (SimConfig(seed=1), SimConfig(l2_kb=512),
+                       SimConfig(warmup_cycles=1)):
+            assert base != cell_key("2_MIX", "stream", "ICOUNT.1.8", 400,
+                                    200, config)
         assert base != cell_key("2_MIX", "stream", "ICOUNT.1.8", 401, 200,
                                 SimConfig())
         assert base != cell_key("2_MIX", "stream", "ICOUNT.1.8", 400, 201,
@@ -93,6 +82,25 @@ class TestCellKey:
         assert k1 == k2
         assert k1 != cell_key(("twolf", "gzip"), "stream", "ICOUNT.1.8",
                               400, 200, DEFAULT_CONFIG)
+
+    def test_cache_format_version_bump_changes_every_key(self,
+                                                         monkeypatch):
+        # Cell keys are the only cache keys: a results-changing release
+        # bumps CACHE_FORMAT_VERSION, and no key may survive it.
+        import repro.campaign.cells as cells_module
+        cells = [(workload, engine, policy, cycles, warmup, config)
+                 for workload in ("2_MIX", ("gzip", "twolf"))
+                 for engine, policy in (("stream", "ICOUNT.1.8"),
+                                        ("gshare+BTB", "ICOUNT.2.8"))
+                 for cycles, warmup in ((400, 200), (1200, 600))
+                 for config in (DEFAULT_CONFIG, SimConfig(seed=1))]
+        before = {cell_key(*cell) for cell in cells}
+        assert len(before) == len(cells)
+        monkeypatch.setattr(cells_module, "CACHE_FORMAT_VERSION",
+                            cells_module.CACHE_FORMAT_VERSION + 1)
+        after = {cell_key(*cell) for cell in cells}
+        assert len(after) == len(cells)
+        assert not before & after
 
 
 class TestResultCache:
@@ -177,13 +185,6 @@ class TestCacheSchemaVersion:
         assert cache.get(key) is not None
         monkeypatch.setattr(cache_module, "RESULT_SCHEMA_VERSION", 999)
         assert cache.get(key) is None
-
-    def test_config_schema_version_participates_in_fingerprint(
-            self, monkeypatch):
-        import repro.core.config as config_module
-        before = SimConfig().fingerprint()
-        monkeypatch.setattr(config_module, "CONFIG_SCHEMA_VERSION", 999)
-        assert SimConfig().fingerprint() != before
 
 
 class TestCacheMaintenance:

@@ -50,13 +50,12 @@ class TestExecutionLatency:
 
 class TestDynInst:
     def test_initial_state(self):
-        d = DynInst(tid=2, seq=7, static=make_static(), fetch_cycle=11)
+        d = DynInst(tid=2, seq=7, static=make_static())
         assert d.tid == 2
         assert d.seq == 7
         assert d.on_correct_path
         assert not d.diverges
         assert not d.issued and not d.completed and not d.squashed
-        assert d.fetch_cycle == 11
 
     def test_opclass_passthrough(self):
         d = DynInst(0, 0, make_static(opclass=InstrClass.LOAD))

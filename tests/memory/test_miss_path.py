@@ -7,7 +7,8 @@ component API (``Tlb.access``, ``Cache.probe``/``fill``,
 ``MshrFile.request``) and both run on a tiny hierarchy where evictions,
 TLB misses, MSHR rejections and coalescing all occur.  After every
 access the return value, every counter and all cache, TLB and MSHR
-contents must agree.
+contents must agree, and no ``dread`` latency may exceed the bound the
+hierarchy states (the core sizes its event wheel from it).
 """
 
 import random
@@ -125,20 +126,27 @@ def state(mem) -> dict:
     return out
 
 
-def replay(accesses) -> MemoryHierarchy:
-    """Run ``accesses`` on both models, comparing after each one."""
+def replay(accesses) -> tuple[MemoryHierarchy, int]:
+    """Run ``accesses`` on both models, comparing after each one.
+
+    Returns the hierarchy and the longest latency ``dread`` returned.
+    """
     mem = MemoryHierarchy(CONFIG)
     ref = ReferenceHierarchy()
     cycle = 0
+    longest = 0
     for i, (kind, asid, addr, gap) in enumerate(accesses):
         cycle += gap
         got = getattr(mem, kind)(asid, addr, cycle)
         if kind == "ifetch":
             got = (got.hit, got.ready_cycle)
+        elif kind == "dread" and got is not None:
+            assert got <= mem.max_dread_latency, (i, asid, hex(addr), cycle)
+            longest = max(longest, got)
         want = getattr(ref, kind)(asid, addr, cycle)
         assert got == want, (i, kind, asid, hex(addr), cycle)
         assert state(mem) == state(ref), (i, kind, asid, hex(addr), cycle)
-    return mem
+    return mem, longest
 
 
 # Two threads touching two lines in each of eight pages, a few cycles
@@ -170,7 +178,11 @@ def test_every_miss_path_branch_occurs():
                  + rng.randrange(LINES_PER_PAGE) * LINE
                  + rng.randrange(LINE),
                  rng.randrange(MAX_GAP + 1)) for _ in range(3000)]
-    mem = replay(accesses)
+    mem, longest = replay(accesses)
+    # The stated bound is reached (a load missing the D-TLB and L2),
+    # so it is exact, not merely safe.
+    assert longest == mem.max_dread_latency == \
+        mem.dtlb.miss_penalty + L2_LATENCY + MEMORY_LATENCY
     for name in ("l1i", "l1d", "l2", "itlb", "dtlb"):
         component = getattr(mem, name)
         assert component.hits > 0 and component.misses > 0, name

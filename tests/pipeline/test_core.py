@@ -3,6 +3,7 @@ resource-accounting invariants."""
 
 import pytest
 
+from repro.core.config import DEFAULT_CONFIG
 from repro.core.simulator import Simulator
 from repro.trace import walk
 
@@ -107,6 +108,24 @@ class TestInvariants:
         sim.core.run(100)
         assert sim.core.cycle == 100
         assert sim.core.stats.cycles == 100
+
+
+class TestEventWheel:
+    @pytest.mark.parametrize("memory_latency, span",
+                             [(100, 256), (600, 1024), (2000, 2048)])
+    def test_span_is_first_power_of_two_above_longest_latency(
+            self, memory_latency, span):
+        """A load that misses the D-TLB and L2 is the longest latency
+        issue charges: 1 cycle of address generation, the 30-cycle walk,
+        10 for L2 and the memory latency.  A wheel no longer than that
+        would drain a completion at an earlier cycle that shares its
+        bucket."""
+        sim = Simulator(("gzip",), config=DEFAULT_CONFIG.with_(
+            memory_latency=memory_latency))
+        longest = 1 + sim.memory.max_dread_latency
+        assert longest == 41 + memory_latency
+        assert len(sim.core._wheel) == span
+        assert span // 2 <= longest < span
 
 
 class TestSquashBehaviour:
