@@ -33,9 +33,7 @@ class ReferenceBackend:
 
     def warm(self, cycles: int) -> None:
         """Advance ``cycles`` cycles, then discard all statistics."""
-        if cycles:
-            self.simulator.core.run(cycles)
-            self.simulator._reset_stats()
+        self.simulator.warm(cycles)
 
     def advance(self, cycles: int) -> None:
         """Advance ``cycles`` measured cycles."""
@@ -44,14 +42,6 @@ class ReferenceBackend:
     def result(self) -> SimResult:
         """Snapshot the statistics accumulated since the last reset."""
         return self.simulator.result()
-
-    def run(self, cycles: int, warmup: int | None = None) -> SimResult:
-        """Warm up, measure ``cycles`` cycles, export the result.
-
-        ``warmup=None`` defers to ``config.warmup_cycles``, matching
-        the semantics of :func:`repro.core.simulator.simulate`.
-        """
-        return self.simulator.run(cycles, warmup=warmup)
 
 
 def get_backend(name: str) -> type[ReferenceBackend]:

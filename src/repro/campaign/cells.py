@@ -117,9 +117,9 @@ def execute_cell(cell: Cell) -> SimResult:
 
     The fault-injection hook (no-op unless ``REPRO_FAULTS`` is set)
     fires first — inside the worker or isolated child, which is where
-    real faults strike.  :func:`~repro.core.simulator.simulate` builds
-    the machine through the backend the config names, so a cell
-    planned for a removed backend fails with
+    real faults strike.  :func:`~repro.core.simulator.simulate` checks
+    the backend the config names before it builds the machine, so a
+    cell planned for a removed backend fails with
     :func:`~repro.backend.get_backend`'s error.
     """
     maybe_fire(fault_label(descriptor_for(cell)))

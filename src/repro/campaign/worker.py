@@ -227,7 +227,6 @@ def worker_process_entry(queue_path: str, worker_id: str,
                          lease_seconds: float,
                          journal_path: str | None = None,
                          campaign_id: str | None = None,
-                         install_signals: bool = True,
                          wait: bool = True) \
         -> tuple[DrainStats, dict[str, int]]:
     """Bootstrap one worker process and drain the queue.
@@ -239,9 +238,10 @@ def worker_process_entry(queue_path: str, worker_id: str,
     never Python objects (journal appends are atomic, so any number
     of workers write one ``events.jsonl``).
 
-    The process is signal-aware by default: SIGTERM/SIGINT request a
-    graceful drain (finish the in-flight cell, lease nothing more,
-    journal ``worker_drain``, return — i.e. exit 0).
+    The process is signal-aware for the length of the drain:
+    SIGTERM/SIGINT request a graceful drain (finish the in-flight cell,
+    lease nothing more, journal ``worker_drain``, return — i.e. exit
+    0), and the handlers they displaced are put back on return.
 
     Returns the drain's stats and the queue's row counts by state;
     spawned workers ignore both.
@@ -256,10 +256,9 @@ def worker_process_entry(queue_path: str, worker_id: str,
     if cache is not None:
         cache.journal = journal
     control = DrainControl()
-    if install_signals:
-        control.install()
     queue = CellQueue(queue_path, journal=journal)
     try:
+        control.install()
         stats = drain(queue, worker_id=worker_id, cache=cache,
                       cell_timeout=cell_timeout,
                       lease_seconds=lease_seconds, wait=wait,
@@ -268,5 +267,4 @@ def worker_process_entry(queue_path: str, worker_id: str,
     finally:
         journal.close()
         queue.close()
-        if install_signals:
-            control.restore()
+        control.restore()

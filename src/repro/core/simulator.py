@@ -79,13 +79,22 @@ class Simulator:
         self.core = SmtCore(self.fetch_unit, cfg)
 
     def run(self, cycles: int, warmup: int | None = None) -> SimResult:
-        """Warm up, reset statistics, then measure ``cycles`` cycles."""
-        warmup = self.config.warmup_cycles if warmup is None else warmup
-        if warmup:
-            self.core.run(warmup)
-            self._reset_stats()
+        """Warm up, then measure ``cycles`` cycles.
+
+        ``warmup=None`` defers to ``config.warmup_cycles``.
+        """
+        self.warm(self.config.warmup_cycles if warmup is None else warmup)
         self.core.run(cycles)
         return self.result()
+
+    def warm(self, cycles: int) -> None:
+        """Run ``cycles`` warm-up cycles, then reset every statistic.
+
+        The one warm-up/measurement boundary.  No cycles, no reset.
+        """
+        if cycles:
+            self.core.run(cycles)
+            self._reset_stats()
 
     def _reset_stats(self) -> None:
         """Zero every statistic at the warm-up/measurement boundary.
@@ -152,6 +161,6 @@ def simulate(workload: str | tuple[str, ...] | list[str],
 
     benchmarks, name = resolve_workload(workload)
     config = config or DEFAULT_CONFIG
-    machine = get_backend(config.backend)(
-        benchmarks, engine, policy, config, workload_name=name)
-    return machine.run(cycles, warmup=warmup)
+    get_backend(config.backend)     # any other backend fails by name
+    return Simulator(benchmarks, engine, policy, config,
+                     workload_name=name).run(cycles, warmup=warmup)

@@ -49,12 +49,6 @@ class FigureResult:
         """The bar height for one (workload, engine, policy) cell."""
         return self.values[(workload, engine, policy)]
 
-    def average_over_workloads(self, engine: str, policy: str) -> float:
-        """Mean across the figure's workloads (for claim ratios)."""
-        cells = [self.values[(w, engine, policy)]
-                 for w in self.spec.workloads]
-        return sum(cells) / len(cells)
-
 
 def figure_result(spec: FigureSpec, cycles: int,
                   grid: Grid) -> FigureResult:

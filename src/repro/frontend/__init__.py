@@ -24,14 +24,13 @@ from repro.frontend.engine import EngineKind, FetchEngine, make_engine
 from repro.frontend.fetch_unit import FetchStats, FetchUnit
 from repro.frontend.gshare_btb import GShareBtbEngine
 from repro.frontend.gskew_ftb import GSkewFtbEngine
-from repro.frontend.policy import FetchPolicy, ICount, PolicySpec, RoundRobin
+from repro.frontend.policy import ICount, PolicySpec
 from repro.frontend.request import FetchRequest
 from repro.frontend.stream_engine import StreamFetchEngine
 
 __all__ = [
     "EngineKind",
     "FetchEngine",
-    "FetchPolicy",
     "FetchRequest",
     "FetchStats",
     "FetchUnit",
@@ -39,7 +38,6 @@ __all__ = [
     "GSkewFtbEngine",
     "ICount",
     "PolicySpec",
-    "RoundRobin",
     "StreamFetchEngine",
     "make_engine",
 ]

@@ -20,8 +20,8 @@ as closures once per fetch unit (:meth:`FetchUnit._build_stages`):
 per-thread structures (FTQ deques, occurrence-count dicts, basic-block
 maps) are captured as free variables, candidate/bank lists are reusable
 scratch buffers, thread ordering sorts in place
-(:meth:`repro.frontend.policy.FetchPolicy.order`), and the
-architectural walk of sequential non-branch instructions is inlined
+(:meth:`repro.frontend.policy.ICount.order`, for RR as for ICOUNT), and
+the architectural walk of sequential non-branch instructions is inlined
 (the :meth:`~repro.trace.context.ThreadContext.step` fast path) so the
 common instruction costs no method calls at all.  Captured structures
 are identity-stable — mutated in place, never rebound — and that
@@ -38,11 +38,11 @@ name).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import MutableSequence, Sequence
 from typing import TYPE_CHECKING
 
 from repro.frontend.engine import FetchEngine
-from repro.frontend.policy import PolicySpec
+from repro.frontend.policy import ICount, PolicySpec
 from repro.frontend.request import FetchRequest
 from repro.isa.instruction import INSTR_BYTES, BranchKind, DynInst
 from repro.memory.hierarchy import MemoryHierarchy
@@ -52,6 +52,29 @@ if TYPE_CHECKING:
     from repro.core.config import SimConfig
 
 _DECODE_RESOLVABLE = (BranchKind.JUMP, BranchKind.CALL)
+
+
+def drop_younger(buffer: MutableSequence[DynInst], tid: int,
+                 seq: int) -> int:
+    """Squash thread ``tid``'s entries younger than ``seq`` in ``buffer``.
+
+    The one filter for the three in-order buffers (the fetch buffer and
+    the decode and rename latches): it marks those entries ``squashed``
+    and drops them, keeping the rest in order.  The compiled stages
+    capture each buffer, so it is rebuilt in place, and only when
+    something went.  Returns how many went, for ICOUNT.
+    """
+    kept = []
+    for entry in buffer:
+        if entry.tid == tid and entry.seq > seq:
+            entry.squashed = True
+        else:
+            kept.append(entry)
+    removed = len(buffer) - len(kept)
+    if removed:
+        buffer.clear()
+        buffer.extend(kept)
+    return removed
 
 
 class FetchStats:
@@ -93,9 +116,10 @@ class FetchStats:
 class FetchUnit:
     """Two-stage decoupled front-end shared by all hardware threads.
 
-    The unit makes its own fetch policy (``spec.make``) and the ICOUNT
-    list the core shares, and reads the FTQ depth, fetch-buffer size
-    and line size from ``config``.  Each thread's Fetch Target Queue
+    The unit makes the ICOUNT list the core shares, and orders threads
+    with :meth:`ICount.order` over that list for ICOUNT policies and
+    over an all-zero list for RR.  It reads the FTQ depth, fetch-buffer
+    size and line size from ``config``.  Each thread's Fetch Target Queue
     (Table 3: 4 entries per thread) is a plain deque of fetch requests.
     The prediction stage appends while it holds fewer than
     ``config.ftq_depth``, so it runs ahead of a thread blocked on an
@@ -117,7 +141,6 @@ class FetchUnit:
         n = len(contexts)
         self.engine = engine
         self.spec = spec
-        self.policy = spec.make(n)
         self.memory = memory
         self.contexts = contexts
         self.icounts = [0] * n
@@ -157,7 +180,10 @@ class FetchUnit:
         width = self.spec.width
         threads_per_cycle = self.spec.threads_per_cycle
         simultaneous = threads_per_cycle > 1
-        policy_order = self.policy.order
+        policy_order = ICount(n_threads).order
+        # RR is ICOUNT over equal counts: its rotation is the tie-break.
+        priorities = icounts if self.spec.name == "ICOUNT" \
+            else [0] * n_threads
         engine_predict = self.engine.predict
         ifetch = self.memory.ifetch
         bank_of = self.memory.l1i.bank_of
@@ -194,10 +220,7 @@ class FetchUnit:
                 return
             if num > 1:
                 # A single candidate needs no ordering; skip the sort.
-                # Shipped policies sort the scratch list in place and
-                # return it; honouring the return value keeps policies
-                # that return a fresh list correct too.
-                candidates = policy_order(cycle, candidates, icounts)
+                policy_order(cycle, candidates, priorities)
             take = threads_per_cycle if threads_per_cycle < num else num
             for k in range(take):
                 tid = candidates[k]
@@ -219,7 +242,7 @@ class FetchUnit:
             if not candidates:
                 return
             if len(candidates) > 1:
-                candidates = policy_order(cycle, candidates, icounts)
+                policy_order(cycle, candidates, priorities)
             width_left = width
             slots = threads_per_cycle
             banks_in_use = banks_scratch
@@ -433,19 +456,4 @@ class FetchUnit:
         self.next_pc[tid] = resume_pc
         self.blocked_until[tid] = 0
         self.engine.repair(tid, di)
-        fetch_buffer = self.fetch_buffer
-        if fetch_buffer:
-            # One pass: mark the thread's younger entries and collect
-            # the rest; the buffer is rebuilt only when something went.
-            seq = di.seq
-            kept = []
-            for entry in fetch_buffer:
-                if entry.tid == tid and entry.seq > seq:
-                    entry.squashed = True
-                else:
-                    kept.append(entry)
-            removed = len(fetch_buffer) - len(kept)
-            if removed:
-                fetch_buffer.clear()
-                fetch_buffer.extend(kept)
-                self.icounts[tid] -= removed
+        self.icounts[tid] -= drop_younger(self.fetch_buffer, tid, di.seq)

@@ -4,7 +4,9 @@ The paper's notation ``POLICY.N.X`` means "up to X instructions total
 from up to N threads per cycle" (Tullsen et al.).  ``ICOUNT`` prioritises
 the threads with the fewest instructions in the pre-issue stages of the
 pipeline — balancing queue occupancy and starving threads that clog the
-machine; ``RR`` rotates priority blindly.
+machine; ``RR`` rotates priority blindly.  RR's rotation is ICOUNT's
+tie-break, so RR is ICOUNT over equal counts: one ordering routine,
+:meth:`ICount.order`, serves both.
 """
 
 from __future__ import annotations
@@ -68,70 +70,14 @@ class PolicySpec:
             f"clamping to {clamped}", stacklevel=2)
         return clamped
 
-    def make(self, n_threads: int) -> "FetchPolicy":
-        """Instantiate the policy object for ``n_threads`` contexts."""
-        if self.name == "RR":
-            return RoundRobin(n_threads)
-        return ICount(n_threads)
 
-
-class FetchPolicy:
-    """Interface: order candidate threads by fetch priority.
-
-    ``order`` sorts **in place** and returns the same list: the fetch
-    unit calls it twice per cycle on reusable scratch buffers, so the
-    hot path never allocates a result list.
-    """
-
-    def order(self, cycle: int, candidates: list[int],
-              icounts: list[int]) -> list[int]:
-        """Sort ``candidates`` best-first for this cycle; returns it."""
-        raise NotImplementedError
-
-
-class RoundRobin(FetchPolicy):
-    """Rotate priority across threads each cycle (Tullsen's RR)."""
-
-    def __init__(self, n_threads: int) -> None:
-        self.n_threads = n_threads
-
-    def order(self, cycle: int, candidates: list[int],
-              icounts: list[int]) -> list[int]:
-        n = self.n_threads
-        start = cycle % n
-        num = len(candidates)
-        if num == 2:
-            # Two candidates — the overwhelmingly common case — need
-            # one comparison, not the sort machinery.
-            a, b = candidates
-            if (b - start) % n < (a - start) % n:
-                candidates[0] = b
-                candidates[1] = a
-            return candidates
-        if num <= 8:
-            # Allocation-free insertion sort (no key lambdas/tuples);
-            # rotation distances are unique, so order is total.
-            for i in range(1, num):
-                t = candidates[i]
-                rt = (t - start) % n
-                j = i - 1
-                while j >= 0:
-                    u = candidates[j]
-                    if (u - start) % n <= rt:
-                        break
-                    candidates[j + 1] = u
-                    j -= 1
-                candidates[j + 1] = t
-            return candidates
-        candidates.sort(key=lambda t: (t - start) % n)
-        return candidates
-
-
-class ICount(FetchPolicy):
-    """Prioritise threads with the fewest pre-issue instructions.
+class ICount:
+    """Order threads by fewest pre-issue instructions, then by rotation.
 
     Ties break round-robin so equally-empty threads share the front end
-    fairly instead of thread 0 monopolising it.
+    fairly instead of thread 0 monopolising it.  Over equal counts that
+    tie-break is the whole order, so the fetch unit runs RR through this
+    same routine with an all-zero count list.
     """
 
     def __init__(self, n_threads: int) -> None:
@@ -139,6 +85,12 @@ class ICount(FetchPolicy):
 
     def order(self, cycle: int, candidates: list[int],
               icounts: list[int]) -> list[int]:
+        """Sort ``candidates`` best-first by ``(icounts[t], (t - cycle)
+        % n)``, **in place**, and return the same list.
+
+        The fetch unit calls this twice per cycle on reusable scratch
+        buffers, so the hot path never allocates a result list.
+        """
         n = self.n_threads
         start = cycle % n
         num = len(candidates)
@@ -153,24 +105,21 @@ class ICount(FetchPolicy):
                 candidates[0] = b
                 candidates[1] = a
             return candidates
-        if num <= 8:
-            # Allocation-free insertion sort on (icount, rotation)
-            # without key lambdas/tuples.  Stable ordering is moot:
-            # rotation distances are unique within a cycle.
-            for i in range(1, num):
-                t = candidates[i]
-                ct = icounts[t]
-                rt = (t - start) % n
-                j = i - 1
-                while j >= 0:
-                    u = candidates[j]
-                    cu = icounts[u]
-                    if cu < ct or (cu == ct
-                                   and (u - start) % n <= rt):
-                        break
-                    candidates[j + 1] = u
-                    j -= 1
-                candidates[j + 1] = t
-            return candidates
-        candidates.sort(key=lambda t: (icounts[t], (t - start) % n))
+        # Allocation-free insertion sort on (icount, rotation) without
+        # key lambdas/tuples.  Stable ordering is moot: rotation
+        # distances are unique within a cycle.
+        for i in range(1, num):
+            t = candidates[i]
+            ct = icounts[t]
+            rt = (t - start) % n
+            j = i - 1
+            while j >= 0:
+                u = candidates[j]
+                cu = icounts[u]
+                if cu < ct or (cu == ct
+                               and (u - start) % n <= rt):
+                    break
+                candidates[j + 1] = u
+                j -= 1
+            candidates[j + 1] = t
         return candidates

@@ -4,13 +4,18 @@ Stage processing runs in reverse pipeline order each cycle (commit,
 writeback, issue, dispatch, rename, decode, fetch, predict) so that
 instructions advance one stage per cycle without same-cycle ripple.
 
-Branch recovery:
+Branch recovery is one squash, started from one of two stages:
 
-* misfetched direct jumps/calls (``resolve_at_decode``) redirect the
-  front-end as soon as they are decoded — a short bubble;
-* everything else resolves at writeback: the core squashes all younger
-  instructions of the thread from every structure, repairs the engine's
-  speculative state and redirects fetch to the architectural PC.
+* misfetched direct jumps/calls (``resolve_at_decode``) start it as
+  soon as they are decoded — a short bubble, since every younger
+  instruction of the thread is still in the fetch buffer
+  (``decode_redirects``);
+* everything else starts it at writeback, when younger instructions
+  may sit in every structure (``squashes``).
+
+The squash drops the thread's younger instructions wherever they are,
+repairs the engine's speculative state and redirects fetch to the
+architectural PC.
 
 ICOUNT accounting: a thread's count rises when instructions enter the
 fetch buffer and falls at issue (or at squash for pre-issue
@@ -86,7 +91,10 @@ Hot-path design (this loop dominates every experiment's wall-clock):
   resets only the rename-map entries the squashed instructions own
   (no other squashed producer can be mapped: squashed latch and
   fetch-buffer entries were never dispatched).  The latches and the
-  fetch buffer are filtered in one pass each.
+  fetch buffer are filtered in one pass each, by one filter
+  (:func:`~repro.frontend.fetch_unit.drop_younger`).  A decode redirect
+  takes the same path and no queue scan: its ROB tail holds nothing
+  younger, so the walk stops at once.
   ``tests/pipeline/test_recovery_invariants.py`` checks these
   invariants after every cycle.
 * **Compiled engine paths** — the fetch engines compile ``predict``,
@@ -108,7 +116,7 @@ import weakref
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
-from repro.frontend.fetch_unit import FetchUnit
+from repro.frontend.fetch_unit import FetchUnit, drop_younger
 from repro.isa.instruction import LATENCY_TABLE, DynInst, InstrClass
 from repro.pipeline.resources import QUEUE_TABLE, InstructionQueues, \
     PhysicalRegisters, ReorderBuffer
@@ -602,8 +610,10 @@ class SmtCore:
                                         and di.resolve_at_decode:
                                     # Misfetched direct jump/call: the target
                                     # is known at decode — redirect now, drop
-                                    # the wrong path.
-                                    core._redirect_at_decode(di)
+                                    # the wrong path (all of it still in the
+                                    # fetch buffer).
+                                    squash_from(di)
+                                    stats.decode_redirects += 1
                                     break
 
                     # ---------------- front end + accounting ----------------
@@ -634,9 +644,11 @@ class SmtCore:
             removes them from their queues (noting which ready lists
             held one), releases every destination register and clears
             the rename-map entries the squashed instructions own.  The
-            two latches are then filtered in one pass each, and
+            two latches are then filtered by :func:`drop_younger`, and
             :meth:`FetchUnit.redirect` does the same for the fetch
-            buffer.
+            buffer.  A decode redirect runs this too: its younger
+            instructions are all still in the fetch buffer, so the walk
+            and the latch filters find nothing.
             """
             tid = di.tid
             seq = di.seq
@@ -674,17 +686,7 @@ class SmtCore:
                         ready = ready_lists[q]
                         ready[:] = [w for w in ready if not w.squashed]
             for latch in latches:
-                if latch:
-                    kept = []
-                    for entry in latch:
-                        if entry.tid == tid and entry.seq > seq:
-                            entry.squashed = True
-                        else:
-                            kept.append(entry)
-                    gone = len(latch) - len(kept)
-                    if gone:
-                        removed += gone
-                        latch[:] = kept
+                removed += drop_younger(latch, tid, seq)
             icounts[tid] -= removed
             redirect(tid, contexts[tid].recover(), di)
             di.diverges = False             # recovery handled
@@ -695,17 +697,3 @@ class SmtCore:
 
         self.tick = tick
         self._run_fast = run_fast
-        self._squash_from = squash_from
-
-    # ------------------------------------------------------------------
-    # squash machinery (cold path)
-    # ------------------------------------------------------------------
-
-    def _redirect_at_decode(self, di: DynInst) -> None:
-        tid = di.tid
-        removed = self.iqs.remove_squashed(tid, di.seq)
-        assert removed == 0, "younger instructions cannot be in the IQ"
-        resume = self.contexts[tid].recover()
-        self.fetch_unit.redirect(tid, resume, di)
-        di.diverges = False             # recovery handled
-        self.stats.decode_redirects += 1

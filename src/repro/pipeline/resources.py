@@ -46,8 +46,7 @@ class InstructionQueues:
     (``DynInst.pending == 0``).  The issue stage iterates ready lists
     only, so waiting instructions cost nothing per cycle.  The fused
     cycle loop (:mod:`repro.pipeline.core`) maintains both at dispatch,
-    issue and writeback; a decode-time redirect uses
-    :meth:`remove_squashed`.
+    issue, writeback and squash.
     """
 
     __slots__ = ("capacity", "queues", "ready")
@@ -59,30 +58,6 @@ class InstructionQueues:
                            dict[DynInst, None]] = ({}, {}, {})
         self.ready: tuple[list[DynInst], list[DynInst], list[DynInst]] = \
             ([], [], [])
-
-    def remove_squashed(self, tid: int, seq_limit: int) -> int:
-        """Drop entries of ``tid`` younger than ``seq_limit``.
-
-        Returns the number of entries removed (for ICOUNT accounting).
-        """
-        removed = 0
-        for q in range(3):
-            queue = self.queues[q]
-            victims = None
-            for di in queue:
-                if di.tid == tid and di.seq > seq_limit:
-                    di.squashed = True
-                    removed += 1
-                    if victims is None:
-                        victims = [di]
-                    else:
-                        victims.append(di)
-            if victims is not None:
-                for di in victims:
-                    del queue[di]
-                ready = self.ready[q]
-                ready[:] = [di for di in ready if not di.squashed]
-        return removed
 
 
 class PhysicalRegisters:

@@ -27,12 +27,7 @@ from repro.program.memgen import (
     StackGenerator,
     StrideGenerator,
 )
-from repro.program.profiles import (
-    ILP_BENCHMARKS,
-    MEM_BENCHMARKS,
-    SPECINT2000,
-    BenchmarkProfile,
-)
+from repro.program.profiles import SPECINT2000, BenchmarkProfile
 
 __all__ = [
     "AddressGenerator",
@@ -41,10 +36,8 @@ __all__ = [
     "BranchBehavior",
     "ChaseGenerator",
     "Function",
-    "ILP_BENCHMARKS",
     "IndirectBehavior",
     "LoopBehavior",
-    "MEM_BENCHMARKS",
     "PatternBehavior",
     "Program",
     "SPECINT2000",

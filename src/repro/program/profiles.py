@@ -205,11 +205,3 @@ SPECINT2000: dict[str, BenchmarkProfile] = {
         ws_kb=2048, chase_frac=0.50, stride_frac=0.15,
         dep_window=4, chase_chain_p=0.40),
 }
-
-MEM_BENCHMARKS = frozenset(
-    name for name, prof in SPECINT2000.items() if prof.memory_bound)
-"""Benchmarks the paper's Table 2 treats as memory-bounded."""
-
-ILP_BENCHMARKS = frozenset(
-    name for name, prof in SPECINT2000.items() if not prof.memory_bound)
-"""Benchmarks the paper's Table 2 treats as high-ILP."""

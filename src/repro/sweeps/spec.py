@@ -169,10 +169,6 @@ class SweepSpec:
     # derivation
     # ------------------------------------------------------------------
 
-    def axis_values(self) -> dict:
-        """The axes as an ordered ``{axis: values}`` mapping."""
-        return {axis: values for axis, values in self.axes}
-
     def with_axis(self, axis: str, values) -> "SweepSpec":
         """Replace (or append) one axis; returns a new spec."""
         validate_axis(axis)

@@ -2,8 +2,9 @@
 
 Byte-for-byte parity against the golden fixture lives in
 ``tests/perf/test_golden_parity.py``; these tests cover the layer
-itself — name lookup, the construction/run contract, and the plumbing
-through ``simulate`` and the campaign's per-cell path.
+itself — name lookup, the backend's phases against ``Simulator.run``,
+and the plumbing through ``simulate`` and the campaign's per-cell
+path.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 from repro.backend import ReferenceBackend, get_backend
 from repro.campaign.cells import Cell, execute_cell
 from repro.core.config import SimConfig
-from repro.core.simulator import simulate
+from repro.core.simulator import Simulator, simulate
 from repro.core.workloads import WORKLOADS
 
 FAST = dict(cycles=400, warmup=200)
@@ -48,17 +49,19 @@ class TestProtocol:
                              policy="ICOUNT.2.8", workload_name="2_MIX")
         a.warm(200)
         a.advance(400)
-        b = ReferenceBackend(WORKLOADS["2_MIX"], engine="stream",
-                             policy="ICOUNT.2.8", workload_name="2_MIX")
+        b = Simulator(WORKLOADS["2_MIX"], engine="stream",
+                      policy="ICOUNT.2.8", workload_name="2_MIX")
         assert render(a.result()) == render(b.run(400, warmup=200))
 
     def test_run_defaults_warmup_to_config(self):
         config = SimConfig(warmup_cycles=200)
         a = ReferenceBackend(WORKLOADS["2_MIX"], config=config,
                              workload_name="2_MIX")
-        b = ReferenceBackend(WORKLOADS["2_MIX"], config=config,
-                             workload_name="2_MIX")
-        assert render(a.run(400)) == render(b.run(400, warmup=200))
+        a.warm(200)
+        a.advance(400)
+        b = Simulator(WORKLOADS["2_MIX"], config=config,
+                      workload_name="2_MIX")
+        assert render(a.result()) == render(b.run(400))
 
     def test_simulate_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):

@@ -7,6 +7,7 @@ bit-identical results to the single-process path.
 """
 
 import signal
+import sqlite3
 import time
 
 import pytest
@@ -293,7 +294,6 @@ class TestWorkerBootstrap:
         return plan.campaign_id, tmp_path / "campaigns" / plan.campaign_id
 
     def entry(self, cdir, cache_dir=None, **kwargs):
-        kwargs.setdefault("install_signals", False)
         return worker_process_entry(str(cdir / QUEUE_NAME), "w",
                                     cache_dir, None, 30.0, **kwargs)
 
@@ -361,8 +361,15 @@ class TestWorkerBootstrap:
 
         monkeypatch.setattr(worker_mod, "drain", spy)
         before = signal.getsignal(signal.SIGTERM)
-        self.entry(cdir, install_signals=True, wait=False)
+        self.entry(cdir, wait=False)
         assert len(seen) == 1 and seen[0] is not before
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_a_queue_that_cannot_open_leaves_the_handlers(self,
+                                                         tmp_path):
+        before = signal.getsignal(signal.SIGTERM)
+        with pytest.raises(sqlite3.OperationalError):
+            self.entry(tmp_path / "missing", wait=False)
         assert signal.getsignal(signal.SIGTERM) is before
 
 

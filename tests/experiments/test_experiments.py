@@ -72,11 +72,6 @@ class TestRunner:
         assert len(result.values) == 2
         assert result.value("2_MIX", "gshare+BTB", "ICOUNT.1.8") > 0
 
-    def test_average_over_workloads(self, session):
-        result = session.run_figure(FIGURES["fig2"])
-        avg = result.average_over_workloads("gshare+BTB", "ICOUNT.1.8")
-        assert avg == result.value("2_MIX", "gshare+BTB", "ICOUNT.1.8")
-
     def test_format_figure_contains_cells(self, session):
         result = session.run_figure(FIGURES["fig2"])
         text = format_figure(result)

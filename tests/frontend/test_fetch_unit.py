@@ -271,6 +271,23 @@ class TestPolicies:
             unit.fetch_buffer.clear()
             unit.icounts[0] = unit.icounts[1] = 0
 
+    @pytest.mark.parametrize("policy", ["RR.1.8", "ICOUNT.1.8"])
+    def test_round_robin_ignores_the_icount_list(self, policy):
+        # Each cycle the rotation's head (thread cycle % n) holds the
+        # most pre-issue instructions and its predecessor the fewest:
+        # RR still predicts for the head, ICOUNT for the predecessor.
+        benchmarks = ("gzip", "eon", "twolf")
+        n = len(benchmarks)
+        unit, _ = build_unit(benchmarks=benchmarks, policy=policy)
+        for cycle in range(3 * n):
+            unit.icounts[:] = [n - (t - cycle) % n for t in range(n)]
+            for ftq in unit.ftqs:
+                ftq.clear()
+            unit.predict_stage(cycle)
+            picked = [t for t in range(n) if unit.ftqs[t]]
+            expected = cycle % n if policy == "RR.1.8" else (cycle - 1) % n
+            assert picked == [expected]
+
     def test_width_limit_respected(self):
         for policy, width in (("ICOUNT.1.8", 8), ("ICOUNT.2.8", 8),
                               ("ICOUNT.1.16", 16), ("ICOUNT.2.16", 16)):

@@ -1,5 +1,6 @@
 """Tests for fetch requests, FTQs and fetch policies."""
 
+import random
 import re
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.core.config import DEFAULT_CONFIG
 from repro.frontend.engine import make_engine
 from repro.frontend.fetch_unit import FetchUnit
-from repro.frontend.policy import ICount, PolicySpec, RoundRobin
+from repro.frontend.policy import ICount, PolicySpec
 from repro.frontend.request import FetchRequest
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.program import program_for
@@ -118,10 +119,6 @@ class TestPolicySpec:
         with pytest.raises(ValueError, match=re.escape(message)):
             PolicySpec.parse(bad)
 
-    def test_make(self):
-        assert isinstance(PolicySpec.parse("RR.1.8").make(2), RoundRobin)
-        assert isinstance(PolicySpec.parse("ICOUNT.1.8").make(2), ICount)
-
     @pytest.mark.parametrize("name", ["RR", "ICOUNT"])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("width", [8, 16, 32])
@@ -163,15 +160,17 @@ class TestPolicySpec:
 
 
 class TestRoundRobin:
+    """RR is ICOUNT's order over equal counts: rotation alone decides."""
+
     def test_rotates(self):
-        policy = RoundRobin(4)
+        policy = ICount(4)
         threads = [0, 1, 2, 3]
         assert policy.order(0, threads, [0] * 4)[0] == 0
         assert policy.order(1, threads, [0] * 4)[0] == 1
         assert policy.order(5, threads, [0] * 4)[0] == 1
 
     def test_subset_candidates(self):
-        policy = RoundRobin(4)
+        policy = ICount(4)
         assert policy.order(1, [0, 3], [0] * 4) == [3, 0]
 
 
@@ -191,3 +190,18 @@ class TestICount:
         # A thread hogging the pipeline should fall to the back.
         policy = ICount(2)
         assert policy.order(0, [0, 1], [30, 0]) == [1, 0]
+
+    def test_orders_any_number_of_candidates(self):
+        # More candidates than any Table 2 workload has threads: the
+        # insertion sort alone orders them, by (count, rotation).
+        n = 12
+        policy = ICount(n)
+        rng = random.Random(12)
+        for cycle in range(3 * n):
+            counts = [rng.randrange(4) for _ in range(n)]
+            candidates = list(range(n))
+            rng.shuffle(candidates)
+            expected = sorted(candidates,
+                              key=lambda t: (counts[t], (t - cycle) % n))
+            assert policy.order(cycle, candidates, counts) is candidates
+            assert candidates == expected

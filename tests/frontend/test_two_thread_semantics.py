@@ -4,6 +4,7 @@ shared width, bank-conflict arbitration, and priority handling."""
 import pytest
 
 from repro.core import SimConfig, Simulator
+from repro.frontend.fetch_unit import FetchUnit
 from repro.isa.instruction import BranchKind
 
 
@@ -66,21 +67,41 @@ class TestDecodeRedirect:
         sim.run(2500, warmup=0)
         assert sim.core.stats.decode_redirects > 0
 
-    def test_decode_redirect_cheaper_than_squash(self):
-        """A decode redirect must not flush post-rename structures."""
-        sim = build("ICOUNT.1.8", benchmarks=("gzip",))
-        core = sim.core
-        original = core._redirect_at_decode
-        observed = []
-        def spy(di):
-            observed.append(di.static.kind)
-            original(di)
-        core._redirect_at_decode = spy
-        core.run(2500)
-        assert observed, "expected at least one decode redirect"
+    def test_decode_redirect_cheaper_than_squash(self, monkeypatch):
+        """A decode redirect must not flush post-rename structures.
+
+        The redirecting thread's younger instructions are all still in
+        the fetch buffer, so on a cycle whose only recovery was a decode
+        redirect, nothing that sat in the ROB, an IQ or a latch before
+        the cycle is squashed after it.
+        """
+        redirected = []
+        original = FetchUnit.redirect
+
+        def spy(unit, tid, resume_pc, di):
+            redirected.append(di)
+            original(unit, tid, resume_pc, di)
+
+        # The core binds the fetch unit's redirect when it is built.
+        monkeypatch.setattr(FetchUnit, "redirect", spy)
+        core = build("ICOUNT.2.8", benchmarks=("gcc", "gzip")).core
+        stats = core.stats
+        kinds = []
+        for _ in range(2500):
+            before = [di for lst in core.rob.lists for di in lst]
+            before += [di for queue in core.iqs.queues for di in queue]
+            before += core.decode_latch + core.rename_latch
+            redirects, squashes = stats.decode_redirects, stats.squashes
+            del redirected[:]
+            core.tick()
+            if stats.decode_redirects > redirects \
+                    and stats.squashes == squashes:
+                assert not any(di.squashed for di in before)
+                kinds += [di.static.kind for di in redirected]
+        assert kinds, "expected at least one decode redirect"
         assert all(kind in (BranchKind.JUMP, BranchKind.CALL,
                             BranchKind.NOT_BRANCH)
-                   for kind in observed)
+                   for kind in kinds)
 
 
 class TestIcountPriority:

@@ -104,9 +104,9 @@ class TestExpansion:
 class TestDerivation:
     def test_with_seeds_replaces_seed_axis(self):
         spec = spec_of({"ftq_depth": (1, 2)}).with_seeds(3)
-        assert spec.axis_values()["seed"] == (0, 1, 2)
+        assert dict(spec.axes)["seed"] == (0, 1, 2)
         assert spec.n_cells() == 6
-        assert spec.with_seeds(2).axis_values()["seed"] == (0, 1)
+        assert dict(spec.with_seeds(2).axes)["seed"] == (0, 1)
 
     def test_with_seeds_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -114,9 +114,9 @@ class TestDerivation:
 
     def test_with_axis_overrides_in_place(self):
         spec = PRESETS["ftq_depth"].with_axis("ftq_depth", (1, 16))
-        assert spec.axis_values()["ftq_depth"] == (1, 16)
+        assert dict(spec.axes)["ftq_depth"] == (1, 16)
         # The preset itself is untouched (frozen).
-        assert PRESETS["ftq_depth"].axis_values()["ftq_depth"] \
+        assert dict(PRESETS["ftq_depth"].axes)["ftq_depth"] \
             == (1, 2, 4, 8)
 
     def test_baseline_defaults_to_first_values(self):
